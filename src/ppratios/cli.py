@@ -249,7 +249,8 @@ def _run_simulate(cfg: dict) -> int:
     t, trials = float(cfg["t"]), int(cfg["trials"])
     epsilon, seed = float(cfg["epsilon"]), int(cfg["seed"])
     above, w, counts = sp.ratio_configuration_batch(
-        model, t, r, n, epsilon, trials, seed, cap=int(cfg["cap"]))
+        model, t, r, n, epsilon, trials, seed, cap=int(cfg["cap"]),
+        threads=int(cfg["threads"]))
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     header = ["trial_index", "t", "r", "n", "w_rn", "count_below"] + [

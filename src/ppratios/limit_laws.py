@@ -21,8 +21,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad as _scipy_quad
-
-from ._special import betainc_reg, gammainc_lower, log_beta
+from scipy.special import betainc, betaln, gammainc
 
 INDICATOR_STEP = "indicator_step"
 LINEAR_RAMP = "linear_ramp"
@@ -129,7 +128,13 @@ def _quad(fn, lo, hi, quad: QuadSpec, breakpoints=None) -> float:
 
 def incomplete_beta(a: float, b: float, x):
     """Regularized incomplete beta B(a, b; x) for a, b > 0 and x in [0, 1]."""
-    return betainc_reg(a, b, x)
+    if not (a > 0 and b > 0):
+        raise ValueError("incomplete beta requires a > 0 and b > 0")
+    arr = np.asarray(x, dtype=float)
+    if np.any((arr < 0) | (arr > 1)):
+        raise ValueError("incomplete beta argument must lie in [0, 1]")
+    out = betainc(a, b, arr)
+    return float(out) if out.ndim == 0 else out
 
 
 def w_law(spec: LawSpec, w):
@@ -147,8 +152,8 @@ def w_law(spec: LawSpec, w):
     if np.any((arr <= 0) | (arr >= 1)):
         raise ValueError("w must lie strictly inside (0, 1)")
     wa = arr**a
-    density = (1.0 - wa) ** (n - 1) * a * arr ** (a * r - 1.0) / math.exp(log_beta(r, n))
-    cdf = np.atleast_1d(betainc_reg(r, n, wa))
+    density = (1.0 - wa) ** (n - 1) * a * arr ** (a * r - 1.0) / math.exp(betaln(r, n))
+    cdf = betainc(r, n, wa)
     if scalar:
         return float(density[0]), float(cdf[0])
     return density, cdf
@@ -328,7 +333,7 @@ def _upper_factor(r: int, n: int, alpha: float, f: LaplaceProbe, quad: QuadSpec)
     The Beta(r, n) density's (1-s)**(n-1) cancels the conditional
     normalization, leaving a smooth outer integrand.
     """
-    log_b = log_beta(r, n)
+    log_b = betaln(r, n)
 
     def outer(s: float) -> float:
         hi = s ** (-1.0 / alpha)
@@ -406,4 +411,4 @@ def conditional_gamma_cdf(r: int, n: int, alpha: float, w: float, z):
     arr = np.asarray(z, dtype=float)
     if np.any(arr < 0):
         raise ValueError("z must be nonnegative")
-    return gammainc_lower(r + n, w**-alpha * arr)
+    return gammainc(r + n, w**-alpha * arr)

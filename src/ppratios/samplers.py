@@ -3,11 +3,23 @@
 Everything is driven by the inverse-tail representation: the i-th largest
 point of the intensity-``t * tail`` Poisson process equals
 ``inverse_tail(gamma_i / t)`` where ``gamma_1 < gamma_2 < ...`` are unit-rate
-Poisson arrivals.  Each trial owns one counter-based stream, and every
-sampler exists in two bit-identical forms:
+Poisson arrivals.  Each trial owns one counter-based stream, and row ``i``
+of every batch sampler replays stream ``stream_start + i``, so it is
+bit-identical to the single-trial form run on that stream.
 
-* a single-trial form taking an :class:`~ppratios.rng.RngStream`, and
-* a vectorized batch form where row ``i`` replays stream ``stream_start+i``.
+The open-ended samplers (ratio configurations and both constructions of the
+negative binomial limit process) draw arrivals until a row crosses its
+threshold.  One ragged engine, :func:`_extend`, does this for a set of rows:
+it extends every row that has not crossed yet by ``_CHUNK`` counters per
+round, and a per-round hook collects the points (single-trial forms, which
+run the engine on one row) or reduces them into probe sums (batch forms,
+row-blocked by :func:`_map_row_blocks`).  Both forms therefore share
+
+* one cap rule: before each round, :class:`TruncationError` is raised once
+  ``cap`` arrivals past the head have been drawn, and
+* one cursor rule: a single-trial draw leaves its stream's cursor just after
+  the last counter it consumed -- the crossing arrival, or for
+  ``mixed_poisson`` the last placed point.
 
 Ordered points are handled on the log scale internally so the slowly
 varying family stays finite deep into the small-time regime.
@@ -22,7 +34,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .rng import RngStream, uniform_block, uniform_grid, uniforms_at
+from .rng import RngStream, uniform_grid, uniforms_at
 from .tail_models import (
     DEFAULT_INVERSE_SPEC,
     InverseSpec,
@@ -35,7 +47,7 @@ LIMIT_RATIOS = "limit_ratios"
 MIXED_POISSON = "mixed_poisson"
 NB_METHODS = frozenset({LIMIT_RATIOS, MIXED_POISSON})
 
-_CHUNK = 64  # column budget per extension round of open-ended samplers
+_CHUNK = 64  # counters per row and extension round of the ragged engine
 _ROW_BLOCK = 1 << 17  # rows per thread task in batch samplers
 
 
@@ -84,6 +96,17 @@ class NBSample:
     method: str
 
 
+def _validate_ratio_args(t: float, r: int, n: int, epsilon: float, cap: int):
+    if r < 0 or n < 1:
+        raise ValueError("require r >= 0 and n >= 1")
+    if not (0.0 < epsilon < 1.0):
+        raise ValueError("epsilon must lie strictly inside (0, 1)")
+    if cap < r + n + 1:
+        raise ValueError("cap must be at least r + n + 1")
+    if not t > 0:
+        raise ValueError("t must be positive")
+
+
 def _validate_nb_args(n: int, alpha: float, epsilon: float, method: str):
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -93,6 +116,112 @@ def _validate_nb_args(n: int, alpha: float, epsilon: float, method: str):
         raise ValueError("epsilon must lie strictly inside (0, 1)")
     if method not in NB_METHODS:
         raise ValueError(f"unknown sampler method: {method!r}")
+
+
+# ---------------------------------------------------------------------------
+# the ragged engine and the open-ended constructions built on it
+
+
+def _extend(master_seed, streams, start, last, accept, cap, on_round=None):
+    """Extend each row's arrivals until the first one ``accept`` rejects.
+
+    Row ``i`` reads stream ``streams[i]`` from counter ``start`` on and
+    continues from the arrival ``last[i]``.  Each round draws ``_CHUNK``
+    counters for every row still active; ``accept(rows, arr)`` returns
+    ``(kept, values)`` for those rows and their new arrivals, where ``kept``
+    is a prefix of each row, and ``on_round(rows, values, kept)`` sees every
+    round.  Returns the per-row kept counts and the counter just after each
+    row's crossing arrival.
+    """
+    counts = np.zeros(streams.size, dtype=np.int64)
+    finish = np.empty(streams.size, dtype=np.int64)
+    last = np.array(last, dtype=float)
+    act = np.arange(streams.size)
+    cols = np.arange(_CHUNK)
+    offset = start
+    while act.size:
+        if offset - start >= cap:
+            raise TruncationError(
+                f"cap={cap} arrivals drawn before the epsilon crossing in "
+                f"{act.size} of {streams.size} rows (epsilon or cap too small)"
+            )
+        u = uniforms_at(master_seed, streams[act, None], offset + cols)
+        arr = last[act, None] + np.cumsum(-np.log(u), axis=1)
+        kept, values = accept(act, arr)
+        if on_round is not None:
+            on_round(act, values, kept)
+        k = kept.sum(axis=1)
+        counts[act] += k
+        done = k < _CHUNK
+        finish[act[done]] = offset + k[done] + 1
+        last[act] = arr[:, -1]
+        act = act[~done]
+        offset += _CHUNK
+    return counts, finish
+
+
+def _ratio_head(model, t, r, n, master_seed, streams, start, spec):
+    """Last head arrival, log pivot, above ratios and w_rn (or None) per row."""
+    head = r + n
+    u = uniforms_at(master_seed, streams[:, None], start + np.arange(head))
+    g = np.cumsum(-np.log(u), axis=1)
+    lp = ordered_log_points(model, t, g, spec)
+    pivot = lp[:, head - 1]
+    above = np.exp(lp[:, r : head - 1] - pivot[:, None])
+    w = np.exp(pivot - lp[:, r - 1]) if r >= 1 else None
+    return g[:, -1], pivot, above, w
+
+
+def _ratio_below(model, t, epsilon, master_seed, streams, start, last, pivot,
+                 cap, spec, on_below=None):
+    """Below-1 log ratios above log(epsilon), via the engine; hook as in :func:`_extend`."""
+    log_eps = math.log(epsilon)
+
+    def accept(rows, arr):
+        log_ratios = ordered_log_points(model, t, arr, spec) - pivot[rows, None]
+        return log_ratios > log_eps, log_ratios
+
+    return _extend(master_seed, streams, start, last, accept, cap, on_below)
+
+
+def _negbin_rows(n, alpha, epsilon, method, master_seed, streams, cap, on_points=None):
+    """Counts of the limiting process on (epsilon, 1), each row read from counter 0.
+
+    Returns the counts and the counter just after the last one each row
+    consumes.  ``on_points(rows, x, mask)`` receives the points in chunks;
+    without it no ``mixed_poisson`` point is placed.
+    """
+    inv_alpha = 1.0 / alpha
+    ea = epsilon**-alpha
+    u0 = uniforms_at(master_seed, streams[:, None], np.arange(n))
+    g = np.sum(-np.log(u0), axis=1)
+    bound = g * (ea - 1.0)
+
+    def accept(rows, arr):
+        return arr <= bound[rows, None], arr
+
+    def transform(rows, arr, kept):
+        on_points(rows, (1.0 + arr / g[rows, None]) ** -inv_alpha, kept)
+
+    limit = method == LIMIT_RATIOS
+    on_round = transform if limit and on_points is not None else None
+    counts, finish = _extend(master_seed, streams, n, np.zeros(streams.size),
+                             accept, cap, on_round)
+    if limit:
+        return counts, finish
+
+    # mixed_poisson: the count of arrivals below the gamma-scaled mean is
+    # the mixed Poisson count; place that many i.i.d. points by inverse CDF
+    # of the truncated base density, one counter each after the crossing
+    if on_points is not None:
+        max_count = int(counts.max())
+        for col in range(0, max_count, _CHUNK):
+            cols = col + np.arange(min(_CHUNK, max_count - col))
+            idx = np.flatnonzero(counts > col)
+            mask = cols[None, :] < counts[idx, None]
+            u = uniforms_at(master_seed, streams[idx, None], finish[idx, None] + cols[None, :])
+            on_points(idx, (ea - u * (ea - 1.0)) ** -inv_alpha, mask)
+    return counts, finish + counts
 
 
 # ---------------------------------------------------------------------------
@@ -131,56 +260,35 @@ def sample_ratio_configuration(
     cap: int = 1_000_000,
     spec: InverseSpec = DEFAULT_INVERSE_SPEC,
 ) -> RatioConfiguration:
-    """One ratio configuration, extending arrivals until the below ratios cross epsilon."""
-    if r < 0 or n < 1:
-        raise ValueError("require r >= 0 and n >= 1")
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError("epsilon must lie strictly inside (0, 1)")
-    if cap < r + n + 1:
-        raise ValueError("cap must be at least r + n + 1")
-    if not t > 0:
-        raise ValueError("t must be positive")
+    """One ratio configuration, extending arrivals until the below ratios cross epsilon.
 
-    gammas = np.cumsum(rng.exponentials(r + n))
-    lp = log_inverse_tail(model, gammas / t, spec)
-    pivot = lp[r + n - 1]
-    above = np.exp(lp[r : r + n - 1] - pivot)
-    w_rn = float(np.exp(pivot - lp[r - 1])) if r >= 1 else None
-    log_eps = math.log(epsilon)
-
+    Reads ``rng`` from its cursor and leaves the cursor just after the
+    crossing arrival.  On truncation the error's ``partial`` holds the
+    configuration drawn so far.
+    """
+    _validate_ratio_args(t, r, n, epsilon, cap)
+    streams = np.array([rng.stream_index])
+    last, pivot, above, w = _ratio_head(model, t, r, n, rng.master_seed, streams,
+                                        rng.cursor, spec)
     below: list[np.ndarray] = []
-    last = gammas[-1]
-    total = r + n
-    crossed = False
-    while not crossed:
-        if total >= cap:
-            partial = RatioConfiguration(
-                r=r, n=n, above=above,
-                below=np.concatenate(below) if below else np.empty(0),
-                epsilon=epsilon, w_rn=w_rn,
-            )
-            raise TruncationError(
-                f"cap={cap} reached before the epsilon={epsilon} crossing "
-                "(epsilon or cap too small)", partial=partial,
-            )
-        chunk = min(_CHUNK, cap - total)
-        arr = last + np.cumsum(rng.exponentials(chunk))
-        log_ratios = log_inverse_tail(model, arr / t, spec) - pivot
-        keep = log_ratios > log_eps
-        if np.all(keep):
-            below.append(np.exp(log_ratios))
-            last = arr[-1]
-            total += chunk
-        else:
-            stop = int(np.argmin(keep))
-            below.append(np.exp(log_ratios[:stop]))
-            total += stop + 1
-            crossed = True
-    return RatioConfiguration(
-        r=r, n=n, above=above,
-        below=np.concatenate(below) if below else np.empty(0),
-        epsilon=epsilon, w_rn=w_rn,
-    )
+
+    def collect(rows, log_ratios, kept):
+        below.append(np.exp(log_ratios[0, kept[0]]))
+
+    def configuration() -> RatioConfiguration:
+        return RatioConfiguration(
+            r=r, n=n, above=above[0], below=np.concatenate(below), epsilon=epsilon,
+            w_rn=float(w[0]) if w is not None else None,
+        )
+
+    try:
+        _, finish = _ratio_below(model, t, epsilon, rng.master_seed, streams,
+                                 rng.cursor + r + n, last, pivot, cap, spec, collect)
+    except TruncationError as err:
+        err.partial = configuration()
+        raise
+    rng.cursor = int(finish[0])
+    return configuration()
 
 
 def sample_negbin_process(
@@ -196,63 +304,19 @@ def sample_negbin_process(
     ``limit_ratios`` realizes the points as transformed Poisson arrival
     ratios; ``mixed_poisson`` draws a gamma-mixed Poisson count and then
     i.i.d. points from the normalized base density.  Both constructions
-    target the identical law.
+    target the identical law.  The draw reads ``rng`` from counter 0 and
+    leaves its cursor just after the last counter consumed.
     """
     _validate_nb_args(n, alpha, epsilon, method)
-    seed, stream = rng.master_seed, rng.stream_index
-    inv_alpha = 1.0 / alpha
-    ea = epsilon**-alpha
-    e0 = -np.log(uniform_grid(seed, stream, 1, n, 0)[0])
-    g = float(e0.sum())
-    bound = g * (ea - 1.0)
+    points: list[np.ndarray] = []
 
-    if method == LIMIT_RATIOS:
-        points: list[np.ndarray] = []
-        s = 0.0
-        offset = n
-        done = False
-        while not done:
-            if offset - n >= cap:
-                raise TruncationError(f"cap={cap} reached in limit_ratios sampler")
-            u = uniform_grid(seed, stream, 1, _CHUNK, offset)[0]
-            arr = s + np.cumsum(-np.log(u))
-            within = arr <= bound
-            if np.all(within):
-                points.append((1.0 + arr / g) ** -inv_alpha)
-                s = arr[-1]
-                offset += _CHUNK
-            else:
-                stop = int(np.argmin(within))
-                points.append((1.0 + arr[:stop] / g) ** -inv_alpha)
-                offset += stop + 1
-                done = True
-        pts = np.concatenate(points) if points else np.empty(0)
-        rng._cursor = offset
-        return NBSample(n=n, alpha=alpha, points=pts, epsilon=epsilon, method=method)
+    def collect(rows, x, mask):
+        points.append(x[0, mask[0]])
 
-    # mixed_poisson: count arrivals below the gamma-scaled mean, then place
-    # i.i.d. points by inverse CDF of the truncated base density
-    count = 0
-    s = 0.0
-    offset = n
-    while True:
-        if count >= cap:
-            raise TruncationError(f"cap={cap} reached in mixed_poisson sampler")
-        u = uniform_grid(seed, stream, 1, _CHUNK, offset)[0]
-        arr = s + np.cumsum(-np.log(u))
-        within = arr <= bound
-        if np.all(within):
-            count += _CHUNK
-            s = arr[-1]
-            offset += _CHUNK
-        else:
-            stop = int(np.argmin(within))
-            count += stop
-            offset += stop + 1
-            break
-    u = uniform_grid(seed, stream, 1, count, offset)[0] if count else np.empty(0)
-    pts = (ea - u * (ea - 1.0)) ** -inv_alpha
-    rng._cursor = offset + count
+    _, after = _negbin_rows(n, alpha, epsilon, method, rng.master_seed,
+                            np.array([rng.stream_index]), cap, collect)
+    rng.cursor = int(after[0])
+    pts = np.concatenate(points) if points else np.empty(0)
     return NBSample(n=n, alpha=alpha, points=pts, epsilon=epsilon, method=method)
 
 
@@ -265,18 +329,22 @@ def _map_row_blocks(fn: Callable[[int, int], np.ndarray], n_trials: int, threads
 
     Blocking bounds peak memory and gives scheduling-independent results:
     block boundaries are fixed, so the output is identical for any thread
-    count.
+    count.  A tuple result is concatenated column by column; a column that
+    is None stays None.
     """
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     spans = [(s, min(s + _ROW_BLOCK, n_trials) - s) for s in range(0, n_trials, _ROW_BLOCK)]
     if len(spans) == 1:
         return fn(*spans[0])
-    if threads <= 1:
+    if threads == 1:
         parts = [fn(*span) for span in spans]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(lambda sp: fn(*sp), spans))
     if isinstance(parts[0], tuple):
-        return tuple(np.concatenate(cols, axis=0) for cols in zip(*parts))
+        return tuple(None if cols[0] is None else np.concatenate(cols, axis=0)
+                     for cols in zip(*parts))
     return np.concatenate(parts, axis=0)
 
 
@@ -445,48 +513,24 @@ def ratio_configuration_batch(
     stream_start: int = 0,
     cap: int = 1_000_000,
     spec: InverseSpec = DEFAULT_INVERSE_SPEC,
+    threads: int = 1,
 ):
     """Batch ratio configurations: (above matrix, w_rn array or None, below counts).
 
-    Row i matches :func:`sample_ratio_configuration` on stream
+    Row i matches :func:`sample_ratio_configuration` on a fresh stream
     ``stream_start + i`` (above ratios, pivot ratio, and the number of
     below-1 ratios exceeding epsilon).
     """
-    if r < 0 or n < 1:
-        raise ValueError("require r >= 0 and n >= 1")
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError("epsilon must lie strictly inside (0, 1)")
-    if cap < r + n + 1:
-        raise ValueError("cap must be at least r + n + 1")
-    head = r + n
-    g = gamma_matrix(master_seed, n_trials, head, stream_start)
-    lp = ordered_log_points(model, t, g, spec)
-    pivot = lp[:, head - 1]
-    above = np.exp(lp[:, r : head - 1] - pivot[:, None])
-    w = np.exp(pivot - lp[:, r - 1]) if r >= 1 else None
-    log_eps = math.log(epsilon)
+    _validate_ratio_args(t, r, n, epsilon, cap)
 
-    counts = np.zeros(n_trials, dtype=np.int64)
-    act = np.arange(n_trials)
-    last = g[:, -1].copy()
-    offset = head
-    while act.size:
-        if offset - head >= cap:
-            raise TruncationError(
-                f"cap={cap} reached before the epsilon crossing in "
-                f"{act.size} of {n_trials} trials"
-            )
-        u = uniform_block(master_seed, stream_start + act, _CHUNK, offset)
-        arr = last[act, None] + np.cumsum(-np.log(u), axis=1)
-        log_ratios = ordered_log_points(model, t, arr, spec) - pivot[act, None]
-        keep = log_ratios > log_eps
-        k_new = keep.sum(axis=1)
-        counts[act] += k_new
-        cont = k_new == _CHUNK
-        last[act] = arr[:, -1]
-        act = act[cont]
-        offset += _CHUNK
-    return above, w, counts
+    def block(offset: int, rows: int):
+        streams = stream_start + offset + np.arange(rows)
+        last, pivot, above, w = _ratio_head(model, t, r, n, master_seed, streams, 0, spec)
+        counts, _ = _ratio_below(model, t, epsilon, master_seed, streams, r + n,
+                                 last, pivot, cap, spec)
+        return above, w, counts
+
+    return _map_row_blocks(block, n_trials, threads)
 
 
 def negbin_batch(
@@ -509,62 +553,17 @@ def negbin_batch(
     """
     _validate_nb_args(n, alpha, epsilon, method)
 
-    def block(offset_rows: int, rows: int):
-        return _negbin_block(
-            n, alpha, epsilon, method, rows, master_seed,
-            stream_start + offset_rows, probe, cap,
-        )
+    def block(offset: int, rows: int):
+        streams = stream_start + offset + np.arange(rows)
+        if probe is None:
+            counts, _ = _negbin_rows(n, alpha, epsilon, method, master_seed, streams, cap)
+            return counts, None
+        sums = np.zeros(rows)
 
-    counts, sums = _map_row_blocks(block, n_trials, threads)
-    return counts, (sums if probe is not None else None)
+        def reduce(idx, x, mask):
+            sums[idx] += np.sum(probe(x) * mask, axis=1)
 
+        counts, _ = _negbin_rows(n, alpha, epsilon, method, master_seed, streams, cap, reduce)
+        return counts, sums
 
-def _negbin_block(n, alpha, epsilon, method, rows, master_seed, s0, probe, cap):
-    inv_alpha = 1.0 / alpha
-    ea = epsilon**-alpha
-    u0 = uniform_grid(master_seed, s0, rows, n, 0)
-    g = np.sum(-np.log(u0), axis=1)
-    bound = g * (ea - 1.0)
-
-    counts = np.zeros(rows, dtype=np.int64)
-    sums = np.zeros(rows)
-    finish_offset = np.full(rows, n, dtype=np.int64)  # counter after the crossing arrival
-
-    act = np.arange(rows)
-    s_act = np.zeros(rows)
-    offset = n
-    while act.size:
-        if offset - n >= cap:
-            raise TruncationError(f"cap={cap} reached in negbin batch sampler")
-        u = uniform_block(master_seed, s0 + act, _CHUNK, offset)
-        arr = s_act[act, None] + np.cumsum(-np.log(u), axis=1)
-        within = arr <= bound[act, None]
-        k_new = within.sum(axis=1)
-        counts[act] += k_new
-        if method == LIMIT_RATIOS and probe is not None:
-            x = (1.0 + arr / g[act, None]) ** -inv_alpha
-            sums[act] += np.sum(probe(x) * within, axis=1)
-        done = k_new < _CHUNK
-        finish_offset[act[done]] = offset + k_new[done] + 1
-        s_act[act] = arr[:, -1]
-        act = act[~done]
-        offset += _CHUNK
-
-    if method == MIXED_POISSON:
-        # place i.i.d. points by inverse CDF, consuming counters after the
-        # per-row crossing arrival
-        max_count = int(counts.max()) if rows else 0
-        col = 0
-        while col < max_count:
-            width = min(_CHUNK, max_count - col)
-            live = counts > col
-            idx = np.flatnonzero(live)
-            cols = col + np.arange(width)
-            mask = cols[None, :] < counts[idx, None]
-            ctr = finish_offset[idx, None] + cols[None, :]
-            u = uniforms_at(master_seed, (s0 + idx)[:, None], ctr)
-            x = (ea - u * (ea - 1.0)) ** -inv_alpha
-            if probe is not None:
-                sums[idx] += np.sum(probe(x) * mask, axis=1)
-            col += width
-    return counts, sums
+    return _map_row_blocks(block, n_trials, threads)

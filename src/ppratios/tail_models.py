@@ -15,8 +15,11 @@ is represented with exact closed forms available for oracle testing:
 
 The perturbed and log families keep their defining formula near 0 (where the
 small-time asymptotics live) and are continued with a plain power tail on
-``x > 1`` so they remain genuine tails of locally finite measures for every
-parameter choice.
+``x > 1``.  The formula itself is non-increasing on ``(0, 1]`` only in part
+of the parameter space, so the constructors accept exactly the parameters
+that give genuine tails of locally finite measures: ``alpha + beta >= 0``
+when ``beta < 0`` for ``pareto_log``, and ``c * (gamma - alpha) <= alpha``
+for ``pareto_perturbed``.
 """
 
 from __future__ import annotations
@@ -108,6 +111,10 @@ class TailModel:
         if self.kind == PARETO_PERTURBED:
             if self.c is None or self.c < 0 or self.gamma is None or self.gamma < 0:
                 raise ValueError("pareto_perturbed requires c >= 0 and gamma >= 0")
+            if self.c * (self.gamma - self.alpha) > self.alpha:
+                # the derivative's sign on (0, 1] is that of
+                # c*(gamma - alpha)*x**gamma - alpha, largest at x = 1
+                raise ValueError("pareto_perturbed requires c * (gamma - alpha) <= alpha")
         elif self.c is not None or self.gamma is not None:
             raise ValueError(f"{self.kind} does not take c/gamma")
 

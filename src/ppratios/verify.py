@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.special import betainc, chdtrc, gammainc
 from scipy.special import kolmogorov as _ks_sf
 
 from . import samplers as sp
-from ._special import betainc_reg, chi2_sf, gammainc_lower
 from .rng import uniform_grid
 from .tail_models import PARETO, RAPID_ZERO, SLOW_ZERO, InverseSpec, DEFAULT_INVERSE_SPEC, TailModel
 
@@ -161,6 +161,13 @@ def two_sample_threshold(n1: int, n2: int, coeff: float = KS_COEFF_1PCT) -> floa
     return coeff * math.sqrt((n1 + n2) / (n1 * n2))
 
 
+def _chi2_sf(stat: float, dof: int) -> float:
+    """Chi-square survival function (upper tail probability)."""
+    if dof <= 0:
+        raise ValueError("dof must be positive")
+    return float(chdtrc(dof, stat))
+
+
 def chi_square_counts(observed: np.ndarray, expected: np.ndarray, min_expected: float = 5.0):
     """Chi-square GOF on count vectors, lumping the tail so expectations stay >= min_expected.
 
@@ -181,7 +188,7 @@ def chi_square_counts(observed: np.ndarray, expected: np.ndarray, min_expected: 
     exp = exp * obs.sum() / exp.sum()
     stat = float(np.sum((obs - exp) ** 2 / exp))
     dof = exp.size - 1
-    return stat, chi2_sf(stat, dof), dof
+    return stat, _chi2_sf(stat, dof), dof
 
 
 def chi_square_independence(u: np.ndarray, v: np.ndarray, grid: int = 10):
@@ -202,7 +209,7 @@ def chi_square_independence(u: np.ndarray, v: np.ndarray, grid: int = 10):
     expected = row * col / n
     stat = float(np.sum((counts - expected) ** 2 / expected))
     dof = (g - 1) * (g - 1)
-    return stat, chi2_sf(stat, dof), g
+    return stat, _chi2_sf(stat, dof), g
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +217,11 @@ def chi_square_independence(u: np.ndarray, v: np.ndarray, grid: int = 10):
 
 
 def _wlaw_cdf(r: int, n: int, alpha: float) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda w: betainc_reg(r, n, np.clip(w, 0.0, 1.0) ** alpha)
+    return lambda w: betainc(r, n, np.clip(w, 0.0, 1.0) ** alpha)
 
 
 def _gamma_cdf(k: int) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda z: gammainc_lower(k, z)
+    return lambda z: gammainc(k, z)
 
 
 def default_threshold(model: TailModel, trials: int) -> float:
@@ -268,7 +275,7 @@ def convergence_sweep(
             w = sp.pivot_ratio_batch(model, t, r, n, trials, seed, base, spec, threads)
             emp = EmpiricalDistribution.from_samples(w)
             entry["ks"] = ks_distance(emp, _wlaw_cdf(r, n, alpha))
-            entry.update(_uniformity_chi2(betainc_reg(r, n, emp.sorted_values**alpha)))
+            entry.update(_uniformity_chi2(betainc(r, n, emp.sorted_values**alpha)))
         elif target == RATIO_TAIL_N1:
             y = np.exp(sp.log_trim_ratio_batch(model, t, r, trials, seed, base, spec, threads))
             emp = EmpiricalDistribution.from_samples(y)
@@ -706,12 +713,12 @@ def conditional_gamma_check(
     idx = np.flatnonzero(mask)
     if idx.size < 1_000:
         raise ValueError("conditioning bin too narrow for the trial budget")
-    pit = gammainc_lower(r + n, w[idx] ** -alpha * a_scale[idx])
+    pit = gammainc(r + n, w[idx] ** -alpha * a_scale[idx])
     emp = EmpiricalDistribution.from_samples(pit)
     ks_pit = ks_distance(emp, lambda u: np.clip(u, 0.0, 1.0))
     threshold = KS_COEFF_1PCT / math.sqrt(idx.size)
     # the bin-center comparison carries O(half_width) discretization bias
-    center_cdf = lambda zv: gammainc_lower(r + n, w_center**-alpha * zv)
+    center_cdf = lambda zv: gammainc(r + n, w_center**-alpha * zv)
     ks_center = ks_distance(EmpiricalDistribution.from_samples(a_scale[idx]), center_cdf)
     return VerifyReport(
         experiment_id=f"conditional_gamma_{model.kind}_r{r}_n{n}",

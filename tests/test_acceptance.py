@@ -10,9 +10,11 @@ the absolute bounds stated on the perturbed-tail criteria.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,6 @@ from ppratios import limit_laws as ll
 from ppratios import samplers as sp
 from ppratios import tail_models as tm
 from ppratios import verify as vf
-from ppratios._special import betainc_reg, gammainc_lower
 
 SEED = 20_251_001
 KS1 = vf.KS_COEFF_1PCT
@@ -52,7 +53,7 @@ def test_c1_exact_law_suite():
                         tm.pareto(alpha), t, r, n, trials, SEED + cell)
                     emp = vf.EmpiricalDistribution.from_samples(w)
                     ks = vf.ks_distance(
-                        emp, lambda x, r=r, n=n, a=alpha: betainc_reg(
+                        emp, lambda x, r=r, n=n, a=alpha: ss.betainc(
                             r, n, np.clip(x, 0, 1) ** a))
                     worst = max(worst, ks)
                     cell += 1
@@ -261,9 +262,13 @@ def test_c9_cli_determinism(tmp_path):
     args = [sys.executable, "-m", "ppratios.cli", "verify", "--tail", "pareto",
             "--alpha", "1", "--r", "1", "--n", "1", "--target", "wlaw",
             "--trials", "100000", "--seed", "7", "--out-dir", str(tmp_path)]
-    subprocess.run(args, check=True, capture_output=True)
+    # the child process runs this checkout's package, as the test process does
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    subprocess.run(args, check=True, capture_output=True, env=env)
     first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    subprocess.run(args, check=True, capture_output=True)
+    subprocess.run(args, check=True, capture_output=True, env=env)
     second = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     identical = first == second
     report = json.loads(first["report.json"].decode())

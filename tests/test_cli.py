@@ -44,6 +44,27 @@ def test_unknown_flag_exits_2(capsys):
     assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "config"
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_out_of_range_seed_exits_2(tmp_path, capsys, seed):
+    code = run_cli("simulate", "--tail", "pareto", "--alpha", "1", "--t", "0.5",
+                   "--r", "1", "--n", "2", "--trials", "10", "--seed", seed,
+                   "--out-dir", str(tmp_path))
+    assert code == 2
+    doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert doc["error"] == "domain"
+    assert "[0, 2**64)" in doc["reason"]
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_nonpositive_threads_exit_2(tmp_path, capsys, threads):
+    code = run_cli("verify", "--tail", "pareto", "--alpha", "1", "--r", "1",
+                   "--n", "1", "--target", "wlaw", "--trials", "10000",
+                   "--threads", threads, "--out-dir", str(tmp_path))
+    assert code == 2
+    doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert doc == {"error": "domain", "reason": "threads must be >= 1"}
+
+
 def test_laws_density_normalization(tmp_path):
     code = run_cli("laws", "--law", "w", "--alpha", "2", "--r", "1", "--n", "2",
                    "--grid", "0.01:0.99:99", "--out-dir", str(tmp_path))

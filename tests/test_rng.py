@@ -35,7 +35,7 @@ def test_grid_rows_match_single_streams():
 
 def test_uniform_block_arbitrary_indices():
     idx = np.array([3, 900, 17], dtype=np.uint64)
-    blk = rng.uniform_block(7, idx, 16)
+    blk = rng.uniforms_at(7, idx[:, None], np.arange(16))
     for row, stream in enumerate(idx):
         assert np.array_equal(blk[row], rng.RngStream(7, int(stream)).uniforms(16))
 
@@ -82,7 +82,7 @@ def test_cross_stream_independence_correlation():
 
 
 def test_exponentials_positive_and_unit_mean():
-    e = rng.exponential_grid(99, 0, 1000, 200).ravel()
+    e = -np.log(rng.uniform_grid(99, 0, 1000, 200).ravel())
     assert np.all(e > 0)
     assert abs(e.mean() - 1.0) < 5e-3
 
@@ -91,3 +91,13 @@ def test_exponentials_positive_and_unit_mean():
 def test_extreme_indices_valid(seed, stream):
     u = rng.RngStream(seed, stream).uniforms(16)
     assert np.all((u > 0) & (u < 1))
+
+
+@pytest.mark.parametrize("seed,stream", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
+def test_out_of_range_words_rejected(seed, stream):
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        rng.RngStream(seed, stream).uniforms(4)
+    with pytest.raises(ValueError):
+        rng.uniform_grid(seed, stream, 2, 4)
+    with pytest.raises(ValueError):
+        rng.uniforms_at(seed, np.array([stream]), np.arange(4))

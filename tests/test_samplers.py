@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammainc
 
 from ppratios import samplers as sp
 from ppratios import tail_models as tm
@@ -85,11 +86,9 @@ def test_time_scale_batch_gamma_law():
     # t * tail(k-th point) is Gamma(k, 1) exactly for the power family:
     # KS below 0.002 at 10^6 trials
     scales = sp.time_scale_batch(tm.pareto(2.0), 1.0, 2, 1_000_000, 33)
-    from ppratios._special import gammainc_lower
-
     for k in (1, 2):
         emp = EmpiricalDistribution.from_samples(scales[:, k - 1])
-        assert ks_distance(emp, lambda z, k=k: gammainc_lower(k, z)) < 0.002
+        assert ks_distance(emp, lambda z, k=k: gammainc(k, z)) < 0.002
 
 
 # --- ratio configurations ---------------------------------------------------
@@ -118,6 +117,8 @@ def test_ratio_configuration_above_exact_for_pareto():
     g = sp.sample_gamma_arrivals(r + n, RngStream(41, 2))
     expected = (g[r : r + n - 1] / g[r + n - 1]) ** (-1.0 / alpha)
     assert np.allclose(cfg.above, expected, rtol=1e-12)
+    # the cursor sits just after the crossing arrival
+    assert rng.cursor == r + n + cfg.below.size + 1
 
 
 def test_ratio_configuration_truncation_error():
@@ -126,6 +127,55 @@ def test_ratio_configuration_truncation_error():
             tm.pareto(1.0), 1.0, 1, 1, 1e-6, RngStream(1, 0), cap=50)
     assert err.value.partial is not None
     assert err.value.partial.below.size > 0
+
+
+@pytest.mark.parametrize("model", [tm.pareto(1.3), tm.pareto_log(1.0, 1.5),
+                                   tm.pareto_perturbed(1, 1, 1),
+                                   tm.rapid_zero(), tm.slow_zero()], ids=lambda m: m.kind)
+def test_ratio_configuration_batch_rows_match_single_trials(model):
+    above, w, counts = sp.ratio_configuration_batch(model, 0.05, 1, 3, 0.5, 40, 19,
+                                                    stream_start=7)
+    for i in (0, 13, 39):
+        cfg = sp.sample_ratio_configuration(model, 0.05, 1, 3, 0.5, RngStream(19, 7 + i))
+        assert np.array_equal(above[i], cfg.above)
+        assert w[i] == cfg.w_rn
+        assert counts[i] == cfg.below.size
+
+
+def test_ratio_configuration_blocks_and_threads_do_not_change_output(monkeypatch):
+    args = (tm.pareto_log(1.0, 1.5), 0.01, 1, 2, 0.1, 5_000, 61)
+    whole = sp.ratio_configuration_batch(*args)
+    monkeypatch.setattr(sp, "_ROW_BLOCK", 1_024)
+    for threads in (1, 2):
+        blocked = sp.ratio_configuration_batch(*args, threads=threads)
+        for a, b in zip(whole, blocked):
+            assert np.array_equal(a, b)
+
+
+def test_single_and_batch_share_the_cap_rule():
+    # a row whose crossing comes in the second round of 64 draws truncates
+    # under cap=64 and completes under cap=65, in both forms
+    model, t, eps = tm.pareto(1.0), 1.0, 0.01
+    _, _, counts = sp.ratio_configuration_batch(model, t, 0, 1, eps, 50, 5)
+    i = int(np.flatnonzero((counts >= 64) & (counts < 128))[0])
+    with pytest.raises(sp.TruncationError) as err:
+        sp.sample_ratio_configuration(model, t, 0, 1, eps, RngStream(5, i), cap=64)
+    assert err.value.partial.below.size == 64
+    with pytest.raises(sp.TruncationError):
+        sp.ratio_configuration_batch(model, t, 0, 1, eps, 1, 5, stream_start=i, cap=64)
+    cfg = sp.sample_ratio_configuration(model, t, 0, 1, eps, RngStream(5, i), cap=65)
+    _, _, one = sp.ratio_configuration_batch(model, t, 0, 1, eps, 1, 5, stream_start=i, cap=65)
+    assert cfg.below.size == one[0] == counts[i]
+    for method in sp.NB_METHODS:
+        c, _ = sp.negbin_batch(1, 1.0, 1 / 101, method, 50, 5)
+        i = int(np.flatnonzero((c >= 64) & (c < 128))[0])
+        with pytest.raises(sp.TruncationError):
+            sp.sample_negbin_process(1, 1.0, 1 / 101, method, RngStream(5, i), cap=64)
+        with pytest.raises(sp.TruncationError):
+            sp.negbin_batch(1, 1.0, 1 / 101, method, 1, 5, stream_start=i, cap=64)
+        single = sp.sample_negbin_process(1, 1.0, 1 / 101, method, RngStream(5, i), cap=65)
+        one, _ = sp.negbin_batch(1, 1.0, 1 / 101, method, 1, 5, stream_start=i, cap=65)
+        assert single.points.size == one[0] == c[i]
 
 
 def test_ratio_configuration_mean_below_count():
@@ -153,6 +203,8 @@ def test_batch_threads_do_not_change_output():
     a = sp.pivot_ratio_batch(tm.pareto(1.5), 0.5, 1, 2, 300_000, 8, threads=1)
     b = sp.pivot_ratio_batch(tm.pareto(1.5), 0.5, 1, 2, 300_000, 8, threads=2)
     assert np.array_equal(a, b)
+    with pytest.raises(ValueError, match="threads"):
+        sp.pivot_ratio_batch(tm.pareto(1.5), 0.5, 1, 2, 10, 8, threads=0)
 
 
 # --- negative binomial process ----------------------------------------------
@@ -165,11 +217,16 @@ def test_nb_sample_points_inside_interval():
 
 
 def test_nb_batch_matches_single_trials():
+    n = 3
     for method in sp.NB_METHODS:
-        counts, _ = sp.negbin_batch(3, 1.5, 0.4, method, 64, 12, stream_start=0)
+        counts, _ = sp.negbin_batch(n, 1.5, 0.4, method, 64, 12, stream_start=0)
         for i in (0, 7, 33, 63):
-            single = sp.sample_negbin_process(3, 1.5, 0.4, method, RngStream(12, i))
+            rng = RngStream(12, i)
+            single = sp.sample_negbin_process(n, 1.5, 0.4, method, rng)
             assert single.points.size == counts[i]
+            # the cursor sits just after the last counter consumed
+            placed = counts[i] if method == sp.MIXED_POISSON else 0
+            assert rng.cursor == n + counts[i] + 1 + placed
 
 
 def test_nb_void_probability():

@@ -1,62 +1,79 @@
+"""Special functions ppratios takes from scipy, checked where the package uses them.
+
+The incomplete beta is reached through the guarded entry point
+``limit_laws.incomplete_beta`` and the chi-square survival function through
+the guarded ``verify._chi2_sf``; the incomplete gamma CDFs of the gates and
+the log-beta normalisation of the pivot law are checked against closed forms.
+"""
+
+import math
+
 import numpy as np
 import pytest
 import scipy.special as ss
 
-from ppratios._special import (
-    betainc_reg,
-    chi2_sf,
-    gammainc_lower,
-    gammainc_upper,
-    log_beta,
-)
+from ppratios import limit_laws as ll
+from ppratios import verify as vf
 
 
 @pytest.mark.parametrize("a,b", [(1, 1), (1, 2), (2, 3), (0.5, 0.5), (2.3, 4.7), (7, 1), (10, 10)])
 def test_betainc_matches_scipy(a, b):
+    # the guards pass scipy's values through unchanged, endpoints included
     x = np.linspace(0.0, 1.0, 501)
-    assert np.allclose(betainc_reg(a, b, x), ss.betainc(a, b, x), atol=5e-14)
+    assert np.allclose(ll.incomplete_beta(a, b, x), ss.betainc(a, b, x), atol=5e-14)
 
 
 def test_betainc_edges_and_uniform():
-    assert betainc_reg(2.0, 3.0, 0.0) == 0.0
-    assert betainc_reg(2.0, 3.0, 1.0) == 1.0
+    assert ll.incomplete_beta(2.0, 3.0, 0.0) == 0.0
+    assert ll.incomplete_beta(2.0, 3.0, 1.0) == 1.0
+    assert isinstance(ll.incomplete_beta(2.0, 3.0, 0.5), float)
     x = np.linspace(0, 1, 21)
-    assert np.allclose(betainc_reg(1.0, 1.0, x), x, atol=1e-14)
+    assert np.allclose(ll.incomplete_beta(1.0, 1.0, x), x, atol=1e-14)
 
 
 def test_betainc_quadrature_oracle():
-    # trapezoid-free oracle: direct closed forms at small integer parameters
+    # direct closed forms at small integer parameters
     x = np.linspace(0.01, 0.99, 99)
     # a=1, b=2: cdf = 1 - (1-x)^2
-    assert np.allclose(betainc_reg(1, 2, x), 1 - (1 - x) ** 2, atol=1e-14)
+    assert np.allclose(ll.incomplete_beta(1, 2, x), 1 - (1 - x) ** 2, atol=1e-14)
     # a=2, b=1: cdf = x^2
-    assert np.allclose(betainc_reg(2, 1, x), x**2, atol=1e-14)
+    assert np.allclose(ll.incomplete_beta(2, 1, x), x**2, atol=1e-14)
 
 
 def test_betainc_domain():
     with pytest.raises(ValueError):
-        betainc_reg(0.0, 1.0, 0.5)
+        ll.incomplete_beta(0.0, 1.0, 0.5)
     with pytest.raises(ValueError):
-        betainc_reg(1.0, 1.0, 1.5)
+        ll.incomplete_beta(1.0, 1.0, 1.5)
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 3.5, 7.0, 25.0])
 def test_gammainc_matches_scipy(a):
+    # P(a0 + m, x) = P(a0, x) - exp(-x) * sum_{j<m} x**(a0+j) / Gamma(a0+j+1),
+    # from P(1/2, x) = erf(sqrt(x)) or P(1, x) = 1 - exp(-x)
     x = np.concatenate([[0.0], np.geomspace(1e-6, 200.0, 300)])
-    assert np.allclose(gammainc_lower(a, x), ss.gammainc(a, x), atol=5e-14)
-    assert np.allclose(gammainc_upper(a, x), ss.gammaincc(a, x), atol=5e-14)
+    a0 = a - math.floor(a) or 1.0
+    lower = ss.erf(np.sqrt(x)) if a0 == 0.5 else -np.expm1(-x)
+    for j in range(int(a - a0)):
+        with np.errstate(divide="ignore"):
+            lower = lower - np.exp((a0 + j) * np.log(x) - x - math.lgamma(a0 + j + 1))
+    assert np.allclose(ss.gammainc(a, x), lower, atol=5e-14)
+    assert np.allclose(ss.gammaincc(a, x), 1.0 - lower, atol=5e-14)
 
 
 def test_gammainc_exponential_case():
+    # the conditional top-point law at r + n = 2, alpha = 1, w = 1/2:
+    # P(2, 2z) = 1 - exp(-2z) * (1 + 2z)
     z = np.linspace(0, 20, 101)
-    assert np.allclose(gammainc_lower(1.0, z), 1 - np.exp(-z), atol=1e-14)
+    got = ll.conditional_gamma_cdf(1, 1, 1.0, 0.5, z)
+    assert np.allclose(got, 1 - np.exp(-2 * z) * (1 + 2 * z), atol=1e-14)
 
 
 def test_gammainc_domain():
     with pytest.raises(ValueError):
-        gammainc_lower(-1.0, 1.0)
+        ll.conditional_gamma_cdf(0, 1, 1.0, 0.5, 1.0)
     with pytest.raises(ValueError):
-        gammainc_lower(1.0, -0.5)
+        ll.conditional_gamma_cdf(1, 1, 1.0, 0.5, -0.5)
 
 
 def test_chi2_sf_matches_scipy():
@@ -64,10 +81,16 @@ def test_chi2_sf_matches_scipy():
 
     for dof in (1, 5, 81, 99):
         for stat in (0.5, float(dof), 2.0 * dof):
-            assert chi2_sf(stat, dof) == pytest.approx(chi2.sf(stat, dof), abs=1e-12)
+            assert vf._chi2_sf(stat, dof) == pytest.approx(chi2.sf(stat, dof), abs=1e-12)
+    with pytest.raises(ValueError):
+        vf._chi2_sf(1.0, 0)
 
 
 def test_log_beta():
-    assert log_beta(1, 1) == pytest.approx(0.0)
-    assert np.exp(log_beta(1, 2)) == pytest.approx(0.5)
-    assert np.exp(log_beta(2, 3)) == pytest.approx(1.0 / 12.0)
+    # the Beta(r, n) normalisation of the pivot density, alpha = 1:
+    # r=1, n=1 is uniform; r=2, n=3 is 12 w (1-w)^2
+    w = np.linspace(0.05, 0.95, 19)
+    density, _ = ll.w_law(ll.LawSpec(alpha=1.0, r=1, n=1), w)
+    assert np.allclose(density, 1.0, rtol=1e-14)
+    density, _ = ll.w_law(ll.LawSpec(alpha=1.0, r=2, n=3), w)
+    assert np.allclose(density, 12.0 * w * (1 - w) ** 2, rtol=1e-13)

@@ -132,18 +132,34 @@ def test_inverse_nonincreasing_in_y(model):
     assert np.all(np.diff(inv) <= 1e-9 * inv[:-1])
 
 
+@st.composite
+def perturbed_models(draw):
+    """pareto_perturbed models over the accepted domain c * (gamma - alpha) <= alpha."""
+    alpha = draw(st.floats(0.2, 5.0))
+    gamma = draw(st.floats(0.0, 3.0))
+    c_max = 3.0 if gamma <= alpha else min(3.0, alpha / (gamma - alpha))
+    return tm.pareto_perturbed(alpha, draw(st.floats(0.0, c_max)), gamma)
+
+
 @settings(max_examples=60, deadline=None)
-@given(
-    alpha=st.floats(0.2, 5.0),
-    c=st.floats(0.0, 3.0),
-    gamma=st.floats(0.0, 3.0),
-    log_y=st.floats(-13.0, 13.0),
-)
-def test_inverse_round_trip_perturbed(alpha, c, gamma, log_y):
-    model = tm.pareto_perturbed(alpha, c, gamma)
+@given(model=perturbed_models(), log_y=st.floats(-13.0, 13.0))
+def test_inverse_round_trip_perturbed(model, log_y):
     y = math.exp(log_y)
     x = tm.eval_inverse_tail(model, y)
     assert tm.eval_tail(model, x) == pytest.approx(y, rel=1e-8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=perturbed_models(), log_y=st.floats(-13.0, 13.0))
+def test_inverse_is_generalized_inverse_perturbed(model, log_y):
+    # inf{x : tail(x) <= y}: tail(x) <= y at the inverse, tail > y everywhere
+    # to its left (a non-monotone tail fails the second part)
+    spec = tm.InverseSpec()
+    y = math.exp(log_y)
+    x = tm.eval_inverse_tail(model, y, spec)
+    assert tm.eval_tail(model, x) <= y * (1 + 1e-9)
+    left = x * np.geomspace(1e-6, 1 - 10 * spec.rel_tol, 400)
+    assert np.all(tm.eval_tail(model, left) >= y * (1 - 1e-9))
 
 
 @settings(max_examples=40, deadline=None)
@@ -240,6 +256,9 @@ def test_model_validation():
         tm.pareto_log(0.5, -1.0)  # alpha + beta < 0 breaks monotonicity
     with pytest.raises(ValueError):
         tm.pareto_perturbed(1.0, -0.5, 1.0)
+    with pytest.raises(ValueError, match="gamma - alpha"):
+        tm.pareto_perturbed(1.0, 1.0, 3.0)  # tail rises towards x = 1
+    tm.pareto_perturbed(1.0, 0.5, 3.0)  # c * (gamma - alpha) == alpha: still a tail
 
 
 def test_rv_index():
