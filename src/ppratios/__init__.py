@@ -15,7 +15,6 @@ Modules:
 
 from .rng import RngStream
 from .tail_models import (
-    InverseSpec,
     InversionError,
     TailModel,
     eval_inverse_tail,
@@ -72,7 +71,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "RngStream",
-    "InverseSpec", "InversionError", "TailModel",
+    "InversionError", "TailModel",
     "eval_inverse_tail", "eval_tail", "pareto", "pareto_log",
     "pareto_perturbed", "rapid_zero", "rv_limit_table", "slow_zero",
     "NBSample", "OrderedSample", "RatioConfiguration", "TruncationError",

@@ -23,7 +23,7 @@ import numpy as np
 from . import limit_laws as ll
 from . import samplers as sp
 from . import verify as vf
-from .tail_models import TailModel
+from .tail_models import InversionError, TailModel
 from .verify import SWEEP_TARGETS
 
 #: Fixed default master seed; never wall-clock derived.
@@ -465,7 +465,7 @@ def run(argv=None) -> int:
     except _CliError as exc:
         _diag(str(exc))
         return 2
-    except (ValueError, sp.TruncationError) as exc:
+    except (ValueError, sp.TruncationError, InversionError) as exc:
         _diag(str(exc), kind="domain")
         return 2
 

@@ -35,13 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .rng import RngStream, uniform_grid, uniforms_at
-from .tail_models import (
-    DEFAULT_INVERSE_SPEC,
-    InverseSpec,
-    TailModel,
-    eval_tail,
-    log_inverse_tail,
-)
+from .tail_models import TailModel, eval_tail, log_inverse_tail
 
 LIMIT_RATIOS = "limit_ratios"
 MIXED_POISSON = "mixed_poisson"
@@ -160,12 +154,12 @@ def _extend(master_seed, streams, start, last, accept, cap, on_round=None):
     return counts, finish
 
 
-def _ratio_head(model, t, r, n, master_seed, streams, start, spec):
+def _ratio_head(model, t, r, n, master_seed, streams, start):
     """Last head arrival, log pivot, above ratios and w_rn (or None) per row."""
     head = r + n
     u = uniforms_at(master_seed, streams[:, None], start + np.arange(head))
     g = np.cumsum(-np.log(u), axis=1)
-    lp = ordered_log_points(model, t, g, spec)
+    lp = ordered_log_points(model, t, g)
     pivot = lp[:, head - 1]
     above = np.exp(lp[:, r : head - 1] - pivot[:, None])
     w = np.exp(pivot - lp[:, r - 1]) if r >= 1 else None
@@ -173,19 +167,20 @@ def _ratio_head(model, t, r, n, master_seed, streams, start, spec):
 
 
 def _ratio_below(model, t, epsilon, master_seed, streams, start, last, pivot,
-                 cap, spec, on_below=None):
+                 cap, on_below=None):
     """Below-1 log ratios above log(epsilon), via the engine; hook as in :func:`_extend`."""
     log_eps = math.log(epsilon)
 
     def accept(rows, arr):
-        log_ratios = ordered_log_points(model, t, arr, spec) - pivot[rows, None]
+        log_ratios = ordered_log_points(model, t, arr) - pivot[rows, None]
         return log_ratios > log_eps, log_ratios
 
     return _extend(master_seed, streams, start, last, accept, cap, on_below)
 
 
-def _negbin_rows(n, alpha, epsilon, method, master_seed, streams, cap, on_points=None):
-    """Counts of the limiting process on (epsilon, 1), each row read from counter 0.
+def _negbin_rows(n, alpha, epsilon, method, master_seed, streams, start, cap,
+                 on_points=None):
+    """Counts of the limiting process on (epsilon, 1), each row read from ``start`` on.
 
     Returns the counts and the counter just after the last one each row
     consumes.  ``on_points(rows, x, mask)`` receives the points in chunks;
@@ -193,7 +188,7 @@ def _negbin_rows(n, alpha, epsilon, method, master_seed, streams, cap, on_points
     """
     inv_alpha = 1.0 / alpha
     ea = epsilon**-alpha
-    u0 = uniforms_at(master_seed, streams[:, None], np.arange(n))
+    u0 = uniforms_at(master_seed, streams[:, None], start + np.arange(n))
     g = np.sum(-np.log(u0), axis=1)
     bound = g * (ea - 1.0)
 
@@ -205,7 +200,7 @@ def _negbin_rows(n, alpha, epsilon, method, master_seed, streams, cap, on_points
 
     limit = method == LIMIT_RATIOS
     on_round = transform if limit and on_points is not None else None
-    counts, finish = _extend(master_seed, streams, n, np.zeros(streams.size),
+    counts, finish = _extend(master_seed, streams, start + n, np.zeros(streams.size),
                              accept, cap, on_round)
     if limit:
         return counts, finish
@@ -240,13 +235,12 @@ def sample_ordered_points(
     t: float,
     count: int,
     rng: RngStream,
-    spec: InverseSpec = DEFAULT_INVERSE_SPEC,
 ) -> OrderedSample:
     """The ``count`` largest points of the Poisson process at time t, exactly."""
     if not t > 0:
         raise ValueError("t must be positive")
     gammas = sample_gamma_arrivals(count, rng)
-    points = np.exp(log_inverse_tail(model, gammas / t, spec))
+    points = np.exp(log_inverse_tail(model, gammas / t))
     return OrderedSample(t=float(t), gammas=gammas, points=points, count=count)
 
 
@@ -258,7 +252,6 @@ def sample_ratio_configuration(
     epsilon: float,
     rng: RngStream,
     cap: int = 1_000_000,
-    spec: InverseSpec = DEFAULT_INVERSE_SPEC,
 ) -> RatioConfiguration:
     """One ratio configuration, extending arrivals until the below ratios cross epsilon.
 
@@ -269,7 +262,7 @@ def sample_ratio_configuration(
     _validate_ratio_args(t, r, n, epsilon, cap)
     streams = np.array([rng.stream_index])
     last, pivot, above, w = _ratio_head(model, t, r, n, rng.master_seed, streams,
-                                        rng.cursor, spec)
+                                        rng.cursor)
     below: list[np.ndarray] = []
 
     def collect(rows, log_ratios, kept):
@@ -283,7 +276,7 @@ def sample_ratio_configuration(
 
     try:
         _, finish = _ratio_below(model, t, epsilon, rng.master_seed, streams,
-                                 rng.cursor + r + n, last, pivot, cap, spec, collect)
+                                 rng.cursor + r + n, last, pivot, cap, collect)
     except TruncationError as err:
         err.partial = configuration()
         raise
@@ -304,8 +297,8 @@ def sample_negbin_process(
     ``limit_ratios`` realizes the points as transformed Poisson arrival
     ratios; ``mixed_poisson`` draws a gamma-mixed Poisson count and then
     i.i.d. points from the normalized base density.  Both constructions
-    target the identical law.  The draw reads ``rng`` from counter 0 and
-    leaves its cursor just after the last counter consumed.
+    target the identical law.  The draw reads ``rng`` from its cursor and
+    leaves the cursor just after the last counter consumed.
     """
     _validate_nb_args(n, alpha, epsilon, method)
     points: list[np.ndarray] = []
@@ -314,7 +307,7 @@ def sample_negbin_process(
         points.append(x[0, mask[0]])
 
     _, after = _negbin_rows(n, alpha, epsilon, method, rng.master_seed,
-                            np.array([rng.stream_index]), cap, collect)
+                            np.array([rng.stream_index]), rng.cursor, cap, collect)
     rng.cursor = int(after[0])
     pts = np.concatenate(points) if points else np.empty(0)
     return NBSample(n=n, alpha=alpha, points=pts, epsilon=epsilon, method=method)
@@ -368,10 +361,9 @@ def ordered_log_points(
     model: TailModel,
     t: float,
     gammas: np.ndarray,
-    spec: InverseSpec = DEFAULT_INVERSE_SPEC,
 ) -> np.ndarray:
     """log of ordered points for an arrival matrix (vectorized inverse)."""
-    flat = log_inverse_tail(model, np.ravel(gammas) / t, spec)
+    flat = log_inverse_tail(model, np.ravel(gammas) / t)
     return flat.reshape(np.shape(gammas))
 
 
@@ -382,7 +374,6 @@ def ordered_log_points_batch(
     n_trials: int,
     master_seed: int,
     stream_start: int = 0,
-    spec: InverseSpec = DEFAULT_INVERSE_SPEC,
     threads: int = 1,
 ) -> np.ndarray:
     """(n_trials, n_cols) matrix of log ordered points at time t."""
@@ -391,7 +382,7 @@ def ordered_log_points_batch(
 
     def block(offset: int, rows: int) -> np.ndarray:
         g = gamma_matrix(master_seed, rows, n_cols, stream_start + offset)
-        return ordered_log_points(model, t, g, spec)
+        return ordered_log_points(model, t, g)
 
     return _map_row_blocks(block, n_trials, threads)
 
@@ -404,14 +395,13 @@ def pivot_ratio_batch(
     n_trials: int,
     master_seed: int,
     stream_start: int = 0,
-    spec: InverseSpec = DEFAULT_INVERSE_SPEC,
     threads: int = 1,
 ) -> np.ndarray:
     """Per-trial pivot ratios (r+n-th over r-th largest point); requires r >= 1."""
     if r < 1:
         raise ValueError("the pivot ratio requires r >= 1")
     lp = ordered_log_points_batch(model, t, r + n, n_trials, master_seed,
-                                  stream_start, spec, threads)
+                                  stream_start, threads)
     return np.exp(lp[:, r + n - 1] - lp[:, r - 1])
 
 
@@ -423,14 +413,13 @@ def successive_ratio_batch(
     n_trials: int,
     master_seed: int,
     stream_start: int = 0,
-    spec: InverseSpec = DEFAULT_INVERSE_SPEC,
     threads: int = 1,
 ) -> np.ndarray:
     """Matrix of successive below-1 ratios R_k, k = r .. r+count-1 (columns)."""
     if r < 1 or count < 1:
         raise ValueError("require r >= 1 and count >= 1")
     lp = ordered_log_points_batch(model, t, r + count, n_trials, master_seed,
-                                  stream_start, spec, threads)
+                                  stream_start, threads)
     return np.exp(lp[:, r:] - lp[:, r - 1 : -1])
 
 
@@ -441,14 +430,13 @@ def log_trim_ratio_batch(
     n_trials: int,
     master_seed: int,
     stream_start: int = 0,
-    spec: InverseSpec = DEFAULT_INVERSE_SPEC,
     threads: int = 1,
 ) -> np.ndarray:
     """Per-trial log of the above-1 ratio (r-th over (r+1)-th largest point)."""
     if r < 1:
         raise ValueError("r must be >= 1")
     lp = ordered_log_points_batch(model, t, r + 1, n_trials, master_seed,
-                                  stream_start, spec, threads)
+                                  stream_start, threads)
     return lp[:, r - 1] - lp[:, r]
 
 
@@ -459,14 +447,13 @@ def time_scale_batch(
     n_trials: int,
     master_seed: int,
     stream_start: int = 0,
-    spec: InverseSpec = DEFAULT_INVERSE_SPEC,
     threads: int = 1,
 ) -> np.ndarray:
     """Matrix of t * tail(k-th largest point) for k = 1..kmax (columns)."""
 
     def block(offset: int, rows: int) -> np.ndarray:
         g = gamma_matrix(master_seed, rows, kmax, stream_start + offset)
-        lp = ordered_log_points(model, t, g, spec)
+        lp = ordered_log_points(model, t, g)
         return t * eval_tail(model, np.exp(lp).ravel()).reshape(lp.shape)
 
     return _map_row_blocks(block, n_trials, threads)
@@ -480,7 +467,6 @@ def pivot_ratio_with_scales_batch(
     n_trials: int,
     master_seed: int,
     stream_start: int = 0,
-    spec: InverseSpec = DEFAULT_INVERSE_SPEC,
     threads: int = 1,
 ):
     """Per-trial (W, Z, A): pivot ratio, pivot time scale, top time scale.
@@ -493,7 +479,7 @@ def pivot_ratio_with_scales_batch(
 
     def block(offset: int, rows: int):
         g = gamma_matrix(master_seed, rows, r + n, stream_start + offset)
-        lp = ordered_log_points(model, t, g, spec)
+        lp = ordered_log_points(model, t, g)
         w = np.exp(lp[:, r + n - 1] - lp[:, r - 1])
         z = t * eval_tail(model, np.exp(lp[:, r + n - 1]))
         a = t * eval_tail(model, np.exp(lp[:, r - 1]))
@@ -512,7 +498,6 @@ def ratio_configuration_batch(
     master_seed: int,
     stream_start: int = 0,
     cap: int = 1_000_000,
-    spec: InverseSpec = DEFAULT_INVERSE_SPEC,
     threads: int = 1,
 ):
     """Batch ratio configurations: (above matrix, w_rn array or None, below counts).
@@ -525,9 +510,9 @@ def ratio_configuration_batch(
 
     def block(offset: int, rows: int):
         streams = stream_start + offset + np.arange(rows)
-        last, pivot, above, w = _ratio_head(model, t, r, n, master_seed, streams, 0, spec)
+        last, pivot, above, w = _ratio_head(model, t, r, n, master_seed, streams, 0)
         counts, _ = _ratio_below(model, t, epsilon, master_seed, streams, r + n,
-                                 last, pivot, cap, spec)
+                                 last, pivot, cap)
         return above, w, counts
 
     return _map_row_blocks(block, n_trials, threads)
@@ -548,22 +533,23 @@ def negbin_batch(
     """Batch draws of the limiting point process on (epsilon, 1).
 
     Returns ``(counts, probe_sums)`` per trial; ``probe_sums`` is None when
-    no probe is given.  Row i matches :func:`sample_negbin_process` on
-    stream ``stream_start + i``.
+    no probe is given.  Row i matches :func:`sample_negbin_process` on a
+    fresh stream ``stream_start + i``.
     """
     _validate_nb_args(n, alpha, epsilon, method)
 
     def block(offset: int, rows: int):
         streams = stream_start + offset + np.arange(rows)
         if probe is None:
-            counts, _ = _negbin_rows(n, alpha, epsilon, method, master_seed, streams, cap)
+            counts, _ = _negbin_rows(n, alpha, epsilon, method, master_seed, streams, 0, cap)
             return counts, None
         sums = np.zeros(rows)
 
         def reduce(idx, x, mask):
             sums[idx] += np.sum(probe(x) * mask, axis=1)
 
-        counts, _ = _negbin_rows(n, alpha, epsilon, method, master_seed, streams, cap, reduce)
+        counts, _ = _negbin_rows(n, alpha, epsilon, method, master_seed, streams, 0, cap,
+                                 reduce)
         return counts, sums
 
     return _map_row_blocks(block, n_trials, threads)

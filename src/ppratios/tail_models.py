@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.special import wrightomega
 
 PARETO = "pareto"
 PARETO_LOG = "pareto_log"
@@ -42,38 +43,22 @@ KINDS = frozenset({PARETO, PARETO_LOG, PARETO_PERTURBED, RAPID_ZERO, SLOW_ZERO})
 #: Ceiling used instead of overflowing for the rapidly varying family.
 TAIL_SATURATION = 1e300
 
+#: Newton evaluations allowed per value before :class:`InversionError`; the
+#: most seen is 30, at the monotonicity boundaries next to the threshold.
+_NEWTON_MAX_ITER = 64
+_NEWTON_BLOCK = 1 << 14  # values per block of the Newton iteration
+
 
 class TailOverflowWarning(RuntimeWarning):
     """Raised as a warning when a tail evaluation saturates at TAIL_SATURATION."""
 
 
 class InversionError(RuntimeError):
-    """Numeric inversion failed; carries the last bracket examined."""
+    """Numeric inversion failed; carries the bracket ``[iterate, other end]`` in x."""
 
     def __init__(self, message: str, bracket: tuple[float, float]):
         super().__init__(f"{message} (last bracket: [{bracket[0]:g}, {bracket[1]:g}])")
         self.bracket = bracket
-
-
-@dataclass(frozen=True)
-class InverseSpec:
-    """Controls for the bracketed bisection used by numeric inverses."""
-
-    bracket_lo: float = 1e-4
-    bracket_hi: float = 1e4
-    rel_tol: float = 1e-12
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if not (0 < self.bracket_lo < self.bracket_hi):
-            raise ValueError("require 0 < bracket_lo < bracket_hi")
-        if not (0 < self.rel_tol <= 1e-6):
-            raise ValueError("rel_tol must lie in (0, 1e-6]")
-        if self.max_iter < 64:
-            raise ValueError("max_iter must be >= 64")
-
-
-DEFAULT_INVERSE_SPEC = InverseSpec()
 
 
 @dataclass(frozen=True)
@@ -126,10 +111,6 @@ class TailModel:
         if self.kind == SLOW_ZERO:
             return 0.0
         return float(self.alpha)
-
-    @property
-    def has_analytic_inverse(self) -> bool:
-        return self.kind in (PARETO, RAPID_ZERO, SLOW_ZERO)
 
     def to_record(self) -> dict:
         """Flat key-value record (absent fields omitted); inverse of :func:`from_record`."""
@@ -212,7 +193,7 @@ def eval_tail(model: TailModel, x):
     return float(out[0]) if scalar else out
 
 
-def log_inverse_tail(model: TailModel, y, spec: InverseSpec = DEFAULT_INVERSE_SPEC):
+def log_inverse_tail(model: TailModel, y):
     """``log`` of the right-continuous inverse of the tail function.
 
     The inverse is ``inf{x > 0 : tail(x) <= y}``.  Working on the log scale
@@ -242,74 +223,96 @@ def log_inverse_tail(model: TailModel, y, spec: InverseSpec = DEFAULT_INVERSE_SP
         out[outer] = (np.log1p(model.c) - np.log(arr[outer])) / a
         inner = ~outer
         if np.any(inner):
-            out[inner] = _bisect_log_inverse(model, arr[inner], spec)
+            out[inner] = _perturbed_log_inverse(model, np.log(arr[inner]))
     else:  # PARETO_LOG
         out = np.empty_like(arr)
         outer = arr <= 1.0  # tail value at x = 1 is exactly 1
         out[outer] = -np.log(arr[outer]) / a
         inner = ~outer
         if np.any(inner):
-            out[inner] = _bisect_log_inverse(model, arr[inner], spec)
+            out[inner] = _pareto_log_log_inverse(model, np.log(arr[inner]))
     return float(out[0]) if scalar else out
 
 
-def eval_inverse_tail(model: TailModel, y, spec: InverseSpec = DEFAULT_INVERSE_SPEC):
+def eval_inverse_tail(model: TailModel, y):
     """Right-continuous inverse ``inf{x > 0 : tail(x) <= y}``.
 
-    Closed form where the family admits one, otherwise bracketed bisection
-    on log-x to relative tolerance ``spec.rel_tol``.
+    Closed form where the family admits one, otherwise monotone Newton
+    iteration on log-x (see :func:`log_inverse_tail`).
     """
-    out = np.exp(log_inverse_tail(model, y, spec))
-    return out
+    return np.exp(log_inverse_tail(model, y))
 
 
-def _bisect_log_inverse(model: TailModel, y: np.ndarray, spec: InverseSpec) -> np.ndarray:
-    """Monotone bisection for log(inverse tail), vectorized over y."""
-    log4 = math.log(4.0)
-    lo = np.full(y.shape, math.log(spec.bracket_lo))
-    hi = np.full(y.shape, math.log(spec.bracket_hi))
+def _pareto_log_log_inverse(model: TailModel, log_y: np.ndarray) -> np.ndarray:
+    """log x < 0 solving ``alpha*u + beta*log1p(u) = log y`` in ``u = log(1/x)``."""
+    a, b = model.alpha, model.beta
+    if abs(b) < a * 2.0**-60:
+        # beta*log1p(u) stays below half an ulp of alpha*u: the pareto formula
+        return -log_y / a
+    if b > 0:
+        # s = 1 + u = (beta/alpha)*w turns the equation into w + log w = z,
+        # solved by the Wright omega function
+        z = math.log(a / b) + (log_y + a) / b
+        return 1.0 - b / a * wrightomega(z)
 
-    # geometric bracket expansion (factor 4) until tail(lo) >= y >= tail(hi)
-    for attempt in range(spec.max_iter + 1):
-        need_lo = eval_tail(model, np.exp(lo)) < y
-        need_hi = eval_tail(model, np.exp(hi)) > y
-        if not (np.any(need_lo) or np.any(need_hi)):
-            break
-        if attempt == spec.max_iter:
-            i = int(np.argmax(need_lo | need_hi))
+    # beta < 0: decreasing and convex in l = -u; log1p(u) <= (1 + u)/e bounds
+    # the root from the left, and beta*log1p(u) <= 0 from the right
+    def g(l, log_y):
+        u = -l
+        return a * u + b * np.log1p(u) - log_y, -(a + b + a * u) / (1.0 + u)
+
+    lo = (b / math.e - log_y) / (a + b / math.e)
+    return _newton_rise(g, lo, log_y, lambda ly: -ly / a)
+
+
+def _perturbed_log_inverse(model: TailModel, log_y: np.ndarray) -> np.ndarray:
+    """log x < 0 solving ``-alpha*l + log1p(c*exp(gamma*l)) = log y`` in ``l = log x``."""
+    a, c, gamma = model.alpha, model.c, model.gamma
+
+    # decreasing and convex in l given c*(gamma - alpha) <= alpha;
+    # x**-alpha <= tail <= (1 + c)*x**-alpha brackets the root
+    def g(l, log_y):
+        p = c * np.exp(gamma * l)
+        return np.log1p(p) - a * l - log_y, gamma * p / (1.0 + p) - a
+
+    return _newton_rise(g, -log_y / a, log_y, lambda ly: (math.log1p(c) - ly) / a)
+
+
+def _newton_rise(g, l: np.ndarray, log_y: np.ndarray, other_end) -> np.ndarray:
+    """Roots of ``g(l, log_y)``, decreasing and convex in ``l``, overwriting ``l``.
+
+    ``g`` returns its value and slope.  Newton iterates from the start ``l``,
+    where ``g >= 0``, rise monotonically to the root while ``g`` falls.  Each
+    value stops on its own once a step no longer moves it up or no longer
+    lowers ``g`` (rounding, next to a near-double root), so it does not
+    depend on the other values inverted with it.  ``other_end(log_y)`` is
+    the bracket end beyond the root, reported on failure.  Values are taken
+    in blocks of ``_NEWTON_BLOCK`` to bound the temporaries' memory.
+    """
+    for start in range(0, l.size, _NEWTON_BLOCK):
+        lb, yb = l[start : start + _NEWTON_BLOCK], log_y[start : start + _NEWTON_BLOCK]
+        last = np.full(lb.size, np.inf)
+        act = np.arange(lb.size)
+        for _ in range(_NEWTON_MAX_ITER):
+            cur = lb[act]
+            value, slope = g(cur, yb[act])
+            step = cur - value / slope
+            go = (step > cur) & (value < last[act])
+            act = act[go]
+            if not act.size:
+                break
+            lb[act] = step[go]
+            last[act] = value[go]
+        else:
+            i = act[0]
             raise InversionError(
-                "bracket expansion exceeded max_iter",
-                (float(np.exp(lo[i])), float(np.exp(hi[i]))),
+                f"Newton iteration still moving after {_NEWTON_MAX_ITER} steps",
+                (float(np.exp(lb[i])), float(np.exp(other_end(yb[i])))),
             )
-        lo[need_lo] -= log4
-        hi[need_hi] += log4
-
-    # bisection until the log-bracket is narrower than rel_tol
-    width = float(np.max(hi - lo))
-    tol = 0.5 * math.log1p(spec.rel_tol)
-    n_steps = max(1, math.ceil(math.log2(max(width, tol) / tol)))
-    if n_steps > spec.max_iter:
-        i = int(np.argmax(hi - lo))
-        raise InversionError(
-            "bisection budget below requested tolerance",
-            (float(np.exp(lo[i])), float(np.exp(hi[i]))),
-        )
-    for _ in range(n_steps):
-        mid = 0.5 * (lo + hi)
-        below = eval_tail(model, np.exp(mid)) <= y
-        hi[below] = mid[below]
-        lo[~below] = mid[~below]
-    # hi is the side with tail(hi) <= y, matching the right-continuous inf
-    return hi
+    return l
 
 
-def rv_limit_table(
-    model: TailModel,
-    u: float,
-    y: float,
-    t_grid,
-    spec: InverseSpec = DEFAULT_INVERSE_SPEC,
-) -> np.ndarray:
+def rv_limit_table(model: TailModel, u: float, y: float, t_grid) -> np.ndarray:
     """``t * tail(u * inverse_tail(y/t))`` along a decreasing grid of t.
 
     For a power-law family with index ``alpha`` the values converge to
@@ -322,7 +325,7 @@ def rv_limit_table(
     if t.ndim != 1 or t.size == 0 or not np.all(np.diff(t) < 0):
         raise ValueError("t_grid must be a strictly decreasing sequence")
     _validate_positive(t, "t_grid")
-    lx = math.log(u) + log_inverse_tail(model, y / t, spec)
+    lx = math.log(u) + log_inverse_tail(model, y / t)
     if model.kind == SLOW_ZERO:
         # the inverse underflows float64 deep in the grid; evaluate
         # log1p(exp(-lx)) from the log directly

@@ -22,7 +22,7 @@ from scipy.special import kolmogorov as _ks_sf
 
 from . import samplers as sp
 from .rng import uniform_grid
-from .tail_models import PARETO, RAPID_ZERO, SLOW_ZERO, InverseSpec, DEFAULT_INVERSE_SPEC, TailModel
+from .tail_models import PARETO, RAPID_ZERO, SLOW_ZERO, TailModel
 
 #: 1% asymptotic critical coefficient for the Kolmogorov-Smirnov statistic.
 KS_COEFF_1PCT = 1.63
@@ -244,7 +244,6 @@ def convergence_sweep(
     target: str,
     seed: int,
     threshold: Optional[float] = None,
-    spec: InverseSpec = DEFAULT_INVERSE_SPEC,
     threads: int = 1,
 ) -> VerifyReport:
     """KS distance to the selected limit law along a decreasing grid of t.
@@ -272,17 +271,17 @@ def convergence_sweep(
         base = it * trials
         entry = {"t": t}
         if target == WLAW:
-            w = sp.pivot_ratio_batch(model, t, r, n, trials, seed, base, spec, threads)
+            w = sp.pivot_ratio_batch(model, t, r, n, trials, seed, base, threads)
             emp = EmpiricalDistribution.from_samples(w)
             entry["ks"] = ks_distance(emp, _wlaw_cdf(r, n, alpha))
             entry.update(_uniformity_chi2(betainc(r, n, emp.sorted_values**alpha)))
         elif target == RATIO_TAIL_N1:
-            y = np.exp(sp.log_trim_ratio_batch(model, t, r, trials, seed, base, spec, threads))
+            y = np.exp(sp.log_trim_ratio_batch(model, t, r, trials, seed, base, threads))
             emp = EmpiricalDistribution.from_samples(y)
             entry["ks"] = ks_distance(emp, lambda x: 1.0 - x ** (-r * alpha))
             entry.update(_uniformity_chi2(1.0 - emp.sorted_values ** (-r * alpha)))
         elif target == SUCCESSIVE_RATIOS:
-            ratios = sp.successive_ratio_batch(model, t, max(r, 1), n, trials, seed, base, spec, threads)
+            ratios = sp.successive_ratio_batch(model, t, max(r, 1), n, trials, seed, base, threads)
             per_k = []
             for j in range(n):
                 k = max(r, 1) + j
@@ -292,7 +291,7 @@ def convergence_sweep(
             entry["ks_per_coordinate"] = per_k
         else:  # GAMMA_NC
             kmax = r + n
-            scales = sp.time_scale_batch(model, t, kmax, trials, seed, base, spec, threads)
+            scales = sp.time_scale_batch(model, t, kmax, trials, seed, base, threads)
             per_k = []
             for k in range(max(r, 1), kmax + 1):
                 emp = EmpiricalDistribution.from_samples(scales[:, k - 1])
@@ -336,7 +335,6 @@ def independence_check(
     seed: int,
     grid: int = 10,
     p_threshold: float = 1e-3,
-    spec: InverseSpec = DEFAULT_INVERSE_SPEC,
     threads: int = 1,
 ) -> VerifyReport:
     """Pairwise chi-square independence of successive ratios after their PIT.
@@ -353,7 +351,7 @@ def independence_check(
     alpha = model.rv_index
 
     if model.kind in (RAPID_ZERO, SLOW_ZERO):
-        ratios = sp.successive_ratio_batch(model, t, r, n, trials, seed, 0, spec, threads)
+        ratios = sp.successive_ratio_batch(model, t, r, n, trials, seed, 0, threads)
         med = float(np.median(ratios))
         limit = 1.0 if model.kind == RAPID_ZERO else 0.0
         boundary = 1.0 - _rapid_median_allowance(t) if model.kind == RAPID_ZERO else 0.05
@@ -369,7 +367,7 @@ def independence_check(
                      "r": r, "n": n, "trials": trials},
         )
 
-    ratios = sp.successive_ratio_batch(model, t, r, n, trials, seed, 0, spec, threads)
+    ratios = sp.successive_ratio_batch(model, t, r, n, trials, seed, 0, threads)
     pit = ratios ** ((np.arange(n) + r) * alpha)[None, :]
     stats = []
     worst = None
@@ -586,7 +584,6 @@ def classify_tail(
     big_m: float = 1e3,
     kappa: float = 1.5,
     median_boundary: Optional[float] = None,
-    spec: InverseSpec = DEFAULT_INVERSE_SPEC,
     threads: int = 1,
 ) -> TailClassification:
     """Three-way variation classifier from the above-1 ratio at one small t.
@@ -602,7 +599,7 @@ def classify_tail(
         raise ValueError("r must be >= 1")
     if trials < 1_000:
         raise ValueError("classification needs at least 10^3 trials")
-    ly = sp.log_trim_ratio_batch(model, t, r, trials, seed, 0, spec, threads)
+    ly = sp.log_trim_ratio_batch(model, t, r, trials, seed, 0, threads)
     q25, med_ly, q75 = np.quantile(ly, [0.25, 0.5, 0.75])
     p_low = float(np.mean(ly < math.log1p(delta)))
     p_high = float(np.mean(ly > math.log(big_m)))
@@ -638,7 +635,6 @@ def z_insensitivity_check(
     trials: int,
     seed: int,
     n_bins: int = 4,
-    spec: InverseSpec = DEFAULT_INVERSE_SPEC,
     threads: int = 1,
 ) -> VerifyReport:
     """Pivot-ratio law checked inside quantile bins of the pivot time scale.
@@ -650,7 +646,7 @@ def z_insensitivity_check(
     """
     alpha = model.rv_index
     w, z, _ = sp.pivot_ratio_with_scales_batch(
-        model, t, r, n, trials, seed, 0, spec, threads
+        model, t, r, n, trials, seed, 0, threads
     )
     edges = np.quantile(z, np.linspace(0, 1, n_bins + 1))
     cdf = _wlaw_cdf(r, n, alpha)
@@ -692,7 +688,6 @@ def conditional_gamma_check(
     half_width: float,
     trials: int,
     seed: int,
-    spec: InverseSpec = DEFAULT_INVERSE_SPEC,
     threads: int = 1,
 ) -> VerifyReport:
     """Conditional law of the top-point time scale given the pivot ratio.
@@ -707,7 +702,7 @@ def conditional_gamma_check(
         raise ValueError("conditioning window must sit strictly inside (0, 1)")
     alpha = model.rv_index
     w, _, a_scale = sp.pivot_ratio_with_scales_batch(
-        model, t, r, n, trials, seed, 0, spec, threads
+        model, t, r, n, trials, seed, 0, threads
     )
     mask = np.abs(w - w_center) <= half_width
     idx = np.flatnonzero(mask)

@@ -65,6 +65,30 @@ def test_nonpositive_threads_exit_2(tmp_path, capsys, threads):
     assert doc == {"error": "domain", "reason": "threads must be >= 1"}
 
 
+def test_simulate_deep_small_time_pareto_log(tmp_path):
+    # t = 1e-200 puts the ordered points near x = 1e-200, far below any
+    # fixed search bracket
+    code = run_cli("simulate", "--tail", "pareto_log", "--alpha", "1", "--beta", "1",
+                   "--t", "1e-200", "--r", "1", "--n", "2", "--epsilon", "0.5",
+                   "--trials", "10", "--out-dir", str(tmp_path))
+    assert code == 0
+    _, _, body = read_csv_body(tmp_path / "trials.csv")
+    assert len(body) == 10
+
+
+def test_inversion_error_exits_2(tmp_path, capsys, monkeypatch):
+    from ppratios import tail_models as tm
+
+    monkeypatch.setattr(tm, "_NEWTON_MAX_ITER", 1)
+    code = run_cli("simulate", "--tail", "pareto_log", "--alpha", "1", "--beta", "-0.5",
+                   "--t", "0.5", "--r", "1", "--n", "2", "--trials", "10",
+                   "--out-dir", str(tmp_path))
+    assert code == 2
+    doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert doc["error"] == "domain"
+    assert "Newton" in doc["reason"]
+
+
 def test_laws_density_normalization(tmp_path):
     code = run_cli("laws", "--law", "w", "--alpha", "2", "--r", "1", "--n", "2",
                    "--grid", "0.01:0.99:99", "--out-dir", str(tmp_path))

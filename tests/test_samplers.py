@@ -229,6 +229,20 @@ def test_nb_batch_matches_single_trials():
             assert rng.cursor == n + counts[i] + 1 + placed
 
 
+def test_nb_consecutive_draws_continue_the_stream():
+    # a second draw on one stream reads on from the cursor the first one left
+    n = 2
+    for method in sp.NB_METHODS:
+        rng = RngStream(3, 1)
+        first = sp.sample_negbin_process(n, 1.0, 0.3, method, rng)
+        after_first = rng.cursor
+        second = sp.sample_negbin_process(n, 1.0, 0.3, method, rng)
+        per_point = 2 if method == sp.MIXED_POISSON else 1
+        assert after_first == n + per_point * first.points.size + 1
+        assert rng.cursor == after_first + n + per_point * second.points.size + 1
+        assert not np.array_equal(first.points, second.points)
+
+
 def test_nb_void_probability():
     # P(no points in (a,1)) = a^{n*alpha}
     n, alpha, a = 2, 1.0, 0.5

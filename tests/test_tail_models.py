@@ -103,15 +103,14 @@ def test_bisection_matches_closed_form_gamma_equals_alpha():
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: f"{m.kind}-{m.alpha}")
 def test_right_continuous_inverse_contract(model):
-    spec = tm.InverseSpec()
     # for slow_zero the inverse underflows float64 beyond y ~ 700 (the log
     # form stays exact there; see the dedicated log-identity test)
     y_hi = 500.0 if model.kind == "slow_zero" else 1e6
     y = np.geomspace(1e-6, y_hi, 61)
-    inv = tm.eval_inverse_tail(model, y, spec)
-    # tail(inv(y)) <= y and tail(inv(y)*(1 - 10*rel_tol)) >= y, up to float roundoff
+    inv = tm.eval_inverse_tail(model, y)
+    # tail(inv(y)) <= y and tail(inv(y)*(1 - 1e-11)) >= y, up to float roundoff
     assert np.all(tm.eval_tail(model, inv) <= y * (1 + 1e-9))
-    assert np.all(tm.eval_tail(model, inv * (1 - 10 * spec.rel_tol)) >= y * (1 - 1e-9))
+    assert np.all(tm.eval_tail(model, inv * (1 - 10 * 1e-12)) >= y * (1 - 1e-9))
 
 
 def test_slow_zero_log_inverse_identity_deep_range():
@@ -149,17 +148,28 @@ def test_inverse_round_trip_perturbed(model, log_y):
     assert tm.eval_tail(model, x) == pytest.approx(y, rel=1e-8)
 
 
+def _assert_generalized_inverse(model, y):
+    # inf{x : tail(x) <= y}: tail(x) <= y at the inverse, tail > y everywhere
+    # to its left (a non-monotone tail fails the second part)
+    x = tm.eval_inverse_tail(model, y)
+    assert tm.eval_tail(model, x) <= y * (1 + 1e-9)
+    left = x * np.geomspace(1e-6, 1 - 10 * 1e-12, 400)
+    assert np.all(tm.eval_tail(model, left) >= y * (1 - 1e-9))
+
+
 @settings(max_examples=60, deadline=None)
 @given(model=perturbed_models(), log_y=st.floats(-13.0, 13.0))
 def test_inverse_is_generalized_inverse_perturbed(model, log_y):
-    # inf{x : tail(x) <= y}: tail(x) <= y at the inverse, tail > y everywhere
-    # to its left (a non-monotone tail fails the second part)
-    spec = tm.InverseSpec()
-    y = math.exp(log_y)
-    x = tm.eval_inverse_tail(model, y, spec)
-    assert tm.eval_tail(model, x) <= y * (1 + 1e-9)
-    left = x * np.geomspace(1e-6, 1 - 10 * spec.rel_tol, 400)
-    assert np.all(tm.eval_tail(model, left) >= y * (1 - 1e-9))
+    _assert_generalized_inverse(model, math.exp(log_y))
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.floats(0.2, 5.0), beta_share=st.floats(-1.0, 1.0),
+       log_y=st.floats(-13.0, 13.0))
+def test_inverse_is_generalized_inverse_pareto_log(alpha, beta_share, log_y):
+    # beta over the accepted [-alpha, 3]: closed form above 0, Newton below
+    beta = beta_share * alpha if beta_share <= 0 else beta_share * 3.0
+    _assert_generalized_inverse(tm.pareto_log(alpha, beta), math.exp(log_y))
 
 
 @settings(max_examples=40, deadline=None)
@@ -178,24 +188,61 @@ def test_log_inverse_deep_small_time_stays_finite():
     assert log_inv == pytest.approx(-1e5, rel=1e-6)
 
 
-def test_inversion_failure_carries_bracket():
-    spec = tm.InverseSpec(bracket_lo=0.9, bracket_hi=1.1, rel_tol=1e-12, max_iter=64)
-    try:
-        # requires expanding far beyond max_iter rounds
-        tm.eval_inverse_tail(tm.pareto_log(1.0, 1.0), 1e300, spec)
-    except tm.InversionError as err:
-        assert len(err.bracket) == 2
-    else:  # pragma: no cover
-        pytest.fail("expected InversionError")
+def test_inversion_failure_carries_bracket(monkeypatch):
+    # one Newton evaluation cannot settle y = 3; the error carries the
+    # exact bracket [iterate, other end] around the root
+    monkeypatch.setattr(tm, "_NEWTON_MAX_ITER", 1)
+    y = 3.0
+    for model in (tm.pareto_log(1.0, -0.5), tm.pareto_perturbed(1.0, 1.0, 1.0)):
+        with pytest.raises(tm.InversionError) as info:
+            tm.eval_inverse_tail(model, y)
+        lo, hi = info.value.bracket
+        assert 0 < lo < hi < 1
+        assert tm.eval_tail(model, lo) >= y >= tm.eval_tail(model, hi)
 
 
-def test_inverse_spec_validation():
-    with pytest.raises(ValueError):
-        tm.InverseSpec(bracket_lo=2.0, bracket_hi=1.0)
-    with pytest.raises(ValueError):
-        tm.InverseSpec(rel_tol=1e-3)
-    with pytest.raises(ValueError):
-        tm.InverseSpec(max_iter=10)
+NUMERIC_MODELS = [
+    tm.pareto_log(1.0, 1.0),
+    tm.pareto_log(0.5, 3.0),
+    tm.pareto_log(2.0, -0.5),
+    tm.pareto_log(1.0, -1.0),  # alpha + beta = 0
+    tm.pareto_perturbed(1.0, 1.0, 1.0),
+    tm.pareto_perturbed(2.0, 0.5, 0.7),
+    tm.pareto_perturbed(1.0, 0.5, 3.0),  # c * (gamma - alpha) = alpha
+    tm.pareto_perturbed(1.0, 3.0, 0.0),
+]
+
+
+def _log_tail_below_one(model, log_x):
+    """log tail on x < 1, evaluated from log x so that tiny x do not underflow."""
+    if model.kind == "pareto_log":
+        return -model.alpha * log_x + model.beta * np.log1p(-log_x)
+    return -model.alpha * log_x + np.log1p(model.c * np.exp(model.gamma * log_x))
+
+
+def _model_id(model):
+    return "-".join(f"{v:g}" if isinstance(v, float) else v for v in model.to_record().values())
+
+
+@pytest.mark.parametrize("model", NUMERIC_MODELS, ids=_model_id)
+def test_log_inverse_residual_up_to_1e300(model):
+    threshold = float(tm.eval_tail(model, 1.0))
+    y = threshold * np.concatenate([1.0 + np.geomspace(1e-15, 1e-3, 40),
+                                    np.geomspace(1.01, 1e300 / threshold, 200)])
+    log_y = np.log(y)
+    log_x = tm.log_inverse_tail(model, y)
+    assert np.all(log_x < 0)
+    residual = np.abs(_log_tail_below_one(model, log_x) - log_y)
+    assert np.all(residual <= 1e-12 * np.maximum(1.0, log_y))
+
+
+@pytest.mark.parametrize("model", NUMERIC_MODELS, ids=_model_id)
+def test_inverse_batch_independent(model):
+    # each value is inverted on its own: batch neighbours do not move its bits
+    ys = [2.0 * float(tm.eval_tail(model, 1.0)), 1e30, 1.5, 1e300]
+    alone = [tm.log_inverse_tail(model, [y])[0] for y in ys]
+    assert tm.log_inverse_tail(model, ys).tolist() == alone
+    assert tm.log_inverse_tail(model, ys[::-1]).tolist() == alone[::-1]
 
 
 # --- regular-variation limit table ---------------------------------------
