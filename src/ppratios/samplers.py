@@ -10,13 +10,16 @@ bit-identical to the single-trial form run on that stream.
 The open-ended samplers (ratio configurations and both constructions of the
 negative binomial limit process) draw arrivals until a row crosses its
 threshold.  One ragged engine, :func:`_extend`, does this for a set of rows:
-it extends every row that has not crossed yet by ``_CHUNK`` counters per
-round, and a per-round hook collects the points (single-trial forms, which
-run the engine on one row) or reduces them into probe sums (batch forms,
-row-blocked by :func:`_map_row_blocks`).  Both forms therefore share
+it extends every row that has not crossed yet by a number of counters that
+depends only on the round index -- 4 in the first round, doubling each round
+up to ``_CHUNK`` (4, 8, 16, 32, 64, 64, ...; see :func:`_round_widths`) --
+and a per-round hook collects the points (single-trial forms, which run the
+engine on one row) or reduces them into probe sums (batch forms, row-blocked
+by :func:`_map_row_blocks`).  Both forms therefore share
 
 * one cap rule: before each round, :class:`TruncationError` is raised once
-  ``cap`` arrivals past the head have been drawn, and
+  ``cap`` arrivals past the head have been drawn (rounds end 4, 12, 28, 60,
+  124, 188, ... arrivals past the head), and
 * one cursor rule: a single-trial draw leaves its stream's cursor just after
   the last counter it consumed -- the crossing arrival, or for
   ``mixed_poisson`` the last placed point.
@@ -41,7 +44,7 @@ LIMIT_RATIOS = "limit_ratios"
 MIXED_POISSON = "mixed_poisson"
 NB_METHODS = frozenset({LIMIT_RATIOS, MIXED_POISSON})
 
-_CHUNK = 64  # counters per row and extension round of the ragged engine
+_CHUNK = 64  # widest engine round and placement chunk, in counters per row
 _ROW_BLOCK = 1 << 17  # rows per thread task in batch samplers
 
 
@@ -116,12 +119,27 @@ def _validate_nb_args(n: int, alpha: float, epsilon: float, method: str):
 # the ragged engine and the open-ended constructions built on it
 
 
+def _round_widths():
+    """Counters per active row in each round of :func:`_extend`: 4, 8, 16, 32, then ``_CHUNK``.
+
+    Most rows keep only a few points, so small first rounds waste few
+    draws; doubling bounds the rounds a long row needs.  The schedule
+    depends on the round index alone, so a row's draws do not depend on
+    the other rows it is extended with.
+    """
+    width = 4
+    while True:
+        yield width
+        width = min(2 * width, _CHUNK)
+
+
 def _extend(master_seed, streams, start, last, accept, cap, on_round=None):
     """Extend each row's arrivals until the first one ``accept`` rejects.
 
     Row ``i`` reads stream ``streams[i]`` from counter ``start`` on and
-    continues from the arrival ``last[i]``.  Each round draws ``_CHUNK``
-    counters for every row still active; ``accept(rows, arr)`` returns
+    continues from the arrival ``last[i]``.  Each round draws the next
+    width of :func:`_round_widths` for every row still active (at most
+    ``_CHUNK`` counters per row); ``accept(rows, arr)`` returns
     ``(kept, values)`` for those rows and their new arrivals, where ``kept``
     is a prefix of each row, and ``on_round(rows, values, kept)`` sees every
     round.  Returns the per-row kept counts and the counter just after each
@@ -131,26 +149,27 @@ def _extend(master_seed, streams, start, last, accept, cap, on_round=None):
     finish = np.empty(streams.size, dtype=np.int64)
     last = np.array(last, dtype=float)
     act = np.arange(streams.size)
-    cols = np.arange(_CHUNK)
     offset = start
+    widths = _round_widths()
     while act.size:
         if offset - start >= cap:
             raise TruncationError(
                 f"cap={cap} arrivals drawn before the epsilon crossing in "
                 f"{act.size} of {streams.size} rows (epsilon or cap too small)"
             )
-        u = uniforms_at(master_seed, streams[act, None], offset + cols)
+        width = next(widths)
+        u = uniforms_at(master_seed, streams[act, None], offset + np.arange(width))
         arr = last[act, None] + np.cumsum(-np.log(u), axis=1)
         kept, values = accept(act, arr)
         if on_round is not None:
             on_round(act, values, kept)
         k = kept.sum(axis=1)
         counts[act] += k
-        done = k < _CHUNK
+        done = k < width
         finish[act[done]] = offset + k[done] + 1
         last[act] = arr[:, -1]
         act = act[~done]
-        offset += _CHUNK
+        offset += width
     return counts, finish
 
 
@@ -207,14 +226,18 @@ def _negbin_rows(n, alpha, epsilon, method, master_seed, streams, start, cap,
 
     # mixed_poisson: the count of arrivals below the gamma-scaled mean is
     # the mixed Poisson count; place that many i.i.d. points by inverse CDF
-    # of the truncated base density, one counter each after the crossing
+    # of the truncated base density, one counter each after the crossing.
+    # Only the masked cells are drawn; the others hold u = 1 (the point 1).
     if on_points is not None:
         max_count = int(counts.max())
         for col in range(0, max_count, _CHUNK):
             cols = col + np.arange(min(_CHUNK, max_count - col))
             idx = np.flatnonzero(counts > col)
             mask = cols[None, :] < counts[idx, None]
-            u = uniforms_at(master_seed, streams[idx, None], finish[idx, None] + cols[None, :])
+            rows, cs = np.nonzero(mask)
+            u = np.ones(mask.shape)
+            u[rows, cs] = uniforms_at(master_seed, streams[idx[rows]],
+                                      finish[idx[rows]] + cols[cs])
             on_points(idx, (ea - u * (ea - 1.0)) ** -inv_alpha, mask)
     return counts, finish + counts
 
@@ -240,7 +263,7 @@ def sample_ordered_points(
     if not t > 0:
         raise ValueError("t must be positive")
     gammas = sample_gamma_arrivals(count, rng)
-    points = np.exp(log_inverse_tail(model, gammas / t))
+    points = np.exp(ordered_log_points(model, t, gammas))
     return OrderedSample(t=float(t), gammas=gammas, points=points, count=count)
 
 
@@ -362,9 +385,15 @@ def ordered_log_points(
     t: float,
     gammas: np.ndarray,
 ) -> np.ndarray:
-    """log of ordered points for an arrival matrix (vectorized inverse)."""
-    flat = log_inverse_tail(model, np.ravel(gammas) / t)
-    return flat.reshape(np.shape(gammas))
+    """log of ordered points for an arrival matrix (vectorized inverse).
+
+    Raises ValueError when ``gammas / t`` overflows (``t`` too small).
+    """
+    with np.errstate(over="ignore"):
+        y = np.ravel(gammas) / t
+    if not np.all(np.isfinite(y)):
+        raise ValueError(f"t={t!r} is too small: arrivals / t overflow to inf")
+    return log_inverse_tail(model, y).reshape(np.shape(gammas))
 
 
 def ordered_log_points_batch(

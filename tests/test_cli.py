@@ -76,6 +76,18 @@ def test_simulate_deep_small_time_pareto_log(tmp_path):
     assert len(body) == 10
 
 
+def test_subnormal_t_exits_2(tmp_path, capsys):
+    # arrivals / 1e-320 overflow to inf, which used to write nan cells
+    code = run_cli("simulate", "--tail", "pareto", "--alpha", "1", "--t", "1e-320",
+                   "--r", "1", "--n", "2", "--epsilon", "0.5", "--trials", "5",
+                   "--out-dir", str(tmp_path))
+    assert code == 2
+    doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert doc["error"] == "domain"
+    assert "t=1e-320" in doc["reason"]
+    assert not (tmp_path / "trials.csv").exists()
+
+
 def test_inversion_error_exits_2(tmp_path, capsys, monkeypatch):
     from ppratios import tail_models as tm
 

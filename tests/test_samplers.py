@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -153,29 +154,60 @@ def test_ratio_configuration_blocks_and_threads_do_not_change_output(monkeypatch
 
 
 def test_single_and_batch_share_the_cap_rule():
-    # a row whose crossing comes in the second round of 64 draws truncates
-    # under cap=64 and completes under cap=65, in both forms
+    # a row whose crossing comes in the round after the boundary b (the
+    # arrivals past the head that the first four rounds draw) truncates
+    # under cap=b and completes under cap=b+1, in both forms
+    b, b_next = np.cumsum(list(itertools.islice(sp._round_widths(), 5)))[3:]
     model, t, eps = tm.pareto(1.0), 1.0, 0.01
     _, _, counts = sp.ratio_configuration_batch(model, t, 0, 1, eps, 50, 5)
-    i = int(np.flatnonzero((counts >= 64) & (counts < 128))[0])
+    i = int(np.flatnonzero((counts >= b) & (counts < b_next))[0])
     with pytest.raises(sp.TruncationError) as err:
-        sp.sample_ratio_configuration(model, t, 0, 1, eps, RngStream(5, i), cap=64)
-    assert err.value.partial.below.size == 64
+        sp.sample_ratio_configuration(model, t, 0, 1, eps, RngStream(5, i), cap=b)
+    assert err.value.partial.below.size == b
     with pytest.raises(sp.TruncationError):
-        sp.ratio_configuration_batch(model, t, 0, 1, eps, 1, 5, stream_start=i, cap=64)
-    cfg = sp.sample_ratio_configuration(model, t, 0, 1, eps, RngStream(5, i), cap=65)
-    _, _, one = sp.ratio_configuration_batch(model, t, 0, 1, eps, 1, 5, stream_start=i, cap=65)
+        sp.ratio_configuration_batch(model, t, 0, 1, eps, 1, 5, stream_start=i, cap=b)
+    cfg = sp.sample_ratio_configuration(model, t, 0, 1, eps, RngStream(5, i), cap=b + 1)
+    _, _, one = sp.ratio_configuration_batch(model, t, 0, 1, eps, 1, 5, stream_start=i,
+                                             cap=b + 1)
     assert cfg.below.size == one[0] == counts[i]
     for method in sp.NB_METHODS:
         c, _ = sp.negbin_batch(1, 1.0, 1 / 101, method, 50, 5)
-        i = int(np.flatnonzero((c >= 64) & (c < 128))[0])
+        i = int(np.flatnonzero((c >= b) & (c < b_next))[0])
         with pytest.raises(sp.TruncationError):
-            sp.sample_negbin_process(1, 1.0, 1 / 101, method, RngStream(5, i), cap=64)
+            sp.sample_negbin_process(1, 1.0, 1 / 101, method, RngStream(5, i), cap=b)
         with pytest.raises(sp.TruncationError):
-            sp.negbin_batch(1, 1.0, 1 / 101, method, 1, 5, stream_start=i, cap=64)
-        single = sp.sample_negbin_process(1, 1.0, 1 / 101, method, RngStream(5, i), cap=65)
-        one, _ = sp.negbin_batch(1, 1.0, 1 / 101, method, 1, 5, stream_start=i, cap=65)
+            sp.negbin_batch(1, 1.0, 1 / 101, method, 1, 5, stream_start=i, cap=b)
+        single = sp.sample_negbin_process(1, 1.0, 1 / 101, method, RngStream(5, i),
+                                          cap=b + 1)
+        one, _ = sp.negbin_batch(1, 1.0, 1 / 101, method, 1, 5, stream_start=i, cap=b + 1)
         assert single.points.size == one[0] == c[i]
+
+
+def test_round_schedule_doubles_to_the_widest_round():
+    widths = list(itertools.islice(sp._round_widths(), 7))
+    assert widths == [4, 8, 16, 32, 64, 64, 64] and sp._CHUNK == 64
+    assert np.cumsum(widths)[:6].tolist() == [4, 12, 28, 60, 124, 188]
+
+
+def test_engine_draws_at_most_twice_what_it_consumes(monkeypatch):
+    # mean count 1: a fixed wide round would draw far more than the rows use
+    drawn = []
+    real = sp.uniforms_at
+
+    def counting(*args):
+        u = real(*args)
+        drawn.append(u.size)
+        return u
+
+    monkeypatch.setattr(sp, "uniforms_at", counting)
+    n, rows = 1, 10_000
+    for method, probe in itertools.product(sp.NB_METHODS, (None, np.sqrt)):
+        drawn.clear()
+        counts, _ = sp.negbin_batch(n, 1.0, 0.5, method, rows, 9, probe=probe)
+        # consumed as in the cursor rule: n + count + 1, or n + 2*count + 1
+        per_point = 2 if method == sp.MIXED_POISSON else 1
+        consumed = int(np.sum(n + per_point * counts + 1))
+        assert sum(drawn) <= 2 * consumed + 4 * rows
 
 
 def test_ratio_configuration_mean_below_count():
@@ -217,16 +249,35 @@ def test_nb_sample_points_inside_interval():
 
 
 def test_nb_batch_matches_single_trials():
-    n = 3
-    for method in sp.NB_METHODS:
-        counts, _ = sp.negbin_batch(n, 1.5, 0.4, method, 64, 12, stream_start=0)
-        for i in (0, 7, 33, 63):
+    # eps = 0.02 has mean count 98, so rows cross four round boundaries
+    for (n, alpha, eps), method in itertools.product([(3, 1.5, 0.4), (2, 1.0, 0.02)],
+                                                     sp.NB_METHODS):
+        counts, _ = sp.negbin_batch(n, alpha, eps, method, 64, 12, stream_start=0)
+        if eps < 0.1:
+            assert counts.max() >= 60
+        for i in (0, 7, 33, 63, int(np.argmax(counts))):
             rng = RngStream(12, i)
-            single = sp.sample_negbin_process(n, 1.5, 0.4, method, rng)
+            single = sp.sample_negbin_process(n, alpha, eps, method, rng)
             assert single.points.size == counts[i]
             # the cursor sits just after the last counter consumed
             placed = counts[i] if method == sp.MIXED_POISSON else 0
             assert rng.cursor == n + counts[i] + 1 + placed
+
+
+def test_negbin_blocks_and_threads_do_not_change_output(monkeypatch):
+    from ppratios.limit_laws import LINEAR_RAMP, LaplaceProbe
+
+    # a ramp makes the probe sums depend on the order they are added in
+    probe = LaplaceProbe(0.9, 0.1, 0.8, LINEAR_RAMP)
+    for method in sp.NB_METHODS:
+        args = (2, 1.0, 0.05, method, 5_000, 61)
+        whole = sp.negbin_batch(*args, probe=probe)
+        with monkeypatch.context() as m:
+            m.setattr(sp, "_ROW_BLOCK", 1_024)
+            for threads in (1, 2):
+                blocked = sp.negbin_batch(*args, probe=probe, threads=threads)
+                for a, b in zip(whole, blocked):
+                    assert np.array_equal(a, b)
 
 
 def test_nb_consecutive_draws_continue_the_stream():

@@ -87,12 +87,12 @@ def test_closed_form_inverses():
     assert tm.eval_inverse_tail(tm.pareto(1.0), 10.0) == pytest.approx(0.1)
 
 
-def test_bisection_inverse_matches_example():
+def test_newton_inverse_matches_example():
     model = tm.pareto_perturbed(1, 1, 1)
     assert tm.eval_inverse_tail(model, 3.0) == pytest.approx(0.5, rel=1e-9)
 
 
-def test_bisection_matches_closed_form_gamma_equals_alpha():
+def test_newton_matches_closed_form_gamma_equals_alpha():
     # gamma == alpha admits the closed form (y - c)**(-1/alpha) on the inner branch
     model = tm.pareto_perturbed(2.0, 0.8, 2.0)
     y = np.geomspace(2.0, 1e8, 50)  # inner branch: y > 1 + c
