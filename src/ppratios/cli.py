@@ -7,8 +7,8 @@ artifacts: floats are written with shortest round-trip precision, JSON keys
 are sorted, and nothing wall-clock dependent enters the outputs.
 
 Exit codes: 0 success, 1 a verify experiment failed its threshold,
-2 config or domain errors.  Errors end with one machine-readable JSON line
-on stderr.
+2 config, domain or file-system (``io``) errors.  Errors end with one
+machine-readable JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -28,6 +28,9 @@ from .verify import SWEEP_TARGETS
 
 #: Fixed default master seed; never wall-clock derived.
 DEFAULT_SEED = 20240613
+
+#: CSV rows formatted and written per block; bounds the text held at once.
+_BLOCK = 1 << 14
 
 _DEFAULTS = {
     "epsilon": 1e-3,
@@ -81,13 +84,50 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, meta: dict, header: list, rows) -> None:
+def _cell_texts(column, start: int, stop: int) -> list:
+    """Text of cells ``start:stop`` of a list or 1-D ndarray column, as ``_fmt``."""
+    part = column[start:stop]
+    if isinstance(part, np.ndarray):
+        kind = part.dtype.kind
+        if kind == "f":
+            return list(map(float.__repr__, part.astype(np.float64, copy=False).tolist()))
+        if kind in "iu":
+            return list(map(str, part.tolist()))
+        if kind == "b":
+            return ["true" if v else "false" for v in part.tolist()]
+        part = part.tolist()
+    return [_fmt(v) for v in part]
+
+
+def _write_csv(path: Path, meta: dict, header: list, columns: list) -> None:
+    """Write one column per header name, ``_BLOCK`` rows at a time.
+
+    A column is a scalar (its ``_fmt`` text on every row), a 1-D ndarray or
+    a list; all non-scalar columns have one length, the row count.  Every
+    cell reads exactly as ``_fmt`` writes it.
+    """
+    sized = [j for j, col in enumerate(columns) if isinstance(col, (list, np.ndarray))]
+    lengths = {len(columns[j]) for j in sized}
+    if (len(columns) != len(header) or len(lengths) > 1 or (columns and not sized)
+            or any(getattr(columns[j], "ndim", 1) != 1 for j in sized)):
+        raise ValueError("CSV columns must match the header and hold at least one "
+                         "1-D column, all of one length")
+    rows = lengths.pop() if lengths else 0
+    # one row's cells, each followed by its separator; scalar cells filled once
+    template = []
+    for j, col in enumerate(columns):
+        template += [None if j in sized else _fmt(col),
+                     "," if j < len(columns) - 1 else "\n"]
     with open(path, "w", newline="\n") as fh:
         for key in sorted(meta):
             fh.write(f"# {key}={_fmt(meta[key])}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for start in range(0, rows, _BLOCK):
+            stop = min(start + _BLOCK, rows)
+            cells = template * (stop - start)
+            for j in sized:
+                cells[2 * j::len(template)] = _cell_texts(columns[j], start, stop)
+            fh.write("".join(cells))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -98,14 +138,22 @@ def _write_json(path: Path, payload: dict) -> None:
 def _parse_grid(text: str, log_spaced: bool = False) -> np.ndarray:
     """``lo:hi:count`` (inclusive, optionally log-spaced) or comma list."""
     if ":" in text:
-        lo_s, hi_s, count_s = text.split(":")
-        lo, hi, count = float(lo_s), float(hi_s), int(count_s)
+        try:
+            lo_s, hi_s, count_s = text.split(":")
+            lo, hi, count = float(lo_s), float(hi_s), int(count_s)
+        except ValueError:
+            raise _CliError(f"grid {text!r} is not lo:hi:count "
+                            "(two numbers and an integer count)") from None
         if count < 1:
             raise _CliError(f"grid needs a positive count: {text!r}")
         if log_spaced:
             return np.geomspace(lo, hi, count)
         return np.linspace(lo, hi, count)
-    return np.array([float(v) for v in text.split(",")])
+    try:
+        return np.array([float(v) for v in text.split(",")])
+    except ValueError:
+        raise _CliError(f"grid {text!r} is not a comma list of numbers "
+                        "or lo:hi:count") from None
 
 
 def _build_parser() -> _Parser:
@@ -255,18 +303,15 @@ def _run_simulate(cfg: dict) -> int:
     out.mkdir(parents=True, exist_ok=True)
     header = ["trial_index", "t", "r", "n", "w_rn", "count_below"] + [
         f"above_{k}" for k in range(1, n)]
-    rows = (
-        [i, t, r, n, (w[i] if w is not None else ""), int(counts[i])]
-        + list(above[i])
-        for i in range(trials)
-    )
+    columns = [np.arange(trials), t, r, n, "" if w is None else w, counts] + [
+        above[:, k] for k in range(n - 1)]
     meta = _echo_meta(cfg, model, {"t": t, "r": r, "n": n, "cap": int(cfg["cap"])})
-    _write_csv(out / "trials.csv", meta, header, rows)
+    _write_csv(out / "trials.csv", meta, header, columns)
     return 0
 
 
-def _law_table(cfg: dict):
-    """Rows of (law, alpha, r, n, u, z, lam, x, density, cdf) on the grid."""
+def _law_table(cfg: dict) -> list:
+    """Columns (law, alpha, r, n, u, z, lam, x, density, cdf) over the grid."""
     law = cfg["law"]
     if law in ("w", "k_orderstat", "conditional_gamma"):
         _need(cfg, "r", "n")
@@ -280,64 +325,44 @@ def _law_table(cfg: dict):
     lam = float(cfg["lam"]) if cfg.get("lam") is not None else None
     w = float(cfg["w"]) if cfg.get("w") is not None else None
     grid = _parse_grid(str(cfg["grid"]))
-    rows = []
-
-    def emit(x, density, cdf, **over):
-        rows.append([law, over.get("alpha", alpha), r, n, u, z,
-                     over.get("lam", lam), x, density, cdf])
+    density = ""
 
     if law == "w":
         _need(cfg, "alpha")
-        spec = ll.LawSpec(alpha=alpha, r=r, n=n)
-        density, cdf = ll.w_law(spec, grid)
-        for x, d, c in zip(grid, density, cdf):
-            emit(x, d, c)
+        density, cdf = ll.w_law(ll.LawSpec(alpha=alpha, r=r, n=n), grid)
     elif law == "j":
         _need(cfg, "alpha", "u")
-        spec = ll.LawSpec(alpha=alpha, u=u)
-        density, cdf = ll.j_law(spec, grid)
-        for x, d, c in zip(grid, density, cdf):
-            emit(x, d, c)
+        density, cdf = ll.j_law(ll.LawSpec(alpha=alpha, u=u), grid)
     elif law == "l":
         _need(cfg, "alpha")
         density, cdf = ll.l_law(alpha, grid)
-        for x, d, c in zip(grid, density, cdf):
-            emit(x, d, c)
     elif law == "k_orderstat":
         _need(cfg, "alpha")
         cdf = ll.k_orderstat_cdf(r, n, alpha, grid)
-        for x, c in zip(grid, cdf):
-            emit(x, "", c)
     elif law == "successive":
         _need(cfg, "alpha")
         cdf = ll.successive_ratio_cdf(r, alpha, grid)
-        for x, c in zip(grid, cdf):
-            emit(x, "", c)
     elif law == "ratio_tail":
         _need(cfg, "alpha")
-        tail = ll.ratio_tail_n1(r, alpha, grid)
-        for x, tv in zip(grid, tail):
-            emit(x, "", 1.0 - tv)
+        cdf = 1.0 - ll.ratio_tail_n1(r, alpha, grid)
     elif law == "phi":
         _need(cfg, "alpha", "u")
-        for lam_x in grid:
-            emit(lam_x, "", ll.phi_conditional(float(lam_x), u, alpha), lam=lam_x)
+        lam = grid
+        cdf = [ll.phi_conditional(float(x), u, alpha) for x in grid]
     else:  # conditional_gamma over z
         _need(cfg, "alpha", "w")
         cdf = ll.conditional_gamma_cdf(r, n, alpha, w, grid)
-        for x, c in zip(grid, cdf):
-            emit(x, "", c)
-    return rows
+    return [law, alpha, r, n, u, z, lam, grid, density, cdf]
 
 
 def _run_laws(cfg: dict) -> int:
     _need(cfg, "law")
-    rows = _law_table(cfg)
+    columns = _law_table(cfg)
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     meta = {"law": cfg["law"], "grid": cfg["grid"], "seed": int(cfg["seed"])}
     header = ["law", "alpha", "r", "n", "u", "z", "lam", "x", "density", "cdf"]
-    _write_csv(out / "law_table.csv", meta, header, rows)
+    _write_csv(out / "law_table.csv", meta, header, columns)
     return 0
 
 
@@ -388,10 +413,11 @@ def _run_verify(cfg: dict) -> int:
                              if k not in ("out_dir", "config")}
     _write_json(out / "report.json", payload)
     keys, rows = report.csv_rows()
+    columns = [[row[j] for row in rows] for j in range(len(keys))]
     meta = {"experiment_id": report.experiment_id, "seed": seed, "trials": trials,
             "epsilon": float(cfg["epsilon"]), "threshold": report.threshold,
             "pass": report.passed}
-    _write_csv(out / "sweep.csv", meta, keys, rows)
+    _write_csv(out / "sweep.csv", meta, keys, columns)
     return 0 if report.passed else 1
 
 
@@ -467,6 +493,9 @@ def run(argv=None) -> int:
         return 2
     except (ValueError, sp.TruncationError, InversionError) as exc:
         _diag(str(exc), kind="domain")
+        return 2
+    except OSError as exc:
+        _diag(str(exc), kind="io")
         return 2
 
 

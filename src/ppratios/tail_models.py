@@ -325,7 +325,12 @@ def rv_limit_table(model: TailModel, u: float, y: float, t_grid) -> np.ndarray:
     if t.ndim != 1 or t.size == 0 or not np.all(np.diff(t) < 0):
         raise ValueError("t_grid must be a strictly decreasing sequence")
     _validate_positive(t, "t_grid")
-    lx = math.log(u) + log_inverse_tail(model, y / t)
+    with np.errstate(over="ignore"):
+        yt = y / t
+    if not np.all(np.isfinite(yt)):
+        raise ValueError(f"t={float(t[~np.isfinite(yt)][0])!r} is too small: "
+                         "y / t overflows to inf")
+    lx = math.log(u) + log_inverse_tail(model, yt)
     if model.kind == SLOW_ZERO:
         # the inverse underflows float64 deep in the grid; evaluate
         # log1p(exp(-lx)) from the log directly

@@ -224,3 +224,126 @@ def test_t_grid_parsing(tmp_path):
     assert code == 0
     doc = json.loads((tmp_path / "report.json").read_text())
     assert doc["t_grid"] == [1e-1, 1e-2, 1e-3]
+
+
+def test_config_file_missing_exits_2(tmp_path, capsys):
+    code = run_cli("simulate", "--config", str(tmp_path / "absent" / "x.cfg"),
+                   "--tail", "pareto", "--alpha", "1", "--t", "0.5", "--r", "1",
+                   "--n", "2", "--trials", "10", "--out-dir", str(tmp_path / "o"))
+    assert code == 2
+    doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert doc["error"] == "io"
+    assert "x.cfg" in doc["reason"]
+
+
+def test_out_dir_naming_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    code = run_cli("simulate", "--tail", "pareto", "--alpha", "1", "--t", "0.5",
+                   "--r", "1", "--n", "2", "--trials", "10", "--out-dir", str(taken))
+    assert code == 2
+    doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert doc["error"] == "io"
+    assert taken.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("grid", ["0.1:0.9", "0.1:0.9:5:7", "0.1:x:5", "0.1:0.9:2.5",
+                                  "0.1,x"])
+def test_malformed_grid_names_the_expected_form(tmp_path, capsys, grid):
+    code = run_cli("laws", "--law", "w", "--alpha", "2", "--r", "1", "--n", "2",
+                   "--grid", grid, "--out-dir", str(tmp_path))
+    assert code == 2
+    doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert doc["error"] == "config"
+    assert repr(grid) in doc["reason"] and "lo:hi:count" in doc["reason"]
+
+
+# --- the column writer ------------------------------------------------------
+
+
+def _reference_write_csv(path, meta, header, rows):
+    """The per-row writer the column writer replaced: ``_fmt`` on every cell."""
+    with open(path, "w", newline="\n") as fh:
+        for key in sorted(meta):
+            fh.write(f"# {key}={cli._fmt(meta[key])}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(cli._fmt(v) for v in row) + "\n")
+
+
+def _cell(column, i):
+    if isinstance(column, (list, np.ndarray)):
+        return column[i]
+    return column
+
+
+def _assert_same_bytes(tmp_path, header, columns, rows):
+    meta = {"seed": 3, "t": 1e-05, "pass": True, "note": "", "missing": None}
+    _reference_write_csv(tmp_path / "ref.csv", meta, header,
+                         ([_cell(c, i) for c in columns] for i in range(rows)))
+    cli._write_csv(tmp_path / "new.csv", meta, header, columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+EDGE_FLOATS = [5e-324, 2.2250738585072014e-308, 1e16, 9.999999999999999e15, 1e-05,
+               -0.0, float("nan"), float("inf"), -float("inf"), 0.1, 1.0, 123456789.0]
+
+
+def test_column_writer_edge_values_match_per_cell_writer(tmp_path):
+    m = len(EDGE_FLOATS)
+    f64 = np.array(EDGE_FLOATS)
+    columns = [
+        np.arange(m),                                   # int64
+        f64,                                            # float64 edge values
+        f64.astype(np.float32),                         # float32 widened exactly
+        np.arange(m) % 3 == 0,                          # bool
+        np.arange(m, dtype=np.uint64) * np.uint64(2**61),
+        np.stack([f64, -f64], axis=1)[:, 1],            # strided view
+        list(EDGE_FLOATS),                              # list of floats
+        [None, "", 1, True, np.float64(2.5), np.int64(7), "x", False,
+         np.bool_(True), 3.0, -0.0, None],             # mixed list cells
+        1e16,                                           # scalar float
+        "",                                             # empty scalar
+        None,                                           # missing scalar
+        np.bool_(False),                                # scalar bool
+    ]
+    header = [f"c{j}" for j in range(len(columns))]
+    _assert_same_bytes(tmp_path, header, columns, m)
+
+
+@pytest.mark.parametrize("rows", [0, 1, cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1])
+def test_column_writer_block_edges_match_per_cell_writer(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-320, 300, rows)
+    singles = rng.standard_normal(rows) * 10.0 ** rng.integers(-45, 38, rows)
+    singles = singles.astype(np.float32)
+    columns = [np.arange(rows), 0.01, 1, "", floats, rng.integers(0, 50, rows),
+               floats[::-1] > 0, singles]
+    header = ["i", "t", "r", "w", "x", "count", "flag", "x32"]
+    _assert_same_bytes(tmp_path, header, columns, rows)
+
+
+def test_column_writer_rejects_ragged_columns(tmp_path):
+    with pytest.raises(ValueError):
+        cli._write_csv(tmp_path / "x.csv", {}, ["a", "b"], [np.zeros(3), np.zeros(4)])
+    with pytest.raises(ValueError):
+        cli._write_csv(tmp_path / "x.csv", {}, ["a", "b"], [np.zeros(3)])
+    with pytest.raises(ValueError):
+        cli._write_csv(tmp_path / "x.csv", {}, ["a"], [1.0])
+
+
+def test_simulate_without_pivot_leaves_w_rn_empty(tmp_path):
+    code = run_cli("simulate", "--tail", "pareto", "--alpha", "1", "--t", "0.1",
+                   "--r", "0", "--n", "3", "--trials", "50", "--epsilon", "0.3",
+                   "--seed", "4", "--out-dir", str(tmp_path))
+    assert code == 0
+    _, header, body = read_csv_body(tmp_path / "trials.csv")
+    cols = header.split(",")
+    assert cols == ["trial_index", "t", "r", "n", "w_rn", "count_below",
+                    "above_1", "above_2"]
+    cells = [row.split(",") for row in body]
+    assert len(cells) == 50
+    assert [row[0] for row in cells] == [str(i) for i in range(50)]
+    assert all(row[cols.index("w_rn")] == "" for row in cells)
+    assert all(row[1:4] == ["0.1", "0", "3"] for row in cells)
+    assert all(float(row[-1]) > 0 for row in cells)

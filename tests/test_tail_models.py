@@ -277,6 +277,12 @@ def test_rv_limit_table_validates_grid():
         tm.rv_limit_table(tm.pareto(1.0), -1.0, 1.0, [1e-2, 1e-3])
 
 
+def test_rv_limit_table_names_subnormal_t():
+    # y / 1e-320 overflows to inf, which used to fail as "x must be strictly positive"
+    with pytest.raises(ValueError, match=r"t=1e-320 is too small"):
+        tm.rv_limit_table(tm.pareto(1.0), 2.0, 1.0, [1e-1, 1e-320])
+
+
 # --- model records --------------------------------------------------------
 
 
