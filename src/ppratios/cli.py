@@ -37,7 +37,7 @@ _DEFAULTS = {
     "seed": DEFAULT_SEED,
     "out_dir": "out",
     "cap": 1_000_000,
-    "threads": 1,
+    "threads": None,
     "probe_form": "indicator_step",
     "probe_amplitude": 1.0,
     "probe_a": 0.5,
@@ -184,7 +184,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--epsilon", type=float)
         p.add_argument("--seed", type=int)
         p.add_argument("--out-dir", dest="out_dir", type=str)
-        p.add_argument("--threads", type=int)
+        p.add_argument("--threads", type=int,
+                       help="worker threads (default: usable CPUs, at most 4); "
+                       "changes wall time only, never output")
         p.add_argument("--cap", type=int)
         p.add_argument("--target", type=str, choices=VERIFY_TARGETS)
         p.add_argument("--probe-form", dest="probe_form", type=str,
@@ -298,7 +300,7 @@ def _run_simulate(cfg: dict) -> int:
     epsilon, seed = float(cfg["epsilon"]), int(cfg["seed"])
     above, w, counts = sp.ratio_configuration_batch(
         model, t, r, n, epsilon, trials, seed, cap=int(cfg["cap"]),
-        threads=int(cfg["threads"]))
+        threads=cfg["threads"])
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     header = ["trial_index", "t", "r", "n", "w_rn", "count_below"] + [
@@ -370,7 +372,7 @@ def _run_verify(cfg: dict) -> int:
     _need(cfg, "target", "trials")
     target = cfg["target"]
     trials, seed = int(cfg["trials"]), int(cfg["seed"])
-    threads = int(cfg["threads"])
+    threads = cfg["threads"]
     if target in SWEEP_TARGETS:
         _need(cfg, "r", "n")
         model = _tail_from(cfg)
@@ -385,7 +387,7 @@ def _run_verify(cfg: dict) -> int:
     elif target == "identities":
         _need(cfg, "alpha", "r", "n")
         report = vf.identity_checks(float(cfg["alpha"]), int(cfg["r"]),
-                                    int(cfg["n"]), trials, seed)
+                                    int(cfg["n"]), trials, seed, threads=threads)
     elif target == "nb_functional":
         _need(cfg, "alpha", "n")
         probe = _probe_from(cfg)
@@ -410,7 +412,7 @@ def _run_verify(cfg: dict) -> int:
     out.mkdir(parents=True, exist_ok=True)
     payload = report.to_json_dict()
     payload["parameters"] = {k: _jsonable_param(v) for k, v in sorted(cfg.items())
-                             if k not in ("out_dir", "config")}
+                             if k not in ("out_dir", "config", "threads")}
     _write_json(out / "report.json", payload)
     keys, rows = report.csv_rows()
     columns = [[row[j] for row in rows] for j in range(len(keys))]
@@ -433,7 +435,7 @@ def _run_estimate(cfg: dict) -> int:
     r, trials, seed = int(cfg["r"]), int(cfg["trials"]), int(cfg["seed"])
     t = float(cfg["t"])
     ly = sp.log_trim_ratio_batch(model, t, r, trials, seed,
-                                 threads=int(cfg["threads"]))
+                                 threads=cfg["threads"])
     alpha_hat, stderr = vf.estimate_alpha(np.exp(ly), r)
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
@@ -456,7 +458,7 @@ def _run_classify(cfg: dict) -> int:
             "epsilon": float(cfg["epsilon"]), "tail": model.to_record()}
     try:
         result = vf.classify_tail(model, t, r, trials, seed,
-                                  threads=int(cfg["threads"]))
+                                  threads=cfg["threads"])
     except vf.ClassificationError as exc:
         _write_json(out / "classification.json", {
             **base, "verdict": None, "alpha_hat": None,

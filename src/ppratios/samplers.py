@@ -24,6 +24,12 @@ by :func:`_map_row_blocks`).  Both forms therefore share
   the last counter it consumed -- the crossing arrival, or for
   ``mixed_poisson`` the last placed point.
 
+Batch samplers run in blocks of ``_ROW_BLOCK`` rows on ``threads`` worker
+threads; ``threads=None`` (the default) uses the CPUs the process may run
+on, at most 4.  Neither changes any output, only wall time and memory.
+With more than one thread, blocks run concurrently, so a caller's ``probe``
+must be thread-safe unless ``threads=1`` is passed.
+
 Ordered points are handled on the log scale internally so the slowly
 varying family stays finite deep into the small-time regime.
 """
@@ -31,6 +37,7 @@ varying family stays finite deep into the small-time regime.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -45,7 +52,7 @@ MIXED_POISSON = "mixed_poisson"
 NB_METHODS = frozenset({LIMIT_RATIOS, MIXED_POISSON})
 
 _CHUNK = 64  # widest engine round and placement chunk, in counters per row
-_ROW_BLOCK = 1 << 17  # rows per thread task in batch samplers
+_ROW_BLOCK = 1 << 15  # rows per thread task in batch samplers
 
 
 class TruncationError(RuntimeError):
@@ -340,16 +347,32 @@ def sample_negbin_process(
 # batch samplers (row i of a batch replays stream stream_start + i)
 
 
-def _map_row_blocks(fn: Callable[[int, int], np.ndarray], n_trials: int, threads: int):
+def _default_threads() -> int:
+    """Threads a batch uses when ``threads`` is None: the CPUs this process may run on, at most 4."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cpus = os.cpu_count() or 1
+    return min(4, cpus)
+
+
+def _map_row_blocks(fn: Callable[[int, int], np.ndarray], n_trials: int,
+                    threads: Optional[int]):
     """Apply fn(row_offset, n_rows) over fixed row blocks, concatenating in order.
 
-    Blocking bounds peak memory and gives scheduling-independent results:
-    block boundaries are fixed, so the output is identical for any thread
-    count.  A tuple result is concatenated column by column; a column that
-    is None stays None.
+    Blocks of ``_ROW_BLOCK`` rows keep a block's temporaries cache-sized and
+    bound peak memory.  Block boundaries are fixed, so the output is
+    identical for any thread count.  ``threads`` None means
+    :func:`_default_threads`; an explicit count overrides it and must be at
+    least 1.  A tuple result is concatenated column by column; a column
+    that is None stays None.
     """
+    if threads is None:
+        threads = _default_threads()
     if threads < 1:
         raise ValueError("threads must be >= 1")
+    if n_trials < 1:
+        raise ValueError("trials must be >= 1")
     spans = [(s, min(s + _ROW_BLOCK, n_trials) - s) for s in range(0, n_trials, _ROW_BLOCK)]
     if len(spans) == 1:
         return fn(*spans[0])
@@ -369,7 +392,7 @@ def gamma_matrix(
     n_trials: int,
     count: int,
     stream_start: int = 0,
-    threads: int = 1,
+    threads: Optional[int] = None,
 ) -> np.ndarray:
     """(n_trials, count) matrix of Poisson arrivals; row i replays stream i."""
 
@@ -403,7 +426,7 @@ def ordered_log_points_batch(
     n_trials: int,
     master_seed: int,
     stream_start: int = 0,
-    threads: int = 1,
+    threads: Optional[int] = None,
 ) -> np.ndarray:
     """(n_trials, n_cols) matrix of log ordered points at time t."""
     if not t > 0:
@@ -424,7 +447,7 @@ def pivot_ratio_batch(
     n_trials: int,
     master_seed: int,
     stream_start: int = 0,
-    threads: int = 1,
+    threads: Optional[int] = None,
 ) -> np.ndarray:
     """Per-trial pivot ratios (r+n-th over r-th largest point); requires r >= 1."""
     if r < 1:
@@ -442,7 +465,7 @@ def successive_ratio_batch(
     n_trials: int,
     master_seed: int,
     stream_start: int = 0,
-    threads: int = 1,
+    threads: Optional[int] = None,
 ) -> np.ndarray:
     """Matrix of successive below-1 ratios R_k, k = r .. r+count-1 (columns)."""
     if r < 1 or count < 1:
@@ -459,7 +482,7 @@ def log_trim_ratio_batch(
     n_trials: int,
     master_seed: int,
     stream_start: int = 0,
-    threads: int = 1,
+    threads: Optional[int] = None,
 ) -> np.ndarray:
     """Per-trial log of the above-1 ratio (r-th over (r+1)-th largest point)."""
     if r < 1:
@@ -476,7 +499,7 @@ def time_scale_batch(
     n_trials: int,
     master_seed: int,
     stream_start: int = 0,
-    threads: int = 1,
+    threads: Optional[int] = None,
 ) -> np.ndarray:
     """Matrix of t * tail(k-th largest point) for k = 1..kmax (columns)."""
 
@@ -496,7 +519,7 @@ def pivot_ratio_with_scales_batch(
     n_trials: int,
     master_seed: int,
     stream_start: int = 0,
-    threads: int = 1,
+    threads: Optional[int] = None,
 ):
     """Per-trial (W, Z, A): pivot ratio, pivot time scale, top time scale.
 
@@ -527,7 +550,7 @@ def ratio_configuration_batch(
     master_seed: int,
     stream_start: int = 0,
     cap: int = 1_000_000,
-    threads: int = 1,
+    threads: Optional[int] = None,
 ):
     """Batch ratio configurations: (above matrix, w_rn array or None, below counts).
 
@@ -557,13 +580,14 @@ def negbin_batch(
     stream_start: int = 0,
     probe: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     cap: int = 1_000_000,
-    threads: int = 1,
+    threads: Optional[int] = None,
 ):
     """Batch draws of the limiting point process on (epsilon, 1).
 
     Returns ``(counts, probe_sums)`` per trial; ``probe_sums`` is None when
     no probe is given.  Row i matches :func:`sample_negbin_process` on a
-    fresh stream ``stream_start + i``.
+    fresh stream ``stream_start + i``.  ``probe`` is called from worker
+    threads, concurrently, unless ``threads=1``: it must be thread-safe.
     """
     _validate_nb_args(n, alpha, epsilon, method)
 

@@ -223,7 +223,8 @@ def log_inverse_tail(model: TailModel, y):
         out[outer] = (np.log1p(model.c) - np.log(arr[outer])) / a
         inner = ~outer
         if np.any(inner):
-            out[inner] = _perturbed_log_inverse(model, np.log(arr[inner]))
+            # log(y/(1 + c)) from the difference y - (1 + c), exact next to the limit
+            out[inner] = _perturbed_log_inverse(model, np.log1p((arr[inner] - limit) / limit))
     else:  # PARETO_LOG
         out = np.empty_like(arr)
         outer = arr <= 1.0  # tail value at x = 1 is exactly 1
@@ -265,17 +266,31 @@ def _pareto_log_log_inverse(model: TailModel, log_y: np.ndarray) -> np.ndarray:
     return _newton_rise(g, lo, log_y, lambda ly: -ly / a)
 
 
-def _perturbed_log_inverse(model: TailModel, log_y: np.ndarray) -> np.ndarray:
-    """log x < 0 solving ``-alpha*l + log1p(c*exp(gamma*l)) = log y`` in ``l = log x``."""
+def _perturbed_log_inverse(model: TailModel, log_rel_y: np.ndarray) -> np.ndarray:
+    """log x < 0 solving ``-alpha*l + log1p(c*exp(gamma*l)) = log y`` in ``l = log x``.
+
+    Takes ``log_rel_y = log(y/(1 + c)) > 0``, so that y next to the tail
+    value ``1 + c`` at x = 1 keeps its distance from it.
+    """
     a, c, gamma = model.alpha, model.c, model.gamma
+    log1p_c = math.log1p(c)
 
     # decreasing and convex in l given c*(gamma - alpha) <= alpha;
-    # x**-alpha <= tail <= (1 + c)*x**-alpha brackets the root
-    def g(l, log_y):
+    # x**-alpha <= tail <= (1 + c)*x**-alpha brackets the root.  g is taken
+    # relative to its value log(1 + c) at l = 0, so the O(1) terms cancel
+    # exactly and g stays accurate next to a near-double root at l = 0.
+    # log1p(rel) loses 1 + rel to cancellation once (1 + p)/(1 + c) is small
+    # (large c); there the difference of logs is at most -log 2 and does not
+    # cancel, so it is used instead.
+    def g(l, log_rel_y):
         p = c * np.exp(gamma * l)
-        return np.log1p(p) - a * l - log_y, gamma * p / (1.0 + p) - a
+        rel = c * np.expm1(gamma * l) / (1.0 + c)
+        near = rel > -0.5
+        rel[near] = np.log1p(rel[near])
+        rel[~near] = np.log1p(p[~near]) - log1p_c
+        return rel - a * l - log_rel_y, gamma * p / (1.0 + p) - a
 
-    return _newton_rise(g, -log_y / a, log_y, lambda ly: (math.log1p(c) - ly) / a)
+    return _newton_rise(g, -(log_rel_y + log1p_c) / a, log_rel_y, lambda d: -d / a)
 
 
 def _newton_rise(g, l: np.ndarray, log_y: np.ndarray, other_end) -> np.ndarray:

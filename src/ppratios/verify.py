@@ -244,7 +244,7 @@ def convergence_sweep(
     target: str,
     seed: int,
     threshold: Optional[float] = None,
-    threads: int = 1,
+    threads: Optional[int] = None,
 ) -> VerifyReport:
     """KS distance to the selected limit law along a decreasing grid of t.
 
@@ -335,7 +335,7 @@ def independence_check(
     seed: int,
     grid: int = 10,
     p_threshold: float = 1e-3,
-    threads: int = 1,
+    threads: Optional[int] = None,
 ) -> VerifyReport:
     """Pairwise chi-square independence of successive ratios after their PIT.
 
@@ -405,6 +405,7 @@ def identity_checks(
     seed: int,
     s_bin: tuple[float, float] = (0.45, 0.55),
     coeff: float = KS_COEFF_1PCT,
+    threads: Optional[int] = None,
 ) -> VerifyReport:
     """Monte Carlo distributional identities of the limit laws (two-sample KS).
 
@@ -428,7 +429,7 @@ def identity_checks(
     ks_units = np.arange(r, r + n)
     u = uniform_grid(seed, 0, trials, n)
     prod = np.prod(u ** (1.0 / (ks_units * alpha))[None, :], axis=1)
-    g = sp.gamma_matrix(seed, trials, r + n, stream_start=trials)
+    g = sp.gamma_matrix(seed, trials, r + n, stream_start=trials, threads=threads)
     w_ref = (g[:, r - 1] / g[:, r + n - 1]) ** (1.0 / alpha)
     ks_a = two_sample_ks(prod, w_ref)
     thr_ab = two_sample_threshold(trials, trials, coeff)
@@ -437,7 +438,7 @@ def identity_checks(
 
     # (b) sum representation at r=0 (needs n >= 2 for a nonempty sum)
     if n >= 2:
-        g0 = sp.gamma_matrix(seed, trials, n, stream_start=2 * trials)
+        g0 = sp.gamma_matrix(seed, trials, n, stream_start=2 * trials, threads=threads)
         lhs = np.sum((g0[:, :-1] / g0[:, -1:]) ** (-1.0 / alpha), axis=1)
         u_p = uniform_grid(seed, 3 * trials, trials, n - 1)
         rhs = np.sum(u_p ** (-1.0 / alpha), axis=1)
@@ -447,7 +448,7 @@ def identity_checks(
 
     # (c) conditional order-statistics identity within the pivot bin
     if n >= 2:
-        g = sp.gamma_matrix(seed, trials, r + n, stream_start=4 * trials)
+        g = sp.gamma_matrix(seed, trials, r + n, stream_start=4 * trials, threads=threads)
         b = g[:, r - 1] / g[:, r + n - 1]
         keep = (b > s_bin[0]) & (b < s_bin[1])
         idx = np.flatnonzero(keep)
@@ -487,13 +488,15 @@ def nb_functional_check(
     seed: int,
     rel_err_threshold: float = 5e-3,
     p_threshold: float = 1e-3,
-    threads: int = 1,
+    threads: Optional[int] = None,
 ) -> VerifyReport:
     """Empirical Laplace functional and point-count law of the sampled limit process.
 
     Compares (i) the mean of exp(-sum f(points)) against the closed-form
     functional and (ii) the count of points above the probe's lower edge
     against the negative binomial pmf with success probability a**alpha.
+    ``probe`` is called concurrently from worker threads unless
+    ``threads=1``, so it must be thread-safe.
     """
     from .limit_laws import nb_count_pmf, nb_laplace  # local import to avoid cycles
 
@@ -584,7 +587,7 @@ def classify_tail(
     big_m: float = 1e3,
     kappa: float = 1.5,
     median_boundary: Optional[float] = None,
-    threads: int = 1,
+    threads: Optional[int] = None,
 ) -> TailClassification:
     """Three-way variation classifier from the above-1 ratio at one small t.
 
@@ -635,7 +638,7 @@ def z_insensitivity_check(
     trials: int,
     seed: int,
     n_bins: int = 4,
-    threads: int = 1,
+    threads: Optional[int] = None,
 ) -> VerifyReport:
     """Pivot-ratio law checked inside quantile bins of the pivot time scale.
 
@@ -688,7 +691,7 @@ def conditional_gamma_check(
     half_width: float,
     trials: int,
     seed: int,
-    threads: int = 1,
+    threads: Optional[int] = None,
 ) -> VerifyReport:
     """Conditional law of the top-point time scale given the pivot ratio.
 

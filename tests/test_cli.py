@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ppratios import cli
+from ppratios import samplers as sp
 
 
 def run_cli(*args):
@@ -57,12 +58,42 @@ def test_out_of_range_seed_exits_2(tmp_path, capsys, seed):
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_nonpositive_threads_exit_2(tmp_path, capsys, threads):
-    code = run_cli("verify", "--tail", "pareto", "--alpha", "1", "--r", "1",
-                   "--n", "1", "--target", "wlaw", "--trials", "10000",
-                   "--threads", threads, "--out-dir", str(tmp_path))
+    # the identities target shows that --threads reaches identity_checks
+    for target in (["--target", "wlaw", "--tail", "pareto", "--n", "1", "--trials", "10000"],
+                   ["--target", "identities", "--n", "2", "--trials", "100000"]):
+        code = run_cli("verify", "--alpha", "1", "--r", "1", *target,
+                       "--threads", threads, "--out-dir", str(tmp_path))
+        assert code == 2
+        doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert doc == {"error": "domain", "reason": "threads must be >= 1"}
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+@pytest.mark.parametrize("experiment", ["simulate", "estimate"])
+def test_nonpositive_trials_exit_2(tmp_path, capsys, experiment, trials):
+    code = run_cli(experiment, "--tail", "pareto", "--alpha", "1", "--t", "0.5",
+                   "--r", "1", "--n", "2", "--trials", trials,
+                   "--out-dir", str(tmp_path))
     assert code == 2
     doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert doc == {"error": "domain", "reason": "threads must be >= 1"}
+    assert doc == {"error": "domain", "reason": "trials must be >= 1"}
+
+
+def test_verify_artifacts_do_not_depend_on_threads(tmp_path):
+    # two row blocks, so --threads 2 runs them in parallel
+    trials = str(2 * sp._ROW_BLOCK)
+    outs = {}
+    for threads in ("1", "2", None):
+        out = tmp_path / f"threads-{threads}"
+        argv = ["verify", "--target", "wlaw", "--tail", "pareto", "--alpha", "1",
+                "--r", "1", "--n", "2", "--t-grid", "1e-1:1e-2:2", "--trials", trials,
+                "--seed", "5", "--out-dir", str(out)]
+        if threads is not None:
+            argv += ["--threads", threads]
+        assert run_cli(*argv) == 0
+        outs[threads] = [(out / name).read_bytes() for name in ("report.json", "sweep.csv")]
+    assert outs["1"] == outs["2"] == outs[None]
+    assert b"threads" not in outs[None][0]
 
 
 def test_simulate_deep_small_time_pareto_log(tmp_path):

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -147,10 +149,80 @@ def test_ratio_configuration_blocks_and_threads_do_not_change_output(monkeypatch
     args = (tm.pareto_log(1.0, 1.5), 0.01, 1, 2, 0.1, 5_000, 61)
     whole = sp.ratio_configuration_batch(*args)
     monkeypatch.setattr(sp, "_ROW_BLOCK", 1_024)
-    for threads in (1, 2):
+    for threads in (1, 2, None):
         blocked = sp.ratio_configuration_batch(*args, threads=threads)
         for a, b in zip(whole, blocked):
             assert np.array_equal(a, b)
+
+
+def test_dense_batches_blocks_and_threads_do_not_change_output(monkeypatch):
+    model = tm.pareto_perturbed(1.0, 1.0, 1.0)
+    rows = sp._ROW_BLOCK + 1_000  # two blocks at the module's block size
+    calls = {
+        "gamma_matrix": lambda threads: sp.gamma_matrix(5, rows, 3, 9, threads),
+        "ordered_log_points_batch": lambda threads: sp.ordered_log_points_batch(
+            model, 0.1, 3, rows, 5, 9, threads),
+        "time_scale_batch": lambda threads: sp.time_scale_batch(
+            model, 0.1, 3, rows, 5, 9, threads),
+        "pivot_ratio_with_scales_batch": lambda threads: sp.pivot_ratio_with_scales_batch(
+            model, 0.1, 1, 2, rows, 5, 9, threads),
+    }
+    for name, call in calls.items():
+        whole = np.asarray(call(1))  # a tuple of columns stacks into rows
+        for block in (sp._ROW_BLOCK, 1_024):
+            with monkeypatch.context() as m:
+                m.setattr(sp, "_ROW_BLOCK", block)
+                for threads in (1, 2, None):
+                    out = np.asarray(call(threads))
+                    assert np.array_equal(whole, out), (name, block, threads)
+
+
+def test_default_threads_between_1_and_4(monkeypatch):
+    assert 1 <= sp._default_threads() <= 4
+    # without an affinity API the CPU count is used, and 1 when it is unknown
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert sp._default_threads() == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert sp._default_threads() == 1
+
+
+@pytest.mark.parametrize("n_trials", [0, -1])
+def test_batch_rejects_nonpositive_trials(n_trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        sp.gamma_matrix(5, n_trials, 3)
+
+
+def _int_digest(*columns):
+    h = hashlib.sha256()
+    for col in columns:
+        assert np.array_equal(col, np.round(col))
+        h.update(np.asarray(col, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+# Pinned integer outputs: a change to the draws fails here, a change to the
+# row blocks or thread count does not.  A change that alters the draws must
+# update these pins and say why.
+_PINNED_NEGBIN = {
+    sp.LIMIT_RATIOS: "b4c017013f6f450ab54daa35d64f2438f5dc0e92090d14743d5c5e9c7621506e",
+    sp.MIXED_POISSON: "1c7009d309d1880aaf74cb45c224e16072b5d6c1cee3918de26d7c3dfab6d3e3",
+}
+_PINNED_RATIO_COUNTS = "5267bffe4e20f48296bcc633e4f68e29e9f05bbb92d672615c8a7d265825dcf8"
+
+
+@pytest.mark.parametrize("method", sorted(sp.NB_METHODS))
+def test_negbin_batch_pinned_digest(method):
+    # counts and the number of points above 0.6, an integer probe sum
+    counts, above = sp.negbin_batch(2, 1.0, 0.3, method, 50_000, 2024,
+                                    probe=lambda x: x > 0.6)
+    assert _int_digest(counts, above) == _PINNED_NEGBIN[method]
+
+
+def test_ratio_configuration_batch_pinned_digest():
+    _, _, counts = sp.ratio_configuration_batch(tm.pareto(1.0), 0.1, 1, 2, 0.2,
+                                                50_000, 2024)
+    assert _int_digest(counts) == _PINNED_RATIO_COUNTS
 
 
 def test_single_and_batch_share_the_cap_rule():
@@ -274,7 +346,7 @@ def test_negbin_blocks_and_threads_do_not_change_output(monkeypatch):
         whole = sp.negbin_batch(*args, probe=probe)
         with monkeypatch.context() as m:
             m.setattr(sp, "_ROW_BLOCK", 1_024)
-            for threads in (1, 2):
+            for threads in (1, 2, None):
                 blocked = sp.negbin_batch(*args, probe=probe, threads=threads)
                 for a, b in zip(whole, blocked):
                     assert np.array_equal(a, b)

@@ -210,6 +210,8 @@ NUMERIC_MODELS = [
     tm.pareto_perturbed(2.0, 0.5, 0.7),
     tm.pareto_perturbed(1.0, 0.5, 3.0),  # c * (gamma - alpha) = alpha
     tm.pareto_perturbed(1.0, 3.0, 0.0),
+    tm.pareto_perturbed(1.0, 1e6, 0.5),  # 1 + rel cancels where p is near 1
+    tm.pareto_perturbed(1.0, 1e17, 0.5),  # c/(1 + c) rounds to 1
 ]
 
 
@@ -234,6 +236,14 @@ def test_log_inverse_residual_up_to_1e300(model):
     assert np.all(log_x < 0)
     residual = np.abs(_log_tail_below_one(model, log_x) - log_y)
     assert np.all(residual <= 1e-12 * np.maximum(1.0, log_y))
+
+
+@pytest.mark.parametrize("model", [tm.pareto_perturbed(2.0, 2.0, 3.0),
+                                   tm.pareto_perturbed(1.0, 0.5, 3.0)], ids=_model_id)
+def test_inverse_nonincreasing_next_to_near_double_root(model):
+    # c * (gamma - alpha) = alpha: g has a near-double root at x = 1, y = 1 + c
+    y = (1.0 + model.c) * np.linspace(1.0 - 1e-13, 1.0 + 1e-13, 2001)
+    assert np.all(np.diff(tm.log_inverse_tail(model, y)) <= 0.0)
 
 
 @pytest.mark.parametrize("model", NUMERIC_MODELS, ids=_model_id)
