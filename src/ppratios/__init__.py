@@ -39,7 +39,6 @@ from .samplers import (
 from .limit_laws import (
     LaplaceProbe,
     LawSpec,
-    QuadSpec,
     conditional_gamma_cdf,
     incomplete_beta,
     j_law,
@@ -77,7 +76,7 @@ __all__ = [
     "NBSample", "OrderedSample", "RatioConfiguration", "TruncationError",
     "sample_gamma_arrivals", "sample_negbin_process", "sample_ordered_points",
     "sample_ratio_configuration",
-    "LaplaceProbe", "LawSpec", "QuadSpec", "conditional_gamma_cdf",
+    "LaplaceProbe", "LawSpec", "conditional_gamma_cdf",
     "incomplete_beta", "j_law", "k_orderstat_cdf", "l_law",
     "limit_laplace_full", "nb_count_pmf", "nb_laplace", "phi_conditional",
     "ratio_tail_n1", "successive_ratio_cdf", "w_law",

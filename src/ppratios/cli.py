@@ -244,8 +244,12 @@ def _need(cfg: dict, *names):
 
 
 def _coerce(cfg: dict, name: str, kind):
-    if cfg.get(name) is not None and isinstance(cfg[name], str):
-        cfg[name] = kind(cfg[name])
+    if isinstance(cfg.get(name), str):
+        try:
+            cfg[name] = kind(cfg[name])
+        except ValueError:
+            raise _CliError(f"config value {name}={cfg[name]!r} is not "
+                            f"{'an integer' if kind is int else 'a number'}") from None
 
 
 def _tail_from(cfg: dict) -> TailModel:
@@ -258,12 +262,8 @@ def _tail_from(cfg: dict) -> TailModel:
 
 
 def _probe_from(cfg: dict) -> ll.LaplaceProbe:
-    return ll.LaplaceProbe(
-        amplitude=float(cfg["probe_amplitude"]),
-        a=float(cfg["probe_a"]),
-        b=float(cfg["probe_b"]),
-        form=cfg["probe_form"],
-    )
+    return ll.LaplaceProbe(cfg["probe_amplitude"], cfg["probe_a"], cfg["probe_b"],
+                           cfg["probe_form"])
 
 
 def _t_grid_from(cfg: dict) -> list:
@@ -319,13 +319,7 @@ def _law_table(cfg: dict) -> list:
         _need(cfg, "r", "n")
     elif law in ("successive", "ratio_tail"):
         _need(cfg, "r")
-    alpha = float(cfg["alpha"]) if cfg.get("alpha") is not None else None
-    r = int(cfg["r"]) if cfg.get("r") is not None else None
-    n = int(cfg["n"]) if cfg.get("n") is not None else None
-    u = float(cfg["u"]) if cfg.get("u") is not None else None
-    z = float(cfg["z"]) if cfg.get("z") is not None else None
-    lam = float(cfg["lam"]) if cfg.get("lam") is not None else None
-    w = float(cfg["w"]) if cfg.get("w") is not None else None
+    alpha, r, n, u, z, lam, w = (cfg.get(k) for k in ("alpha", "r", "n", "u", "z", "lam", "w"))
     grid = _parse_grid(str(cfg["grid"]))
     density = ""
 
@@ -405,7 +399,7 @@ def _run_verify(cfg: dict) -> int:
         model = _tail_from(cfg)
         report = vf.conditional_gamma_check(
             model, float(cfg["t"]), int(cfg["r"]), int(cfg["n"]),
-            float(cfg["w"]), float(cfg["half_width"]), trials, seed,
+            cfg["w"], cfg["half_width"], trials, seed,
             threads=threads)
 
     out = Path(cfg["out_dir"])
@@ -484,11 +478,11 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _merge(args)
-        for name, kind in (("r", int), ("n", int), ("trials", int), ("seed", int),
-                           ("cap", int), ("threads", int), ("epsilon", float),
-                           ("t", float), ("alpha", float), ("beta", float),
-                           ("c", float), ("gamma", float)):
-            _coerce(cfg, name, kind)
+        for name in ("r", "n", "trials", "seed", "cap", "threads"):
+            _coerce(cfg, name, int)
+        for name in ("epsilon", "t", "alpha", "beta", "c", "gamma", "u", "z", "lam",
+                     "w", "half_width", "probe_amplitude", "probe_a", "probe_b"):
+            _coerce(cfg, name, float)
         return _RUNNERS[args.experiment](cfg)
     except _CliError as exc:
         _diag(str(exc))

@@ -36,8 +36,6 @@ class LawSpec:
     r: int = 0
     n: int = 1
     u: Optional[float] = None
-    z: Optional[float] = None
-    lam: float = 0.0
 
     def __post_init__(self):
         if not self.alpha > 0:
@@ -46,10 +44,6 @@ class LawSpec:
             raise ValueError("require r >= 0 and n >= 1")
         if self.u is not None and not (0.0 < self.u < 1.0):
             raise ValueError("u must lie strictly inside (0, 1)")
-        if self.z is not None and not self.z > 0:
-            raise ValueError("z must be positive")
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -85,40 +79,27 @@ class LaplaceProbe:
         return float(out) if np.ndim(x) == 0 else out
 
 
-@dataclass(frozen=True)
-class QuadSpec:
-    """Adaptive quadrature tolerances for the Laplace-functional integrals."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_depth: int = 200
-
-    def __post_init__(self):
-        if not (0 < self.abs_tol <= 1e-8 and 0 < self.rel_tol <= 1e-8):
-            raise ValueError("quadrature tolerances must lie in (0, 1e-8]")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be positive")
-
-
-DEFAULT_QUAD = QuadSpec()
+# adaptive quadrature tolerances and subinterval limit of the Laplace-functional integrals
+_ABS_TOL = 1e-10
+_REL_TOL = 1e-10
+_MAX_DEPTH = 200
 
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
-def _quad(fn, lo, hi, quad: QuadSpec, breakpoints=None) -> float:
+def _quad(fn, lo, hi, breakpoints=None) -> float:
     points = None
     if breakpoints:
         points = sorted(p for p in breakpoints if lo < p < hi)
         points = points or None
     value, err = _scipy_quad(
-        fn, lo, hi, epsabs=quad.abs_tol, epsrel=quad.rel_tol, limit=quad.max_depth,
-        points=points,
+        fn, lo, hi, epsabs=_ABS_TOL, epsrel=_REL_TOL, limit=_MAX_DEPTH, points=points
     )
     if not math.isfinite(value):
         raise QuadratureError(f"integral on ({lo}, {hi}) is not finite")
-    tol = quad.abs_tol + quad.rel_tol * abs(value)
+    tol = _ABS_TOL + _REL_TOL * abs(value)
     if err > max(tol * 100.0, 1e-7):
         raise QuadratureError(
             f"quadrature error {err:.3e} above tolerance on ({lo}, {hi})"
@@ -288,7 +269,7 @@ def _exp_decrement(amplitude: float) -> float:
     return -math.expm1(-amplitude)
 
 
-def _probe_deficit(alpha: float, f: LaplaceProbe, lo: float, hi: float, quad: QuadSpec) -> float:
+def _probe_deficit(alpha: float, f: LaplaceProbe, lo: float, hi: float) -> float:
     """``integral of (1 - exp(-f)) d(base measure)`` over (lo, hi)."""
     lo = max(lo, f.a)
     hi = min(hi, f.b)
@@ -303,10 +284,10 @@ def _probe_deficit(alpha: float, f: LaplaceProbe, lo: float, hi: float, quad: Qu
     def integrand(x):
         return -math.expm1(-lam * x) * alpha * x ** (-alpha - 1.0)
 
-    return _quad(integrand, lo, hi, quad)
+    return _quad(integrand, lo, hi)
 
 
-def nb_laplace(n: int, alpha: float, f: LaplaceProbe, quad: QuadSpec = DEFAULT_QUAD) -> float:
+def nb_laplace(n: int, alpha: float, f: LaplaceProbe) -> float:
     """Laplace functional of the limiting below-1 point process at probe f.
 
     Returns ``(1 + integral over (0,1) of (1 - e^{-f}) alpha x^{-alpha-1} dx)**(-n)``.
@@ -315,19 +296,19 @@ def nb_laplace(n: int, alpha: float, f: LaplaceProbe, quad: QuadSpec = DEFAULT_Q
         raise ValueError("n must be >= 1")
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    deficit = _probe_deficit(alpha, f, 0.0, 1.0, quad)
+    deficit = _probe_deficit(alpha, f, 0.0, 1.0)
     if math.isinf(deficit):
         return 0.0
     return (1.0 + deficit) ** (-n)
 
 
-def _upper_factor_r0(n: int, alpha: float, f: LaplaceProbe, quad: QuadSpec) -> float:
+def _upper_factor_r0(n: int, alpha: float, f: LaplaceProbe) -> float:
     """``E[exp(-f(L))]**(n-1)`` for the r = 0 above-1 factor."""
-    mean = 1.0 - _probe_deficit(alpha, f, 1.0, math.inf, quad)
+    mean = 1.0 - _probe_deficit(alpha, f, 1.0, math.inf)
     return mean ** (n - 1)
 
 
-def _upper_factor(r: int, n: int, alpha: float, f: LaplaceProbe, quad: QuadSpec) -> float:
+def _upper_factor(r: int, n: int, alpha: float, f: LaplaceProbe) -> float:
     """Beta-mixed above-1 factor: E[(conditional Laplace of one J point)^(n-1)].
 
     The Beta(r, n) density's (1-s)**(n-1) cancels the conditional
@@ -338,18 +319,16 @@ def _upper_factor(r: int, n: int, alpha: float, f: LaplaceProbe, quad: QuadSpec)
     def outer(s: float) -> float:
         hi = s ** (-1.0 / alpha)
         mass = _lambda_mass(alpha, 1.0, hi)  # equals 1 - s
-        kernel = mass - _probe_deficit(alpha, f, 1.0, hi, quad)
+        kernel = mass - _probe_deficit(alpha, f, 1.0, hi)
         return s ** (r - 1.0) * kernel ** (n - 1) * math.exp(-log_b)
 
     # the support edge s**(-1/alpha) crossing a probe edge puts kinks in the
     # outer integrand
     kinks = [edge**-alpha for edge in (f.a, f.b) if 1.0 < edge < math.inf]
-    return _quad(outer, 0.0, 1.0, quad, breakpoints=kinks)
+    return _quad(outer, 0.0, 1.0, breakpoints=kinks)
 
 
-def limit_laplace_full(
-    r: int, n: int, alpha: float, f: LaplaceProbe, quad: QuadSpec = DEFAULT_QUAD
-) -> float:
+def limit_laplace_full(r: int, n: int, alpha: float, f: LaplaceProbe) -> float:
     """Laplace functional of the full limiting ratio point pattern.
 
     Product of three factors: the above-1 order-statistic block (a Beta
@@ -364,17 +343,15 @@ def limit_laplace_full(
     if n == 1:
         first = 1.0
     elif r == 0:
-        first = _upper_factor_r0(n, alpha, f, quad)
+        first = _upper_factor_r0(n, alpha, f)
     else:
-        first = _upper_factor(r, n, alpha, f, quad)
+        first = _upper_factor(r, n, alpha, f)
     f_at_one = f(1.0)
     point = 0.0 if math.isinf(f_at_one) else math.exp(-f_at_one)
-    return first * point * nb_laplace(r + n, alpha, f, quad)
+    return first * point * nb_laplace(r + n, alpha, f)
 
 
-def phi_conditional(
-    lam: float, u: float, alpha: float, quad: QuadSpec = DEFAULT_QUAD
-) -> float:
+def phi_conditional(lam: float, u: float, alpha: float) -> float:
     """Conditional Laplace transform of one above-1 point given the pivot u.
 
     ``Phi(lam, u) = integral_1^{1/u} e^{-lam x} alpha x^{-alpha-1} dx / (1 - u**alpha)``;
@@ -393,7 +370,7 @@ def phi_conditional(
     def integrand(x):
         return math.exp(-lam * x) * alpha * x ** (-alpha - 1.0)
 
-    return _quad(integrand, 1.0, 1.0 / u, quad) / norm
+    return _quad(integrand, 1.0, 1.0 / u) / norm
 
 
 def conditional_gamma_cdf(r: int, n: int, alpha: float, w: float, z):

@@ -56,11 +56,12 @@ _ROW_BLOCK = 1 << 15  # rows per thread task in batch samplers
 
 
 class TruncationError(RuntimeError):
-    """Open-ended sampling hit the point cap before crossing epsilon."""
+    """Open-ended sampling hit the point cap before crossing epsilon.
 
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    A single-trial ratio configuration sets ``partial`` to what it drew.
+    """
+
+    partial = None
 
 
 @dataclass

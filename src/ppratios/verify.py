@@ -6,7 +6,7 @@ a :class:`VerifyReport` that serializes to JSON/CSV.  Pass thresholds follow
 one rule: targets that are exact at every t for the pure power family use
 the 1% asymptotic KS critical value ``1.63/sqrt(trials)``; perturbed-tail
 targets use an absolute bound at the smallest t (finite-t bias never fully
-vanishes).
+vanishes).  Every gate is a module constant; no call can change one.
 """
 
 from __future__ import annotations
@@ -26,6 +26,30 @@ from .tail_models import PARETO, RAPID_ZERO, SLOW_ZERO, TailModel
 
 #: 1% asymptotic critical coefficient for the Kolmogorov-Smirnov statistic.
 KS_COEFF_1PCT = 1.63
+#: Absolute KS bound at the smallest t for targets that are not exact at every t.
+ABS_KS_BOUND = 0.01
+#: Chi-square tests pass above this p-value.
+P_THRESHOLD = 1e-3
+#: Largest relative error of the empirical negative binomial Laplace functional.
+NB_REL_ERR_THRESHOLD = 5e-3
+#: Chi-square cells are lumped or coarsened until every expected count reaches this.
+MIN_EXPECTED_COUNT = 5.0
+#: Equiprobable bins of the PIT uniformity chi-square in sweeps.
+UNIFORMITY_BINS = 20
+#: Cells per axis of the independence occupancy grid before coarsening.
+INDEPENDENCE_GRID = 10
+#: A slowly varying tail's successive ratios have collapsed when their median is below this.
+SLOW_COLLAPSE_BOUNDARY = 0.05
+#: Pivot-ratio bin that conditions the order-statistics identity.
+IDENTITY_BIN = (0.45, 0.55)
+#: Quantile bins of the pivot time scale in the z-insensitivity check.
+Z_BINS = 4
+#: Classifier evidence: ratios within DELTA of 1, mass beyond BIG_M, the
+#: 1 - ETA share that decides, and KAPPA of the rapid boundary 1 + KAPPA/log(1/t).
+CLASSIFY_DELTA = 0.05
+CLASSIFY_ETA = 0.05
+CLASSIFY_BIG_M = 1e3
+CLASSIFY_KAPPA = 1.5
 
 REGULARLY_VARYING = "regularly_varying"
 RAPIDLY_VARYING = "rapidly_varying"
@@ -157,8 +181,8 @@ def two_sample_ks(x, y) -> float:
     return float(np.max(np.abs(fx - fy)))
 
 
-def two_sample_threshold(n1: int, n2: int, coeff: float = KS_COEFF_1PCT) -> float:
-    return coeff * math.sqrt((n1 + n2) / (n1 * n2))
+def two_sample_threshold(n1: int, n2: int) -> float:
+    return KS_COEFF_1PCT * math.sqrt((n1 + n2) / (n1 * n2))
 
 
 def _chi2_sf(stat: float, dof: int) -> float:
@@ -168,18 +192,18 @@ def _chi2_sf(stat: float, dof: int) -> float:
     return float(chdtrc(dof, stat))
 
 
-def chi_square_counts(observed: np.ndarray, expected: np.ndarray, min_expected: float = 5.0):
-    """Chi-square GOF on count vectors, lumping the tail so expectations stay >= min_expected.
+def chi_square_counts(observed: np.ndarray, expected: np.ndarray):
+    """Chi-square GOF on count vectors, lumping tail cells until each expects MIN_EXPECTED_COUNT.
 
     Returns (statistic, p_value, dof).
     """
     obs = np.asarray(observed, dtype=float)
     exp = np.asarray(expected, dtype=float)
     # lump trailing cells until every expected count is big enough
-    while exp.size > 2 and exp[-1] < min_expected:
+    while exp.size > 2 and exp[-1] < MIN_EXPECTED_COUNT:
         exp = np.concatenate([exp[:-2], [exp[-2] + exp[-1]]])
         obs = np.concatenate([obs[:-2], [obs[-2] + obs[-1]]])
-    keep = exp >= min_expected
+    keep = exp >= MIN_EXPECTED_COUNT
     if not np.all(keep):
         obs, exp = obs[keep], exp[keep]
     if exp.size < 2:
@@ -191,15 +215,15 @@ def chi_square_counts(observed: np.ndarray, expected: np.ndarray, min_expected: 
     return stat, _chi2_sf(stat, dof), dof
 
 
-def chi_square_independence(u: np.ndarray, v: np.ndarray, grid: int = 10):
+def chi_square_independence(u: np.ndarray, v: np.ndarray):
     """Occupancy-grid chi-square independence test on two ~Uniform(0,1) samples.
 
-    Coarsens the grid automatically while any expected cell count is < 5.
-    Returns (statistic, p_value, grid_used).
+    Halves the INDEPENDENCE_GRID cells per axis while any expected cell count
+    is below MIN_EXPECTED_COUNT.  Returns (statistic, p_value, grid_used).
     """
     n = u.size
-    g = grid
-    while g > 2 and n / (g * g) < 5.0:
+    g = INDEPENDENCE_GRID
+    while g > 2 and n / (g * g) < MIN_EXPECTED_COUNT:
         g //= 2
     iu = np.minimum((u * g).astype(np.int64), g - 1)
     iv = np.minimum((v * g).astype(np.int64), g - 1)
@@ -225,10 +249,10 @@ def _gamma_cdf(k: int) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def default_threshold(model: TailModel, trials: int) -> float:
-    """1% KS critical value for exact (pure power) targets, 0.01 otherwise."""
+    """1% KS critical value for exact (pure power) targets, ABS_KS_BOUND otherwise."""
     if model.kind == PARETO:
         return KS_COEFF_1PCT / math.sqrt(trials)
-    return 0.01
+    return ABS_KS_BOUND
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +267,6 @@ def convergence_sweep(
     trials: int,
     target: str,
     seed: int,
-    threshold: Optional[float] = None,
     threads: Optional[int] = None,
 ) -> VerifyReport:
     """KS distance to the selected limit law along a decreasing grid of t.
@@ -263,8 +286,7 @@ def convergence_sweep(
     alpha = model.rv_index
     if not (0 < alpha < math.inf):
         raise ValueError("convergence sweeps need a finite positive tail index")
-    if threshold is None:
-        threshold = default_threshold(model, trials)
+    threshold = default_threshold(model, trials)
 
     stats = []
     for it, t in enumerate(t_arr):
@@ -317,8 +339,9 @@ def convergence_sweep(
     )
 
 
-def _uniformity_chi2(pit_values: np.ndarray, bins: int = 20) -> dict:
+def _uniformity_chi2(pit_values: np.ndarray) -> dict:
     """Equiprobable-bin chi-square of probability-integral-transformed values."""
+    bins = UNIFORMITY_BINS
     idx = np.minimum((pit_values * bins).astype(np.int64), bins - 1)
     counts = np.bincount(idx, minlength=bins).astype(float)
     expected = np.full(bins, pit_values.size / bins)
@@ -333,8 +356,6 @@ def independence_check(
     n: int,
     trials: int,
     seed: int,
-    grid: int = 10,
-    p_threshold: float = 1e-3,
     threads: Optional[int] = None,
 ) -> VerifyReport:
     """Pairwise chi-square independence of successive ratios after their PIT.
@@ -354,7 +375,8 @@ def independence_check(
         ratios = sp.successive_ratio_batch(model, t, r, n, trials, seed, 0, threads)
         med = float(np.median(ratios))
         limit = 1.0 if model.kind == RAPID_ZERO else 0.0
-        boundary = 1.0 - _rapid_median_allowance(t) if model.kind == RAPID_ZERO else 0.05
+        boundary = (1.0 - _rapid_median_allowance(t) if model.kind == RAPID_ZERO
+                    else SLOW_COLLAPSE_BOUNDARY)
         collapsed = med > boundary if model.kind == RAPID_ZERO else med < boundary
         return VerifyReport(
             experiment_id=f"independence_{model.kind}_r{r}_n{n}",
@@ -372,7 +394,7 @@ def independence_check(
     stats = []
     worst = None
     for j in range(n - 1):
-        stat, p, g = chi_square_independence(pit[:, j], pit[:, j + 1], grid)
+        stat, p, g = chi_square_independence(pit[:, j], pit[:, j + 1])
         rec = {"pair": [r + j, r + j + 1], "chi2": stat, "p_value": p, "grid": g, "t": t}
         stats.append(rec)
         if worst is None or p < worst["p_value"]:
@@ -381,13 +403,13 @@ def independence_check(
         ks_distance(EmpiricalDistribution.from_samples(pit[:, j]), lambda u: np.clip(u, 0, 1))
         for j in range(n)
     ]
-    passed = worst["p_value"] > p_threshold
+    passed = worst["p_value"] > P_THRESHOLD
     return VerifyReport(
         experiment_id=f"independence_{model.kind}_r{r}_n{n}",
         t_grid=[float(t)],
         statistics=stats,
         passed=bool(passed),
-        threshold=p_threshold,
+        threshold=P_THRESHOLD,
         seed=seed,
         details={
             "model": model.to_record(), "r": r, "n": n, "trials": trials,
@@ -403,8 +425,6 @@ def identity_checks(
     n: int,
     trials: int,
     seed: int,
-    s_bin: tuple[float, float] = (0.45, 0.55),
-    coeff: float = KS_COEFF_1PCT,
     threads: Optional[int] = None,
 ) -> VerifyReport:
     """Monte Carlo distributional identities of the limit laws (two-sample KS).
@@ -432,7 +452,7 @@ def identity_checks(
     g = sp.gamma_matrix(seed, trials, r + n, stream_start=trials, threads=threads)
     w_ref = (g[:, r - 1] / g[:, r + n - 1]) ** (1.0 / alpha)
     ks_a = two_sample_ks(prod, w_ref)
-    thr_ab = two_sample_threshold(trials, trials, coeff)
+    thr_ab = two_sample_threshold(trials, trials)
     stats.append({"name": "product_of_ratio_limits", "ks": ks_a, "threshold": thr_ab,
                   "pass": ks_a <= thr_ab})
 
@@ -450,7 +470,7 @@ def identity_checks(
     if n >= 2:
         g = sp.gamma_matrix(seed, trials, r + n, stream_start=4 * trials, threads=threads)
         b = g[:, r - 1] / g[:, r + n - 1]
-        keep = (b > s_bin[0]) & (b < s_bin[1])
+        keep = (b > IDENTITY_BIN[0]) & (b < IDENTITY_BIN[1])
         idx = np.flatnonzero(keep)
         if idx.size < 1_000:
             raise ValueError("conditioning bin too narrow for the trial budget")
@@ -461,10 +481,10 @@ def identity_checks(
         worst = 0.0
         for j in range(n - 1):
             worst = max(worst, two_sample_ks(ratios[:, j], synth[:, j]))
-        thr_c = two_sample_threshold(idx.size, idx.size, coeff)
+        thr_c = two_sample_threshold(idx.size, idx.size)
         stats.append({"name": "conditional_uniform_orderstats", "ks": worst,
                       "threshold": thr_c, "pass": worst <= thr_c,
-                      "bin": list(s_bin), "bin_count": int(idx.size)})
+                      "bin": list(IDENTITY_BIN), "bin_count": int(idx.size)})
 
     passed = all(rec["pass"] for rec in stats)
     return VerifyReport(
@@ -486,8 +506,6 @@ def nb_functional_check(
     trials: int,
     method: str,
     seed: int,
-    rel_err_threshold: float = 5e-3,
-    p_threshold: float = 1e-3,
     threads: Optional[int] = None,
 ) -> VerifyReport:
     """Empirical Laplace functional and point-count law of the sampled limit process.
@@ -522,7 +540,7 @@ def nb_functional_check(
     void_emp = float(np.mean(counts == 0))
     void_se = math.sqrt(void_expected * (1 - void_expected) / trials)
 
-    passed = (rel_err <= rel_err_threshold) and (p_count > p_threshold)
+    passed = (rel_err <= NB_REL_ERR_THRESHOLD) and (p_count > P_THRESHOLD)
     return VerifyReport(
         experiment_id=f"nb_functional_{method}_n{n}_a{alpha:g}",
         t_grid=[],
@@ -531,7 +549,7 @@ def nb_functional_check(
             "rel_err": rel_err, "chi2": chi2, "p_value": p_count, "dof": dof,
         }],
         passed=bool(passed),
-        threshold=rel_err_threshold,
+        threshold=NB_REL_ERR_THRESHOLD,
         seed=seed,
         details={
             "n": n, "alpha": alpha, "epsilon": epsilon, "method": method,
@@ -567,13 +585,13 @@ def estimate_alpha(samples, r: int) -> tuple[float, float]:
     return alpha_hat, alpha_hat / math.sqrt(values.size)
 
 
-def _rapid_median_allowance(t: float, kappa: float = 1.5) -> float:
-    """Half-width of the collapse region around 1 at time t: kappa/log(1/t).
+def _rapid_median_allowance(t: float) -> float:
+    """Half-width of the collapse region around 1 at time t: CLASSIFY_KAPPA/log(1/t).
 
     Ratios of a rapidly varying tail approach 1 only at 1/log(1/t) speed,
     so the boundary must shrink with t rather than sit at a fixed delta.
     """
-    return kappa / max(math.log(1.0 / t), 1.0)
+    return CLASSIFY_KAPPA / max(math.log(1.0 / t), 1.0)
 
 
 def classify_tail(
@@ -582,20 +600,15 @@ def classify_tail(
     r: int,
     trials: int,
     seed: int,
-    delta: float = 0.05,
-    eta: float = 0.05,
-    big_m: float = 1e3,
-    kappa: float = 1.5,
-    median_boundary: Optional[float] = None,
     threads: Optional[int] = None,
 ) -> TailClassification:
     """Three-way variation classifier from the above-1 ratio at one small t.
 
     Evidence is the log-ratio sample LY = log(r-th / (r+1)-th point):
-    most mass beyond ``big_m``  -> slowly varying; median inside the
-    shrinking collapse region around 1 -> rapidly varying; an interior
-    median with sane tails -> regularly varying with the MLE tail index.
-    ``median_boundary`` overrides the default ``1 + kappa/log(1/t)``.
+    most mass beyond ``CLASSIFY_BIG_M`` -> slowly varying; median inside the
+    shrinking collapse region ``1 + CLASSIFY_KAPPA/log(1/t)`` around 1 ->
+    rapidly varying; an interior median with sane tails -> regularly
+    varying with the MLE tail index.
     Conflicting evidence raises :class:`ClassificationError`.
     """
     if r < 1:
@@ -604,9 +617,9 @@ def classify_tail(
         raise ValueError("classification needs at least 10^3 trials")
     ly = sp.log_trim_ratio_batch(model, t, r, trials, seed, 0, threads)
     q25, med_ly, q75 = np.quantile(ly, [0.25, 0.5, 0.75])
-    p_low = float(np.mean(ly < math.log1p(delta)))
-    p_high = float(np.mean(ly > math.log(big_m)))
-    boundary = median_boundary if median_boundary is not None else 1.0 + _rapid_median_allowance(t, kappa)
+    p_low = float(np.mean(ly < math.log1p(CLASSIFY_DELTA)))
+    p_high = float(np.mean(ly > math.log(CLASSIFY_BIG_M)))
+    boundary = 1.0 + _rapid_median_allowance(t)
     median_ratio = math.exp(med_ly) if med_ly < 700.0 else math.inf
     evidence = {
         "t": t, "r": r, "trials": trials,
@@ -615,15 +628,15 @@ def classify_tail(
         "p_within_delta_of_1": p_low,
         "p_beyond_m": p_high,
         "median_boundary": boundary,
-        "delta": delta, "eta": eta, "big_m": big_m,
+        "delta": CLASSIFY_DELTA, "eta": CLASSIFY_ETA, "big_m": CLASSIFY_BIG_M,
     }
-    if p_high > 1.0 - eta:
+    if p_high > 1.0 - CLASSIFY_ETA:
         return TailClassification(SLOWLY_VARYING, None, evidence)
-    if median_ratio > big_m:
+    if median_ratio > CLASSIFY_BIG_M:
         raise ClassificationError(
             "median beyond the slow-variation bound but the upper tail is "
             "not consistently heavy; t not small enough", evidence)
-    if p_low > 1.0 - eta or median_ratio < boundary:
+    if p_low > 1.0 - CLASSIFY_ETA or median_ratio < boundary:
         return TailClassification(RAPIDLY_VARYING, None, evidence)
     alpha_hat, stderr = estimate_alpha(np.exp(ly), r)
     evidence["alpha_stderr"] = stderr
@@ -637,7 +650,6 @@ def z_insensitivity_check(
     n: int,
     trials: int,
     seed: int,
-    n_bins: int = 4,
     threads: Optional[int] = None,
 ) -> VerifyReport:
     """Pivot-ratio law checked inside quantile bins of the pivot time scale.
@@ -651,19 +663,19 @@ def z_insensitivity_check(
     w, z, _ = sp.pivot_ratio_with_scales_batch(
         model, t, r, n, trials, seed, 0, threads
     )
-    edges = np.quantile(z, np.linspace(0, 1, n_bins + 1))
+    edges = np.quantile(z, np.linspace(0, 1, Z_BINS + 1))
     cdf = _wlaw_cdf(r, n, alpha)
     per_bin = []
-    for b in range(n_bins):
+    for b in range(Z_BINS):
         lo, hi = edges[b], edges[b + 1]
-        mask = (z >= lo) & (z <= hi) if b == n_bins - 1 else (z >= lo) & (z < hi)
+        mask = (z >= lo) & (z <= hi) if b == Z_BINS - 1 else (z >= lo) & (z < hi)
         emp = EmpiricalDistribution.from_samples(w[mask])
         per_bin.append({
             "bin": b, "z_lo": float(lo), "z_hi": float(hi),
             "count": int(emp.n_samples), "ks": ks_distance(emp, cdf),
         })
     ks_values = [rec["ks"] for rec in per_bin]
-    noise = KS_COEFF_1PCT / math.sqrt(trials / n_bins)
+    noise = KS_COEFF_1PCT / math.sqrt(trials / Z_BINS)
     spread = max(ks_values) - min(ks_values)
     passed = spread < 2.0 * noise
     pooled = ks_distance(EmpiricalDistribution.from_samples(w), cdf)

@@ -217,6 +217,38 @@ def test_config_file_bad_line(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("experiment,line,flags", [
+    ("simulate", "trials=abc", ["--tail", "pareto", "--alpha", "1", "--t", "0.5",
+                                "--r", "1", "--n", "2"]),
+    ("laws", "u=abc", ["--law", "j", "--alpha", "1", "--grid", "1.0:2.0:3"]),
+])
+def test_config_bad_value_names_the_key(tmp_path, capsys, experiment, line, flags):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code = run_cli(experiment, "--config", str(cfg), *flags,
+                   "--out-dir", str(tmp_path / "o"))
+    assert code == 2
+    doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert doc["error"] == "config"
+    assert doc["reason"].startswith(f"config value {line.split('=')[0]}='abc' is not")
+
+
+def test_config_and_flags_give_same_verify_artifacts(tmp_path):
+    common = ["--target", "conditional_gamma", "--tail", "pareto", "--alpha", "1",
+              "--r", "1", "--n", "1", "--t", "1e-3", "--trials", "50000", "--seed", "2"]
+    assert run_cli("verify", *common, "--w", "0.5", "--half-width", "0.05",
+                   "--out-dir", str(tmp_path / "flags")) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("w=0.5\nhalf-width=0.05\n")
+    assert run_cli("verify", *common, "--config", str(cfg),
+                   "--out-dir", str(tmp_path / "config")) == 0
+    for name in ("report.json", "sweep.csv"):
+        flags, config = (tmp_path / d / name for d in ("flags", "config"))
+        assert flags.read_bytes() == config.read_bytes()
+    params = json.loads((tmp_path / "config" / "report.json").read_text())["parameters"]
+    assert (params["w"], params["half_width"]) == (0.5, 0.05)
+
+
 def test_lf_line_endings_and_roundtrip_floats(tmp_path):
     run_cli("laws", "--law", "l", "--alpha", "1.5", "--grid", "1.0:9.0:9",
             "--out-dir", str(tmp_path))

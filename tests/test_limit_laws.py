@@ -309,13 +309,6 @@ def test_probe_validation():
         ll.LaplaceProbe(1.0, 0.1, 0.5, "spline")
 
 
-def test_quad_spec_validation():
-    with pytest.raises(ValueError):
-        ll.QuadSpec(abs_tol=1e-6)
-    with pytest.raises(ValueError):
-        ll.QuadSpec(max_depth=0)
-
-
 def test_law_spec_validation():
     with pytest.raises(ValueError):
         ll.LawSpec(alpha=0.0)
@@ -323,8 +316,6 @@ def test_law_spec_validation():
         ll.LawSpec(alpha=1.0, u=1.5)
     with pytest.raises(ValueError):
         ll.LawSpec(alpha=1.0, r=-1)
-    with pytest.raises(ValueError):
-        ll.LawSpec(alpha=1.0, lam=-0.1)
 
 
 # --- the three-way pivot law identity ---------------------------------------

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 
@@ -9,6 +10,34 @@ from ppratios import samplers as sp
 from ppratios import tail_models as tm
 from ppratios import verify as vf
 from ppratios.rng import uniform_grid
+
+
+# --- pinned gates -----------------------------------------------------------
+
+
+def test_gate_constants_pinned():
+    # the gates are module constants; changing one changes what a pass means
+    assert vf.KS_COEFF_1PCT == 1.63
+    assert vf.ABS_KS_BOUND == 0.01
+    assert vf.P_THRESHOLD == 1e-3
+    assert vf.NB_REL_ERR_THRESHOLD == 5e-3
+    assert vf.MIN_EXPECTED_COUNT == 5.0
+    assert vf.UNIFORMITY_BINS == 20
+    assert vf.INDEPENDENCE_GRID == 10
+    assert vf.SLOW_COLLAPSE_BOUNDARY == 0.05
+    assert vf.IDENTITY_BIN == (0.45, 0.55)
+    assert vf.Z_BINS == 4
+    assert (vf.CLASSIFY_DELTA, vf.CLASSIFY_ETA) == (0.05, 0.05)
+    assert (vf.CLASSIFY_BIG_M, vf.CLASSIFY_KAPPA) == (1e3, 1.5)
+
+
+def test_gates_are_not_parameters():
+    # every defaulted parameter of a check is `threads`, never a gate
+    for fn in (vf.chi_square_counts, vf.chi_square_independence, vf.two_sample_threshold,
+               vf.convergence_sweep, vf.independence_check, vf.identity_checks,
+               vf.nb_functional_check, vf.z_insensitivity_check, vf.classify_tail):
+        params = inspect.signature(fn).parameters.values()
+        assert [p.name for p in params if p.default is not p.empty] in ([], ["threads"])
 
 
 # --- KS machinery -----------------------------------------------------------
@@ -62,7 +91,7 @@ def test_chi_square_independence_null():
 
 def test_chi_square_independence_coarsens():
     u = uniform_grid(11, 0, 300, 2)
-    _, _, g = vf.chi_square_independence(u[:, 0], u[:, 1], grid=10)
+    _, _, g = vf.chi_square_independence(u[:, 0], u[:, 1])
     assert g < 10
 
 
