@@ -1,8 +1,11 @@
 """Experiment runner: declarative config in, deterministic CSV/JSON out.
 
-Subcommands: ``simulate | laws | verify | estimate | classify``.  Flags win
-over an optional flat ``key=value`` config file (a conflict warns on the
-diagnostic stream).  Identical arguments and seed produce byte-identical
+Subcommands: ``simulate | laws | verify | estimate | classify``.  Each takes
+only the options it reads or echoes into an artifact (``_SUBCOMMANDS``),
+as flags or as keys of an optional flat ``key=value`` config file; a key it
+does not take, or a value its flag would reject, is a config error.  Flags
+win over the file (a flag that changes a value warns on the diagnostic
+stream).  Identical arguments and seed produce byte-identical
 artifacts: floats are written with shortest round-trip precision, JSON keys
 are sorted, and nothing wall-clock dependent enters the outputs.
 
@@ -17,6 +20,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,21 +36,6 @@ DEFAULT_SEED = 20240613
 #: CSV rows formatted and written per block; bounds the text held at once.
 _BLOCK = 1 << 14
 
-_DEFAULTS = {
-    "epsilon": 1e-3,
-    "seed": DEFAULT_SEED,
-    "out_dir": "out",
-    "cap": 1_000_000,
-    "threads": None,
-    "probe_form": "indicator_step",
-    "probe_amplitude": 1.0,
-    "probe_a": 0.5,
-    "probe_b": 1.0,
-    "method": "limit_ratios",
-    "half_width": 0.05,
-    "grid": "0.01:0.99:99",
-}
-
 VERIFY_TARGETS = sorted(SWEEP_TARGETS) + [
     "independence", "identities", "nb_functional", "z_insensitivity",
     "conditional_gamma",
@@ -54,6 +43,65 @@ VERIFY_TARGETS = sorted(SWEEP_TARGETS) + [
 
 LAW_NAMES = ("w", "j", "l", "k_orderstat", "successive", "ratio_tail",
              "phi", "conditional_gamma")
+
+
+class _Option(NamedTuple):
+    kind: type
+    default: object = None
+    choices: tuple | None = None
+    help: str | None = None
+
+
+#: Every option once.  Its flag is ``--name`` with ``-`` for ``_``; its
+#: config key is the name (``-`` or ``_``).  A None default leaves it unset.
+_OPTIONS = {
+    "config": _Option(str, help="flat key=value file of this subcommand's options; "
+                      "flags win"),
+    "out_dir": _Option(str, "out"),
+    "tail": _Option(str, choices=("pareto", "pareto_log", "pareto_perturbed",
+                                  "rapid_zero", "slow_zero")),
+    "alpha": _Option(float), "beta": _Option(float), "c": _Option(float),
+    "gamma": _Option(float),
+    "r": _Option(int), "n": _Option(int), "t": _Option(float),
+    "t_grid": _Option(str, help="comma list or lo:hi:count (log-spaced)"),
+    "trials": _Option(int),
+    "epsilon": _Option(float, 1e-3),
+    "seed": _Option(int, DEFAULT_SEED),
+    "threads": _Option(int, help="worker threads (default: usable CPUs, at most 4); "
+                       "changes wall time only, never output"),
+    "cap": _Option(int, 1_000_000),
+    "target": _Option(str, choices=tuple(VERIFY_TARGETS)),
+    "method": _Option(str, "limit_ratios", ("limit_ratios", "mixed_poisson")),
+    "probe_form": _Option(str, "indicator_step", ("indicator_step", "linear_ramp")),
+    "probe_amplitude": _Option(float, 1.0),
+    "probe_a": _Option(float, 0.5),
+    "probe_b": _Option(float, 1.0),
+    "w": _Option(float),
+    "half_width": _Option(float, 0.05),
+    "law": _Option(str, choices=LAW_NAMES),
+    "grid": _Option(str, "0.01:0.99:99", help="abscissa grid lo:hi:count"),
+    "u": _Option(float), "z": _Option(float), "lam": _Option(float),
+}
+
+_TAIL = ("tail", "alpha", "beta", "c", "gamma")
+_SAMPLED = ("trials", "epsilon", "seed", "threads")
+
+#: Subcommand -> (help, the options it reads or echoes into an artifact).
+#: Each also takes ``--config`` and ``--out-dir``.
+_SUBCOMMANDS = {
+    "simulate": ("dump per-trial ratio configurations to trials.csv",
+                 _TAIL + ("t", "r", "n", "cap") + _SAMPLED),
+    "laws": ("tabulate a closed-form limit law to law_table.csv",
+             ("law", "grid", "alpha", "r", "n", "u", "z", "lam", "w", "seed")),
+    "verify": ("run a statistical check; report.json + sweep.csv",
+               ("target",) + _TAIL + ("r", "n", "t", "t_grid", "method", "probe_form",
+                                      "probe_amplitude", "probe_a", "probe_b", "w",
+                                      "half_width") + _SAMPLED),
+    "estimate": ("estimate the tail index from simulated ratios",
+                 _TAIL + ("t", "r") + _SAMPLED),
+    "classify": ("classify the variation regime at small t",
+                 _TAIL + ("t", "r") + _SAMPLED),
+}
 
 
 class _CliError(Exception):
@@ -159,53 +207,12 @@ def _parse_grid(text: str, log_spaced: bool = False) -> np.ndarray:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ppratios", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name, blurb in (
-        ("simulate", "dump per-trial ratio configurations to trials.csv"),
-        ("laws", "tabulate a closed-form limit law to law_table.csv"),
-        ("verify", "run a statistical check; report.json + sweep.csv"),
-        ("estimate", "estimate the tail index from simulated ratios"),
-        ("classify", "classify the variation regime at small t"),
-    ):
+    for name, (blurb, options) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=blurb)
-        p.add_argument("--config", type=str, help="flat key=value file; flags win")
-        p.add_argument("--tail", type=str,
-                       choices=sorted(("pareto", "pareto_log", "pareto_perturbed",
-                                       "rapid_zero", "slow_zero")))
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--c", type=float)
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--r", type=int)
-        p.add_argument("--n", type=int)
-        p.add_argument("--t", type=float)
-        p.add_argument("--t-grid", dest="t_grid", type=str,
-                       help="comma list or lo:hi:count (log-spaced)")
-        p.add_argument("--trials", type=int)
-        p.add_argument("--epsilon", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out-dir", dest="out_dir", type=str)
-        p.add_argument("--threads", type=int,
-                       help="worker threads (default: usable CPUs, at most 4); "
-                       "changes wall time only, never output")
-        p.add_argument("--cap", type=int)
-        p.add_argument("--target", type=str, choices=VERIFY_TARGETS)
-        p.add_argument("--probe-form", dest="probe_form", type=str,
-                       choices=("indicator_step", "linear_ramp"))
-        p.add_argument("--probe-amplitude", dest="probe_amplitude", type=float)
-        p.add_argument("--probe-a", dest="probe_a", type=float)
-        p.add_argument("--probe-b", dest="probe_b", type=float)
-        if name == "laws":
-            p.add_argument("--law", type=str, choices=LAW_NAMES)
-            p.add_argument("--grid", type=str, help="abscissa grid lo:hi:count")
-            p.add_argument("--u", type=float)
-            p.add_argument("--z", type=float)
-            p.add_argument("--lam", type=float)
-            p.add_argument("--w", type=float)
-        if name == "verify":
-            p.add_argument("--method", type=str,
-                           choices=("limit_ratios", "mixed_poisson"))
-            p.add_argument("--w", type=float)
-            p.add_argument("--half-width", dest="half_width", type=float)
+        for key in ("config", "out_dir") + options:
+            opt = _OPTIONS[key]
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=opt.kind,
+                           choices=opt.choices, help=opt.help)
     return parser
 
 
@@ -222,17 +229,40 @@ def _load_config(path: str) -> dict:
     return values
 
 
+def _typed(key: str, text: str):
+    """A config value, typed and checked against its choices as its flag is."""
+    opt = _OPTIONS[key]
+    try:
+        value = opt.kind(text)
+    except ValueError:
+        raise _CliError(f"config value {key}={text!r} is not "
+                        f"{'an integer' if opt.kind is int else 'a number'}") from None
+    if opt.choices is not None and value not in opt.choices:
+        raise _CliError(f"config value {key}={text!r} is not one of "
+                        f"{', '.join(opt.choices)}")
+    return value
+
+
 def _merge(args: argparse.Namespace) -> dict:
-    """Defaults < config file < explicit flags; conflicts warn."""
-    merged = dict(_DEFAULTS)
+    """Defaults < config file < explicit flags, for the subcommand's options.
+
+    The result also holds ``experiment``, which verify echoes.  A flag that
+    changes a config value warns.
+    """
+    keys = ("out_dir",) + _SUBCOMMANDS[args.experiment][1]
+    merged = {k: _OPTIONS[k].default for k in keys if _OPTIONS[k].default is not None}
     flags = {k: v for k, v in vars(args).items() if v is not None and k != "config"}
     if args.config:
         for key, text in _load_config(args.config).items():
-            if key in flags and str(flags[key]) != text:
+            if key not in keys:
+                raise _CliError(f"config key {key!r} is not an option of "
+                                f"{args.experiment}")
+            value = _typed(key, text)
+            if key in flags and flags[key] != value:
                 _diag(f"config value {key}={text!r} overridden by flag "
                       f"{key}={flags[key]!r}", kind="warning")
                 continue
-            merged[key] = text
+            merged[key] = value
     merged.update(flags)
     return merged
 
@@ -243,21 +273,12 @@ def _need(cfg: dict, *names):
             raise _CliError(f"missing field: {name}")
 
 
-def _coerce(cfg: dict, name: str, kind):
-    if isinstance(cfg.get(name), str):
-        try:
-            cfg[name] = kind(cfg[name])
-        except ValueError:
-            raise _CliError(f"config value {name}={cfg[name]!r} is not "
-                            f"{'an integer' if kind is int else 'a number'}") from None
-
-
 def _tail_from(cfg: dict) -> TailModel:
     _need(cfg, "tail")
     record = {"kind": cfg["tail"]}
     for key in ("alpha", "beta", "c", "gamma"):
         if cfg.get(key) is not None:
-            record[key] = float(cfg[key])
+            record[key] = cfg[key]
     return TailModel.from_record(record)
 
 
@@ -274,17 +295,16 @@ def _t_grid_from(cfg: dict) -> list:
     is echoed into every artifact.
     """
     if cfg.get("t_grid") is not None:
-        grid = _parse_grid(str(cfg["t_grid"]), log_spaced=True)
+        grid = _parse_grid(cfg["t_grid"], log_spaced=True)
         grid = np.sort(grid)[::-1]
         return [float(v) for v in grid]
     if cfg.get("t") is not None:
-        return [float(cfg["t"])]
+        return [cfg["t"]]
     return [1.0]
 
 
 def _echo_meta(cfg: dict, model: TailModel | None, extra: dict) -> dict:
-    meta = {"seed": int(cfg["seed"]), "trials": int(cfg["trials"]),
-            "epsilon": float(cfg["epsilon"])}
+    meta = {"seed": cfg["seed"], "trials": cfg["trials"], "epsilon": cfg["epsilon"]}
     if model is not None:
         for key, value in model.to_record().items():
             meta[f"tail_{key}"] = value
@@ -295,19 +315,17 @@ def _echo_meta(cfg: dict, model: TailModel | None, extra: dict) -> dict:
 def _run_simulate(cfg: dict) -> int:
     model = _tail_from(cfg)
     _need(cfg, "t", "r", "n", "trials")
-    r, n = int(cfg["r"]), int(cfg["n"])
-    t, trials = float(cfg["t"]), int(cfg["trials"])
-    epsilon, seed = float(cfg["epsilon"]), int(cfg["seed"])
+    t, r, n, trials = (cfg[k] for k in ("t", "r", "n", "trials"))
     above, w, counts = sp.ratio_configuration_batch(
-        model, t, r, n, epsilon, trials, seed, cap=int(cfg["cap"]),
-        threads=cfg["threads"])
+        model, t, r, n, cfg["epsilon"], trials, cfg["seed"], cap=cfg["cap"],
+        threads=cfg.get("threads"))
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     header = ["trial_index", "t", "r", "n", "w_rn", "count_below"] + [
         f"above_{k}" for k in range(1, n)]
     columns = [np.arange(trials), t, r, n, "" if w is None else w, counts] + [
         above[:, k] for k in range(n - 1)]
-    meta = _echo_meta(cfg, model, {"t": t, "r": r, "n": n, "cap": int(cfg["cap"])})
+    meta = _echo_meta(cfg, model, {"t": t, "r": r, "n": n, "cap": cfg["cap"]})
     _write_csv(out / "trials.csv", meta, header, columns)
     return 0
 
@@ -320,7 +338,7 @@ def _law_table(cfg: dict) -> list:
     elif law in ("successive", "ratio_tail"):
         _need(cfg, "r")
     alpha, r, n, u, z, lam, w = (cfg.get(k) for k in ("alpha", "r", "n", "u", "z", "lam", "w"))
-    grid = _parse_grid(str(cfg["grid"]))
+    grid = _parse_grid(cfg["grid"])
     density = ""
 
     if law == "w":
@@ -356,7 +374,7 @@ def _run_laws(cfg: dict) -> int:
     columns = _law_table(cfg)
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    meta = {"law": cfg["law"], "grid": cfg["grid"], "seed": int(cfg["seed"])}
+    meta = {"law": cfg["law"], "grid": cfg["grid"], "seed": cfg["seed"]}
     header = ["law", "alpha", "r", "n", "u", "z", "lam", "x", "density", "cdf"]
     _write_csv(out / "law_table.csv", meta, header, columns)
     return 0
@@ -365,77 +383,65 @@ def _run_laws(cfg: dict) -> int:
 def _run_verify(cfg: dict) -> int:
     _need(cfg, "target", "trials")
     target = cfg["target"]
-    trials, seed = int(cfg["trials"]), int(cfg["seed"])
-    threads = cfg["threads"]
+    trials, seed, threads = cfg["trials"], cfg["seed"], cfg.get("threads")
     if target in SWEEP_TARGETS:
         _need(cfg, "r", "n")
         model = _tail_from(cfg)
-        report = vf.convergence_sweep(model, int(cfg["r"]), int(cfg["n"]),
-                                      _t_grid_from(cfg), trials, target, seed,
-                                      threads=threads)
+        report = vf.convergence_sweep(model, cfg["r"], cfg["n"], _t_grid_from(cfg),
+                                      trials, target, seed, threads=threads)
     elif target == "independence":
         _need(cfg, "t", "r", "n")
         model = _tail_from(cfg)
-        report = vf.independence_check(model, float(cfg["t"]), int(cfg["r"]),
-                                       int(cfg["n"]), trials, seed, threads=threads)
+        report = vf.independence_check(model, cfg["t"], cfg["r"], cfg["n"], trials,
+                                       seed, threads=threads)
     elif target == "identities":
         _need(cfg, "alpha", "r", "n")
-        report = vf.identity_checks(float(cfg["alpha"]), int(cfg["r"]),
-                                    int(cfg["n"]), trials, seed, threads=threads)
+        report = vf.identity_checks(cfg["alpha"], cfg["r"], cfg["n"], trials, seed,
+                                    threads=threads)
     elif target == "nb_functional":
         _need(cfg, "alpha", "n")
         probe = _probe_from(cfg)
         report = vf.nb_functional_check(
-            int(cfg["n"]), float(cfg["alpha"]), probe, float(cfg["epsilon"]),
-            trials, cfg["method"], seed, threads=threads)
+            cfg["n"], cfg["alpha"], probe, cfg["epsilon"], trials, cfg["method"],
+            seed, threads=threads)
     elif target == "z_insensitivity":
         _need(cfg, "t", "r", "n")
         model = _tail_from(cfg)
-        report = vf.z_insensitivity_check(model, float(cfg["t"]), int(cfg["r"]),
-                                          int(cfg["n"]), trials, seed,
-                                          threads=threads)
+        report = vf.z_insensitivity_check(model, cfg["t"], cfg["r"], cfg["n"],
+                                          trials, seed, threads=threads)
     else:  # conditional_gamma
         _need(cfg, "t", "w", "r", "n")
         model = _tail_from(cfg)
         report = vf.conditional_gamma_check(
-            model, float(cfg["t"]), int(cfg["r"]), int(cfg["n"]),
-            cfg["w"], cfg["half_width"], trials, seed,
-            threads=threads)
+            model, cfg["t"], cfg["r"], cfg["n"], cfg["w"], cfg["half_width"],
+            trials, seed, threads=threads)
 
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     payload = report.to_json_dict()
-    payload["parameters"] = {k: _jsonable_param(v) for k, v in sorted(cfg.items())
-                             if k not in ("out_dir", "config", "threads")}
+    payload["parameters"] = {k: v for k, v in sorted(cfg.items())
+                             if k not in ("out_dir", "threads")}
     _write_json(out / "report.json", payload)
     keys, rows = report.csv_rows()
     columns = [[row[j] for row in rows] for j in range(len(keys))]
     meta = {"experiment_id": report.experiment_id, "seed": seed, "trials": trials,
-            "epsilon": float(cfg["epsilon"]), "threshold": report.threshold,
+            "epsilon": cfg["epsilon"], "threshold": report.threshold,
             "pass": report.passed}
     _write_csv(out / "sweep.csv", meta, keys, columns)
     return 0 if report.passed else 1
 
 
-def _jsonable_param(v):
-    if isinstance(v, (str, int, float, bool)) or v is None:
-        return v
-    return str(v)
-
-
 def _run_estimate(cfg: dict) -> int:
     model = _tail_from(cfg)
     _need(cfg, "t", "r", "trials")
-    r, trials, seed = int(cfg["r"]), int(cfg["trials"]), int(cfg["seed"])
-    t = float(cfg["t"])
-    ly = sp.log_trim_ratio_batch(model, t, r, trials, seed,
-                                 threads=cfg["threads"])
+    t, r, trials, seed = (cfg[k] for k in ("t", "r", "trials", "seed"))
+    ly = sp.log_trim_ratio_batch(model, t, r, trials, seed, threads=cfg.get("threads"))
     alpha_hat, stderr = vf.estimate_alpha(np.exp(ly), r)
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "estimate.json", {
         "alpha_hat": alpha_hat, "stderr": stderr, "r": r, "t": t,
-        "trials": trials, "seed": seed, "epsilon": float(cfg["epsilon"]),
+        "trials": trials, "seed": seed, "epsilon": cfg["epsilon"],
         "tail": model.to_record(),
     })
     return 0
@@ -444,15 +450,13 @@ def _run_estimate(cfg: dict) -> int:
 def _run_classify(cfg: dict) -> int:
     model = _tail_from(cfg)
     _need(cfg, "t", "r", "trials")
-    r, trials, seed = int(cfg["r"]), int(cfg["trials"]), int(cfg["seed"])
-    t = float(cfg["t"])
+    t, r, trials, seed = (cfg[k] for k in ("t", "r", "trials", "seed"))
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     base = {"t": t, "r": r, "trials": trials, "seed": seed,
-            "epsilon": float(cfg["epsilon"]), "tail": model.to_record()}
+            "epsilon": cfg["epsilon"], "tail": model.to_record()}
     try:
-        result = vf.classify_tail(model, t, r, trials, seed,
-                                  threads=cfg["threads"])
+        result = vf.classify_tail(model, t, r, trials, seed, threads=cfg.get("threads"))
     except vf.ClassificationError as exc:
         _write_json(out / "classification.json", {
             **base, "verdict": None, "alpha_hat": None,
@@ -477,13 +481,7 @@ def run(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _merge(args)
-        for name in ("r", "n", "trials", "seed", "cap", "threads"):
-            _coerce(cfg, name, int)
-        for name in ("epsilon", "t", "alpha", "beta", "c", "gamma", "u", "z", "lam",
-                     "w", "half_width", "probe_amplitude", "probe_a", "probe_b"):
-            _coerce(cfg, name, float)
-        return _RUNNERS[args.experiment](cfg)
+        return _RUNNERS[args.experiment](_merge(args))
     except _CliError as exc:
         _diag(str(exc))
         return 2

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -71,8 +72,9 @@ def test_nonpositive_threads_exit_2(tmp_path, capsys, threads):
 @pytest.mark.parametrize("trials", ["0", "-1"])
 @pytest.mark.parametrize("experiment", ["simulate", "estimate"])
 def test_nonpositive_trials_exit_2(tmp_path, capsys, experiment, trials):
+    n = ["--n", "2"] if experiment == "simulate" else []
     code = run_cli(experiment, "--tail", "pareto", "--alpha", "1", "--t", "0.5",
-                   "--r", "1", "--n", "2", "--trials", trials,
+                   "--r", "1", *n, "--trials", trials,
                    "--out-dir", str(tmp_path))
     assert code == 2
     doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
@@ -247,6 +249,75 @@ def test_config_and_flags_give_same_verify_artifacts(tmp_path):
         assert flags.read_bytes() == config.read_bytes()
     params = json.loads((tmp_path / "config" / "report.json").read_text())["parameters"]
     assert (params["w"], params["half_width"]) == (0.5, 0.05)
+
+
+@pytest.mark.parametrize("experiment,line,flags", [
+    ("verify", "trails=20000", ["--target", "wlaw", "--tail", "pareto", "--alpha", "1",
+                                "--r", "1", "--n", "1", "--trials", "10000"]),
+    ("verify", "target=bogus", ["--tail", "pareto", "--alpha", "1", "--r", "1", "--n", "1",
+                                "--t", "1e-3", "--w", "0.5", "--trials", "50000"]),
+    ("laws", "law=bogus", ["--alpha", "1", "--r", "1", "--n", "2", "--w", "0.5",
+                           "--grid", "0.1:10:5"]),
+])
+def test_config_key_and_choice_checked_as_flags_are(tmp_path, capsys, experiment, line,
+                                                    flags):
+    # a misspelt key or a value outside the flag's choices used to run anyway
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code = run_cli(experiment, "--config", str(cfg), *flags,
+                   "--out-dir", str(tmp_path / "o"))
+    assert code == 2
+    doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert doc["error"] == "config"
+    assert line.split("=")[0] in doc["reason"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_value_equal_to_its_flag_does_not_warn(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha=1\n")
+    code = run_cli("laws", "--law", "l", "--alpha", "1", "--grid", "1.0:9.0:9",
+                   "--config", str(cfg), "--out-dir", str(tmp_path))
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["laws", "--threads", "1"],
+    ["simulate", "--target", "wlaw"],
+    ["verify", "--cap", "5"],
+    ["estimate", "--n", "2"],
+    ["classify", "--probe-a", "0.2"],
+])
+def test_subcommand_rejects_a_flag_it_does_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert doc["error"] == "config"
+    assert argv[1] in doc["reason"]
+
+
+def test_subcommand_options_pinned():
+    # each subcommand takes exactly the options it reads or echoes; a new
+    # knob has to change this list
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: {a.dest for a in p._actions if a.dest != "help"}
+               for name, p in sub.choices.items()}
+    common = {"config", "out_dir"}
+    tail = {"tail", "alpha", "beta", "c", "gamma"}
+    sampled = {"trials", "epsilon", "seed", "threads"}
+    assert options == {
+        "simulate": common | tail | sampled | {"t", "r", "n", "cap"},
+        "laws": common | {"law", "grid", "alpha", "r", "n", "u", "z", "lam", "w", "seed"},
+        "verify": common | tail | sampled | {
+            "target", "r", "n", "t", "t_grid", "method", "probe_form", "probe_amplitude",
+            "probe_a", "probe_b", "w", "half_width"},
+        "estimate": common | tail | sampled | {"t", "r"},
+        "classify": common | tail | sampled | {"t", "r"},
+    }
+    assert sum(map(len, options.values())) == 76
 
 
 def test_lf_line_endings_and_roundtrip_floats(tmp_path):
