@@ -205,10 +205,13 @@ def _parse_grid(text: str, log_spaced: bool = False) -> np.ndarray:
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="ppratios", description=__doc__.splitlines()[0])
+    # no abbreviations: a flag is read only under its full name, as its
+    # config key is
+    parser = _Parser(prog="ppratios", description=__doc__.splitlines()[0],
+                     allow_abbrev=False)
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name, (blurb, options) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=blurb)
+        p = sub.add_parser(name, help=blurb, allow_abbrev=False)
         for key in ("config", "out_dir") + options:
             opt = _OPTIONS[key]
             p.add_argument("--" + key.replace("_", "-"), dest=key, type=opt.kind,

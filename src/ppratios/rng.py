@@ -33,12 +33,20 @@ _STREAM_SALT = np.uint64(0xD1B54A32D192ED03)
 _INV_2_53 = float(2.0**-53)
 
 
-def _mix64(z: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
-    """SplitMix64 finalizer, vectorized over uint64 arrays."""
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer of a uint64 array, written back into it; returns ``z``.
+
+    The shifted copy is the only temporary, so a large draw touches two
+    buffers instead of one new one per step.
+    """
+    tmp = np.empty_like(z)
     with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
+        for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB), (31, None)):
+            np.right_shift(z, np.uint64(shift), out=tmp)
+            np.bitwise_xor(z, tmp, out=z)
+            if mult is not None:
+                np.multiply(z, np.uint64(mult), out=z)
+    return z
 
 
 def _words(values, what: str) -> np.ndarray:
@@ -62,10 +70,18 @@ def uniforms_at(master_seed: int, streams, counters) -> np.ndarray:
     seed = _words(master_seed, "master seed")
     idx = _words(streams, "stream index")
     ctr = _words(counters, "counter")
+    # each sum is a fresh array (0-d for scalars), mixed in place; the last
+    # one, the broadcast of streams and counters, is also shifted and turned
+    # into floats in place
     with np.errstate(over="ignore"):
-        bases = _mix64(_mix64(seed + _GOLDEN) + idx * _STREAM_SALT)
-        words = _mix64(bases + ctr * _GOLDEN)
-    return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2_53
+        key = _mix64(np.asarray(seed + _GOLDEN))
+        bases = _mix64(np.asarray(key + idx * _STREAM_SALT))
+        words = _mix64(np.asarray(bases + ctr * _GOLDEN))
+    np.right_shift(words, np.uint64(11), out=words)
+    out = words.view(np.float64)
+    np.add(words, 0.5, out=out)  # exact: the 53-bit words convert exactly
+    np.multiply(out, _INV_2_53, out=out)
+    return out[()]
 
 
 def uniform_grid(

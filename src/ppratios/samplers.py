@@ -15,7 +15,11 @@ depends only on the round index -- 4 in the first round, doubling each round
 up to ``_CHUNK`` (4, 8, 16, 32, 64, 64, ...; see :func:`_round_widths`) --
 and a per-round hook collects the points (single-trial forms, which run the
 engine on one row) or reduces them into probe sums (batch forms, row-blocked
-by :func:`_map_row_blocks`).  Both forms therefore share
+by :func:`_map_row_blocks`).  A round is laid out round-major, one line of
+active rows per counter, so the running sum of its arrivals is a loop of
+whole-line adds in the same order as ``np.cumsum`` along a row; the
+negative binomial points reach ``on_points`` row-major again, so a probe
+sum adds each row's cells along a contiguous axis.  Both forms therefore share
 
 * one cap rule: before each round, :class:`TruncationError` is raised once
   ``cap`` arrivals past the head have been drawn (rounds end 4, 12, 28, 60,
@@ -24,9 +28,12 @@ by :func:`_map_row_blocks`).  Both forms therefore share
   the last counter it consumed -- the crossing arrival, or for
   ``mixed_poisson`` the last placed point.
 
-Batch samplers run in blocks of ``_ROW_BLOCK`` rows on ``threads`` worker
-threads; ``threads=None`` (the default) uses the CPUs the process may run
-on, at most 4.  Neither changes any output, only wall time and memory.
+Batch samplers run in blocks of ``_ROW_BLOCK`` rows (2^14, so the first
+rounds' arrays fit a 2 MiB L2 cache) on ``threads`` worker threads;
+``threads=None`` (the default) uses the CPUs the process may run on, at
+most 4.  Neither changes any draw, count or point, only wall time and
+memory; the block size can still move the last bits of a ``mixed_poisson``
+probe sum, whose placement chunks are as wide as the block's largest count.
 With more than one thread, blocks run concurrently, so a caller's ``probe``
 must be thread-safe unless ``threads=1`` is passed.
 
@@ -52,7 +59,7 @@ MIXED_POISSON = "mixed_poisson"
 NB_METHODS = frozenset({LIMIT_RATIOS, MIXED_POISSON})
 
 _CHUNK = 64  # widest engine round and placement chunk, in counters per row
-_ROW_BLOCK = 1 << 15  # rows per thread task in batch samplers
+_ROW_BLOCK = 1 << 14  # rows per thread task in batch samplers
 
 
 class TruncationError(RuntimeError):
@@ -147,11 +154,14 @@ def _extend(master_seed, streams, start, last, accept, cap, on_round=None):
     Row ``i`` reads stream ``streams[i]`` from counter ``start`` on and
     continues from the arrival ``last[i]``.  Each round draws the next
     width of :func:`_round_widths` for every row still active (at most
-    ``_CHUNK`` counters per row); ``accept(rows, arr)`` returns
-    ``(kept, values)`` for those rows and their new arrivals, where ``kept``
-    is a prefix of each row, and ``on_round(rows, values, kept)`` sees every
-    round.  Returns the per-row kept counts and the counter just after each
-    row's crossing arrival.
+    ``_CHUNK`` counters per row) as a round-major ``(width, active rows)``
+    array: counter ``j`` of every active row is one contiguous line, so
+    the running sum is ``width - 1`` whole-line adds in the order
+    ``np.cumsum`` takes.  ``accept(rows, arr)`` returns ``(kept, values)``
+    in that layout for those rows and their new arrivals, where ``kept``
+    is a prefix of each column, and ``on_round(rows, values, kept)`` sees
+    every round.  Returns the per-row kept counts and the counter just
+    after each row's crossing arrival.
     """
     counts = np.zeros(streams.size, dtype=np.int64)
     finish = np.empty(streams.size, dtype=np.int64)
@@ -166,16 +176,21 @@ def _extend(master_seed, streams, start, last, accept, cap, on_round=None):
                 f"{act.size} of {streams.size} rows (epsilon or cap too small)"
             )
         width = next(widths)
-        u = uniforms_at(master_seed, streams[act, None], offset + np.arange(width))
-        arr = last[act, None] + np.cumsum(-np.log(u), axis=1)
+        arr = uniforms_at(master_seed, streams[None, act], offset + np.arange(width)[:, None])
+        # last + cumsum(-log u): a - log u is a + (-log u) exactly
+        np.log(arr, out=arr)
+        np.negative(arr[0], out=arr[0])
+        for j in range(1, width):
+            np.subtract(arr[j - 1], arr[j], out=arr[j])
+        arr += last[act]
         kept, values = accept(act, arr)
         if on_round is not None:
             on_round(act, values, kept)
-        k = kept.sum(axis=1)
+        k = np.count_nonzero(kept, axis=0)
         counts[act] += k
         done = k < width
         finish[act[done]] = offset + k[done] + 1
-        last[act] = arr[:, -1]
+        last[act] = arr[-1]
         act = act[~done]
         offset += width
     return counts, finish
@@ -199,7 +214,7 @@ def _ratio_below(model, t, epsilon, master_seed, streams, start, last, pivot,
     log_eps = math.log(epsilon)
 
     def accept(rows, arr):
-        log_ratios = ordered_log_points(model, t, arr) - pivot[rows, None]
+        log_ratios = ordered_log_points(model, t, arr) - pivot[rows]
         return log_ratios > log_eps, log_ratios
 
     return _extend(master_seed, streams, start, last, accept, cap, on_below)
@@ -220,10 +235,14 @@ def _negbin_rows(n, alpha, epsilon, method, master_seed, streams, start, cap,
     bound = g * (ea - 1.0)
 
     def accept(rows, arr):
-        return arr <= bound[rows, None], arr
+        return arr <= bound[rows], arr
 
     def transform(rows, arr, kept):
-        on_points(rows, (1.0 + arr / g[rows, None]) ** -inv_alpha, kept)
+        # row-major points, so a probe sums each row along a contiguous axis
+        x = np.divide(arr.T, g[rows, None], order="C")
+        x += 1.0
+        x **= -inv_alpha
+        on_points(rows, x, np.ascontiguousarray(kept.T))
 
     limit = method == LIMIT_RATIOS
     on_round = transform if limit and on_points is not None else None
@@ -297,7 +316,7 @@ def sample_ratio_configuration(
     below: list[np.ndarray] = []
 
     def collect(rows, log_ratios, kept):
-        below.append(np.exp(log_ratios[0, kept[0]]))
+        below.append(np.exp(log_ratios[kept[:, 0], 0]))
 
     def configuration() -> RatioConfiguration:
         return RatioConfiguration(

@@ -294,14 +294,12 @@ def convergence_sweep(
         entry = {"t": t}
         if target == WLAW:
             w = sp.pivot_ratio_batch(model, t, r, n, trials, seed, base, threads)
-            emp = EmpiricalDistribution.from_samples(w)
-            entry["ks"] = ks_distance(emp, _wlaw_cdf(r, n, alpha))
-            entry.update(_uniformity_chi2(betainc(r, n, emp.sorted_values**alpha)))
+            # w lies in (0, 1], so the CDF's clip changes no value: one PIT
+            # serves both statistics
+            entry.update(_pit_statistics(_wlaw_cdf(r, n, alpha)(np.sort(w))))
         elif target == RATIO_TAIL_N1:
             y = np.exp(sp.log_trim_ratio_batch(model, t, r, trials, seed, base, threads))
-            emp = EmpiricalDistribution.from_samples(y)
-            entry["ks"] = ks_distance(emp, lambda x: 1.0 - x ** (-r * alpha))
-            entry.update(_uniformity_chi2(1.0 - emp.sorted_values ** (-r * alpha)))
+            entry.update(_pit_statistics(1.0 - np.sort(y) ** (-r * alpha)))
         elif target == SUCCESSIVE_RATIOS:
             ratios = sp.successive_ratio_batch(model, t, max(r, 1), n, trials, seed, base, threads)
             per_k = []
@@ -337,6 +335,16 @@ def convergence_sweep(
             "threshold_rule": "1.63/sqrt(trials) for exact targets, 0.01 absolute otherwise",
         },
     )
+
+
+def _pit_statistics(pit_values: np.ndarray) -> dict:
+    """KS distance and uniformity chi-square of the limit CDF at the sorted samples.
+
+    The KS distance of the samples to the CDF is that of their PIT values
+    to Uniform(0, 1), so each CDF value is computed once.
+    """
+    emp = EmpiricalDistribution(sorted_values=pit_values, n_samples=pit_values.size)
+    return {"ks": ks_distance(emp, lambda u: u), **_uniformity_chi2(pit_values)}
 
 
 def _uniformity_chi2(pit_values: np.ndarray) -> dict:

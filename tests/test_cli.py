@@ -298,6 +298,18 @@ def test_subcommand_rejects_a_flag_it_does_not_read(capsys, argv):
     assert argv[1] in doc["reason"]
 
 
+def test_abbreviated_flag_exits_2(tmp_path, capsys):
+    # argparse used to read --alp as --alpha, while the config key alp exits 2
+    with pytest.raises(SystemExit) as exc:
+        run_cli("laws", "--law", "w", "--alp", "1.5", "--r", "1", "--n", "2",
+                "--grid", "0.1:0.9:2", "--out-dir", str(tmp_path / "o"))
+    assert exc.value.code == 2
+    doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert doc["error"] == "config"
+    assert "--alp" in doc["reason"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_subcommand_options_pinned():
     # each subcommand takes exactly the options it reads or echoes; a new
     # knob has to change this list

@@ -38,6 +38,8 @@ def test_uniform_block_arbitrary_indices():
     blk = rng.uniforms_at(7, idx[:, None], np.arange(16))
     for row, stream in enumerate(idx):
         assert np.array_equal(blk[row], rng.RngStream(7, int(stream)).uniforms(16))
+    # the ragged engine's round-major layout reads the same words
+    assert np.array_equal(rng.uniforms_at(7, idx[None, :], np.arange(16)[:, None]), blk.T)
 
 
 def test_uniforms_at_matches_grid():
