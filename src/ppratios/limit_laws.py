@@ -181,10 +181,14 @@ def k_orderstat_cdf(r: int, n: int, alpha: float, w):
     """P(n-th largest of r+n-1 iid K's <= w) where P(K <= w) = w**alpha.
 
     Evaluated as the binomial sum over at-least-r successes; agrees with the
-    incomplete-beta form of the pivot ratio law.
+    incomplete-beta form of the pivot ratio law.  The binomial coefficients
+    are floats, so r + n - 1 is at most 1029.
     """
     if r < 1 or n < 1:
         raise ValueError("require r >= 1 and n >= 1")
+    m = r + n - 1
+    if m > 1029:  # math.comb(1030, 515) overflows a float
+        raise ValueError("the binomial form needs r + n - 1 <= 1029")
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     arr = np.asarray(w, dtype=float)
@@ -192,7 +196,6 @@ def k_orderstat_cdf(r: int, n: int, alpha: float, w):
     arr = np.atleast_1d(arr).astype(float)
     if np.any((arr <= 0) | (arr >= 1)):
         raise ValueError("w must lie strictly inside (0, 1)")
-    m = r + n - 1
     p = arr**alpha
     out = np.zeros_like(arr)
     for k in range(r, m + 1):
@@ -388,4 +391,8 @@ def conditional_gamma_cdf(r: int, n: int, alpha: float, w: float, z):
     arr = np.asarray(z, dtype=float)
     if np.any(arr < 0):
         raise ValueError("z must be nonnegative")
-    return gammainc(r + n, w**-alpha * arr)
+    try:
+        scale = w**-alpha
+    except OverflowError:
+        raise ValueError(f"w**-alpha overflows for w={w!r}, alpha={alpha!r}") from None
+    return gammainc(r + n, scale * arr)

@@ -31,14 +31,16 @@ sum adds each row's cells along a contiguous axis.  Both forms therefore share
 Batch samplers run in blocks of ``_ROW_BLOCK`` rows (2^14, so the first
 rounds' arrays fit a 2 MiB L2 cache) on ``threads`` worker threads;
 ``threads=None`` (the default) uses the CPUs the process may run on, at
-most 4.  Neither changes any draw, count or point, only wall time and
-memory; the block size can still move the last bits of a ``mixed_poisson``
-probe sum, whose placement chunks are as wide as the block's largest count.
-With more than one thread, blocks run concurrently, so a caller's ``probe``
-must be thread-safe unless ``threads=1`` is passed.
+most 4.  Neither changes any draw, count, point or probe sum, only wall
+time and memory.  With more than one thread, blocks run concurrently, so a
+caller's ``probe`` must be thread-safe unless ``threads=1`` is passed.
 
 Ordered points are handled on the log scale internally so the slowly
-varying family stays finite deep into the small-time regime.
+varying family stays finite deep into the small-time regime.  The dense
+batch samplers (pivot, log-trim and successive ratios, time scales) reduce
+each row block to their statistic and invert only the arrival columns it
+reads (:func:`_map_log_points`), so no trials-by-columns matrix of log
+points is built.
 """
 
 from __future__ import annotations
@@ -126,6 +128,11 @@ def _validate_nb_args(n: int, alpha: float, epsilon: float, method: str):
         raise ValueError("alpha must be positive")
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie strictly inside (0, 1)")
+    try:
+        epsilon**-alpha  # the points' scale, computed as the samplers do
+    except OverflowError:
+        raise ValueError(f"epsilon**-alpha overflows for epsilon={epsilon!r}, "
+                         f"alpha={alpha!r}") from None
     if method not in NB_METHODS:
         raise ValueError(f"unknown sampler method: {method!r}")
 
@@ -255,10 +262,15 @@ def _negbin_rows(n, alpha, epsilon, method, master_seed, streams, start, cap,
     # the mixed Poisson count; place that many i.i.d. points by inverse CDF
     # of the truncated base density, one counter each after the crossing.
     # Only the masked cells are drawn; the others hold u = 1 (the point 1).
+    # Chunk widths follow the round schedule, so a row's chunks, and with
+    # them its probe sum, do not depend on the other rows of its block.
     if on_points is not None:
         max_count = int(counts.max())
-        for col in range(0, max_count, _CHUNK):
-            cols = col + np.arange(min(_CHUNK, max_count - col))
+        col = 0
+        for width in _round_widths():
+            if col >= max_count:
+                break
+            cols = col + np.arange(width)
             idx = np.flatnonzero(counts > col)
             mask = cols[None, :] < counts[idx, None]
             rows, cs = np.nonzero(mask)
@@ -266,6 +278,7 @@ def _negbin_rows(n, alpha, epsilon, method, master_seed, streams, start, cap,
             u[rows, cs] = uniforms_at(master_seed, streams[idx[rows]],
                                       finish[idx[rows]] + cols[cs])
             on_points(idx, (ea - u * (ea - 1.0)) ** -inv_alpha, mask)
+            col += width
     return counts, finish + counts
 
 
@@ -423,6 +436,15 @@ def gamma_matrix(
     return _map_row_blocks(block, n_trials, threads)
 
 
+def _scaled_arrivals(gammas, t: float) -> np.ndarray:
+    """``gammas / t``; raises ValueError when it overflows (``t`` too small)."""
+    with np.errstate(over="ignore"):
+        y = np.divide(gammas, t)
+    if not np.all(np.isfinite(y)):
+        raise ValueError(f"t={t!r} is too small: arrivals / t overflow to inf")
+    return y
+
+
 def ordered_log_points(
     model: TailModel,
     t: float,
@@ -432,11 +454,30 @@ def ordered_log_points(
 
     Raises ValueError when ``gammas / t`` overflows (``t`` too small).
     """
-    with np.errstate(over="ignore"):
-        y = np.ravel(gammas) / t
-    if not np.all(np.isfinite(y)):
-        raise ValueError(f"t={t!r} is too small: arrivals / t overflow to inf")
-    return log_inverse_tail(model, y).reshape(np.shape(gammas))
+    y = _scaled_arrivals(gammas, t)
+    return log_inverse_tail(model, y.ravel()).reshape(y.shape)
+
+
+def _map_log_points(model, t, n_cols, cols, statistic, n_trials, master_seed,
+                    stream_start, threads):
+    """``statistic`` of the log points in columns ``cols`` of each row block.
+
+    Each block draws its ``(rows, n_cols)`` arrivals and inverts only the
+    columns ``cols`` (a slice), so no ``(n_trials, n_cols)`` matrix of log
+    points is ever built; the statistics are concatenated in row order.
+    Arrivals increase along a row, so its first and last columns raise
+    every domain error that inverting all of them would.
+    """
+    if not t > 0:
+        raise ValueError("t must be positive")
+
+    def block(offset: int, rows: int):
+        g = gamma_matrix(master_seed, rows, n_cols, stream_start + offset)
+        if not np.all(_scaled_arrivals(g[:, [0, -1]], t) > 0):
+            raise ValueError("y must be strictly positive")
+        return statistic(ordered_log_points(model, t, g[:, cols]))
+
+    return _map_row_blocks(block, n_trials, threads)
 
 
 def ordered_log_points_batch(
@@ -449,14 +490,10 @@ def ordered_log_points_batch(
     threads: Optional[int] = None,
 ) -> np.ndarray:
     """(n_trials, n_cols) matrix of log ordered points at time t."""
-    if not t > 0:
-        raise ValueError("t must be positive")
-
-    def block(offset: int, rows: int) -> np.ndarray:
-        g = gamma_matrix(master_seed, rows, n_cols, stream_start + offset)
-        return ordered_log_points(model, t, g)
-
-    return _map_row_blocks(block, n_trials, threads)
+    if n_cols < 1:
+        raise ValueError("n_cols must be >= 1")
+    return _map_log_points(model, t, n_cols, slice(None), lambda lp: lp, n_trials,
+                           master_seed, stream_start, threads)
 
 
 def pivot_ratio_batch(
@@ -469,12 +506,13 @@ def pivot_ratio_batch(
     stream_start: int = 0,
     threads: Optional[int] = None,
 ) -> np.ndarray:
-    """Per-trial pivot ratios (r+n-th over r-th largest point); requires r >= 1."""
-    if r < 1:
-        raise ValueError("the pivot ratio requires r >= 1")
-    lp = ordered_log_points_batch(model, t, r + n, n_trials, master_seed,
-                                  stream_start, threads)
-    return np.exp(lp[:, r + n - 1] - lp[:, r - 1])
+    """Per-trial pivot ratios (r+n-th over r-th largest point); requires r, n >= 1."""
+    if r < 1 or n < 1:
+        raise ValueError("the pivot ratio requires r >= 1 and n >= 1")
+    # columns r-1 and r+n-1 only
+    return _map_log_points(model, t, r + n, slice(r - 1, None, n),
+                           lambda lp: np.exp(lp[:, 1] - lp[:, 0]), n_trials,
+                           master_seed, stream_start, threads)
 
 
 def successive_ratio_batch(
@@ -490,9 +528,9 @@ def successive_ratio_batch(
     """Matrix of successive below-1 ratios R_k, k = r .. r+count-1 (columns)."""
     if r < 1 or count < 1:
         raise ValueError("require r >= 1 and count >= 1")
-    lp = ordered_log_points_batch(model, t, r + count, n_trials, master_seed,
-                                  stream_start, threads)
-    return np.exp(lp[:, r:] - lp[:, r - 1 : -1])
+    return _map_log_points(model, t, r + count, slice(r - 1, None),
+                           lambda lp: np.exp(lp[:, 1:] - lp[:, :-1]), n_trials,
+                           master_seed, stream_start, threads)
 
 
 def log_trim_ratio_batch(
@@ -507,9 +545,9 @@ def log_trim_ratio_batch(
     """Per-trial log of the above-1 ratio (r-th over (r+1)-th largest point)."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    lp = ordered_log_points_batch(model, t, r + 1, n_trials, master_seed,
-                                  stream_start, threads)
-    return lp[:, r - 1] - lp[:, r]
+    return _map_log_points(model, t, r + 1, slice(r - 1, None),
+                           lambda lp: lp[:, 0] - lp[:, 1], n_trials, master_seed,
+                           stream_start, threads)
 
 
 def time_scale_batch(
@@ -522,13 +560,14 @@ def time_scale_batch(
     threads: Optional[int] = None,
 ) -> np.ndarray:
     """Matrix of t * tail(k-th largest point) for k = 1..kmax (columns)."""
+    if kmax < 1:
+        raise ValueError("kmax must be >= 1")
 
-    def block(offset: int, rows: int) -> np.ndarray:
-        g = gamma_matrix(master_seed, rows, kmax, stream_start + offset)
-        lp = ordered_log_points(model, t, g)
+    def scales(lp):
         return t * eval_tail(model, np.exp(lp).ravel()).reshape(lp.shape)
 
-    return _map_row_blocks(block, n_trials, threads)
+    return _map_log_points(model, t, kmax, slice(None), scales, n_trials, master_seed,
+                           stream_start, threads)
 
 
 def pivot_ratio_with_scales_batch(
@@ -544,20 +583,19 @@ def pivot_ratio_with_scales_batch(
     """Per-trial (W, Z, A): pivot ratio, pivot time scale, top time scale.
 
     Z = t*tail(r+n-th largest), A = t*tail(r-th largest); used by the
-    conditional-law checks.  Requires r >= 1.
+    conditional-law checks.  Requires r >= 1 and n >= 1.
     """
-    if r < 1:
-        raise ValueError("require r >= 1")
+    if r < 1 or n < 1:
+        raise ValueError("require r >= 1 and n >= 1")
 
-    def block(offset: int, rows: int):
-        g = gamma_matrix(master_seed, rows, r + n, stream_start + offset)
-        lp = ordered_log_points(model, t, g)
-        w = np.exp(lp[:, r + n - 1] - lp[:, r - 1])
-        z = t * eval_tail(model, np.exp(lp[:, r + n - 1]))
-        a = t * eval_tail(model, np.exp(lp[:, r - 1]))
+    def scales(lp):  # columns r-1 and r+n-1 only
+        w = np.exp(lp[:, 1] - lp[:, 0])
+        z = t * eval_tail(model, np.exp(lp[:, 1]))
+        a = t * eval_tail(model, np.exp(lp[:, 0]))
         return w, z, a
 
-    return _map_row_blocks(block, n_trials, threads)
+    return _map_log_points(model, t, r + n, slice(r - 1, None, n), scales, n_trials,
+                           master_seed, stream_start, threads)
 
 
 def ratio_configuration_batch(

@@ -202,7 +202,7 @@ def log_inverse_tail(model: TailModel, y):
     """
     arr = np.asarray(y, dtype=float)
     scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr).astype(float)
+    arr = np.atleast_1d(arr)  # read only, never written: no copy
     _validate_positive(arr, "y")
     a = model.alpha
     if model.kind == PARETO:

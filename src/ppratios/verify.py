@@ -160,9 +160,11 @@ def ks_distance(emp: EmpiricalDistribution, cdf: Callable[[np.ndarray], np.ndarr
     x = emp.sorted_values
     n = emp.n_samples
     f = np.asarray(cdf(x), dtype=float)
-    grid = np.arange(1, n + 1) / n
+    grid = np.arange(1, n + 1, dtype=float)
+    grid /= n
     d_plus = np.max(grid - f)
-    d_minus = np.max(f - (grid - 1.0 / n))
+    grid -= 1.0 / n
+    d_minus = np.max(f - grid)
     return float(max(d_plus, d_minus))
 
 
@@ -240,8 +242,13 @@ def chi_square_independence(u: np.ndarray, v: np.ndarray):
 # limit-law CDF callables
 
 
-def _wlaw_cdf(r: int, n: int, alpha: float) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda w: betainc(r, n, np.clip(w, 0.0, 1.0) ** alpha)
+def _wlaw_cdf(r: int, n: int, alpha: float) -> Callable[..., np.ndarray]:
+    def cdf(w, out=None):
+        x = np.clip(w, 0.0, 1.0, out=out)
+        x **= alpha
+        return betainc(r, n, x, out=x)
+
+    return cdf
 
 
 def _gamma_cdf(k: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -293,13 +300,18 @@ def convergence_sweep(
         base = it * trials
         entry = {"t": t}
         if target == WLAW:
+            # the samples are sorted and turned into their PIT values in
+            # place.  w lies in (0, 1], so the CDF's clip changes no value:
+            # one PIT serves both statistics
             w = sp.pivot_ratio_batch(model, t, r, n, trials, seed, base, threads)
-            # w lies in (0, 1], so the CDF's clip changes no value: one PIT
-            # serves both statistics
-            entry.update(_pit_statistics(_wlaw_cdf(r, n, alpha)(np.sort(w))))
+            w.sort()
+            entry.update(_pit_statistics(_wlaw_cdf(r, n, alpha)(w, out=w)))
         elif target == RATIO_TAIL_N1:
-            y = np.exp(sp.log_trim_ratio_batch(model, t, r, trials, seed, base, threads))
-            entry.update(_pit_statistics(1.0 - np.sort(y) ** (-r * alpha)))
+            y = sp.log_trim_ratio_batch(model, t, r, trials, seed, base, threads)
+            np.exp(y, out=y)
+            y.sort()
+            y **= -r * alpha
+            entry.update(_pit_statistics(np.subtract(1.0, y, out=y)))
         elif target == SUCCESSIVE_RATIOS:
             ratios = sp.successive_ratio_batch(model, t, max(r, 1), n, trials, seed, base, threads)
             per_k = []

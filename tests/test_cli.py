@@ -1,8 +1,15 @@
 import argparse
+import contextlib
+import io
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppratios import cli
 from ppratios import samplers as sp
@@ -493,3 +500,124 @@ def test_simulate_without_pivot_leaves_w_rn_empty(tmp_path):
     assert all(row[cols.index("w_rn")] == "" for row in cells)
     assert all(row[1:4] == ["0.1", "0", "3"] for row in cells)
     assert all(float(row[-1]) > 0 for row in cells)
+
+
+# --- the CLI contract as a property ------------------------------------------
+
+_EDGE = ("0", "-1", "nan", "inf", "1e-320", "1e308", str(2**64), "")
+_GRIDS = _EDGE + ("1:2", "a:b:3", "1:2:0", "1:2:-1", "1e-320:1e308:3", "nan:inf:2",
+                  "2:1:3", "1:1:2", ",", "1,,2", "0.5,nan", f"1:2:{2**64}")
+# Work-bounding options draw from smaller sets, so that no example runs long
+# or asks for much memory: trials never exceed 2000 (20 for verify, whose
+# nb_functional rows run to the 10^6 cap when alpha or epsilon is extreme),
+# simulate's cap stays finite, and threads is 1 or 2.
+_BOUNDED = {
+    "trials": ("0", "-1", "nan", "1e308", "", "20", "2000"),
+    "cap": ("0", "-1", "nan", "1e308", "", "1000"),
+    "threads": ("1", "2"),
+}
+_VERIFY_TRIALS = ("0", "-1", "nan", "1e308", "", "20")
+
+# a valid, quick invocation of each subcommand, as option -> flag text
+_BASE = {
+    "simulate": {"tail": "pareto", "alpha": "1", "t": "0.5", "r": "1", "n": "2",
+                 "epsilon": "0.2", "cap": "1000", "trials": "20"},
+    "laws": {"law": "w", "alpha": "1", "r": "1", "n": "2", "u": "2", "w": "0.5",
+             "grid": "0.1:0.9:5"},
+    "verify": {"target": "nb_functional", "tail": "pareto", "alpha": "1", "r": "1",
+               "n": "2", "t": "0.1", "t_grid": "1e-1:1e-2:2", "w": "0.5",
+               "epsilon": "0.3", "trials": "20"},
+    "estimate": {"tail": "pareto", "alpha": "1", "t": "0.1", "r": "1", "trials": "200"},
+    "classify": {"tail": "pareto", "alpha": "1", "t": "1e-4", "r": "1", "trials": "1000"},
+}
+
+
+def _edge_values(sub, key):
+    if sub == "verify" and key == "trials":
+        return _VERIFY_TRIALS
+    if key in _BOUNDED:
+        return _BOUNDED[key]
+    choices = cli._OPTIONS[key].choices
+    if choices is not None:
+        return tuple(choices) + ("", "bogus")
+    if key in ("grid", "t_grid"):
+        return _GRIDS
+    return _EDGE
+
+
+@st.composite
+def _invocations(draw):
+    """A subcommand, its flags with up to three set to edge values, and a config line.
+
+    The config line (or None) sets one more option, or a key that is none,
+    to an edge value through ``--config``.
+    """
+    sub = draw(st.sampled_from(sorted(_BASE)))
+    keys = sorted(cli._SUBCOMMANDS[sub][1])
+    values = dict(_BASE[sub])
+    for key in draw(st.sets(st.sampled_from(keys), max_size=3)):
+        values[key] = draw(st.sampled_from(_edge_values(sub, key)))
+    config = None
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(keys + ["bogus"]))
+        text = draw(st.sampled_from(_edge_values(sub, key) if key in keys else _EDGE))
+        config = f"{key}={text}"
+    return sub, values, config
+
+
+def _run_captured(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            code = cli.run(argv)
+        except SystemExit as exc:  # argparse's exit, after its JSON line
+            code = exc.code
+    return code, err.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_invocations())
+def test_every_input_exits_0_1_or_2_with_a_json_diagnostic(invocation):
+    sub, values, config = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [sub, "--out-dir", tmp]
+        for key, text in values.items():
+            argv += ["--" + key.replace("_", "-"), text]
+        if config is not None:
+            path = Path(tmp) / "edge.cfg"
+            path.write_text(config + "\n")
+            argv += ["--config", str(path)]
+        code, err = _run_captured(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err, argv
+    if code != 0:
+        json.loads(err.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv", [
+    # epsilon**-alpha overflowed a float (OverflowError)
+    ["verify", "--target", "nb_functional", "--alpha", "1", "--n", "2",
+     "--epsilon", "1e-320", "--trials", "20"],
+    ["verify", "--target", "nb_functional", "--alpha", "1e308", "--n", "2",
+     "--epsilon", "0.3", "--trials", "20"],
+    # w**-alpha overflowed a float (OverflowError)
+    ["laws", "--law", "conditional_gamma", "--alpha", str(2**64), "--r", "1", "--n", "2",
+     "--w", "0.5", "--grid", "0:1:3"],
+    # a binomial coefficient overflowed a float (OverflowError), and the sum
+    # had 2**64 terms
+    ["laws", "--law", "k_orderstat", "--alpha", "1", "--r", "1", "--n", str(2**64)],
+    # n < 1 left no pivot column (IndexError) or, for n = 0, gave W = 1
+    ["verify", "--target", "wlaw", "--tail", "pareto", "--alpha", "1", "--r", "1",
+     "--n", "-1", "--trials", "10000"],
+    ["verify", "--target", "z_insensitivity", "--tail", "pareto", "--alpha", "1",
+     "--r", "1", "--n", "0", "--t", "0.1", "--trials", "100000"],
+    ["verify", "--target", "gamma_nc", "--tail", "pareto", "--alpha", "1", "--r", "1",
+     "--n", "-1", "--trials", "10000"],
+], ids=["nb_small_epsilon", "nb_large_alpha", "conditional_gamma_large_alpha",
+        "k_orderstat_large_n", "wlaw_negative_n", "z_insensitivity_zero_n",
+        "gamma_nc_negative_n"])
+def test_overflowing_or_empty_inputs_exit_2(tmp_path, argv):
+    code, err = _run_captured(argv + ["--out-dir", str(tmp_path)])
+    assert code == 2
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "domain"

@@ -117,3 +117,62 @@ def test_ratio_configuration_batch_pinned_digest():
     _, _, counts = sp.ratio_configuration_batch(tm.pareto(1.0), 0.1, 1, 2, 0.2,
                                                 50_000, 2024)
     assert _int_digest(counts) == _PINNED_RATIO_COUNTS
+
+
+# --- dense samplers and the other families, over several row blocks -----------
+
+_ROWS = 20_000  # more than one row block at every block size below
+_PERTURBED = tm.pareto_perturbed(1.0, 1.0, 1.0)
+
+_PINNED_DENSE = {
+    "gamma_matrix": (
+        lambda threads: sp.gamma_matrix(2024, _ROWS, 5, threads=threads),
+        "21071cb9c29d2ad2d3bb75a8ae028637fbbcb34ef9882c45a92e1e066837219b"),
+    # r=2, n=3: the columns between the two ratio points are not needed
+    "pivot_ratio_batch": (
+        lambda threads: sp.pivot_ratio_batch(_PERTURBED, 0.1, 2, 3, _ROWS, 2024,
+                                             threads=threads),
+        "89d62d780dc11d0ff61e5727b78a5946ad3aa6302ad4fa9ecbcbec26949263eb"),
+    "log_trim_ratio_batch": (
+        lambda threads: sp.log_trim_ratio_batch(tm.pareto_log(1.0, 1.5), 0.01, 2, _ROWS,
+                                                2024, threads=threads),
+        "c12d7498faea89c35067a818a18c7337071cbafab4065139d778301f67b67df8"),
+    "successive_ratio_batch": (
+        lambda threads: sp.successive_ratio_batch(tm.slow_zero(), 0.01, 2, 3, _ROWS, 2024,
+                                                  threads=threads),
+        "d34156d40f0ec15b53d965fa7f80a7a17de79d8fcb129826c96c80c1b2fcce55"),
+    # W, Z and A
+    "pivot_ratio_with_scales_batch": (
+        lambda threads: sp.pivot_ratio_with_scales_batch(_PERTURBED, 0.1, 2, 3, _ROWS,
+                                                         2024, threads=threads),
+        "29125b39d489e9965525773e36ad55b7dd6ae27dd1b0d7de0f3a6013599b5a87"),
+}
+
+_PINNED_FAMILY_RATIO_COUNTS = {
+    tm.pareto_log(1.0, 1.5):
+        "901b7cc9865b9583a2259d266b5c1779213516663ecc4f50b6a580eb89ddca87",
+    tm.pareto_perturbed(1.0, 1.0, 1.0):
+        "2f39940413732fe6b40c8d357e6916267ad6db229bb670d9fcdc4116819dfd67",
+    tm.rapid_zero(): "770e2f451f8590d21239555f58bf3174905698dec218472eb8d255b4cdf33e8c",
+    tm.slow_zero(): "9878b55fdc03cc0d0eeee69170492550a1e72a2184e56345faba0ff91abf00b4",
+}
+
+_BLOCKS_AND_THREADS = pytest.mark.parametrize(
+    "block, threads", [(b, th) for b in (1 << 13, 1 << 14, 1 << 15) for th in (1, 2)])
+
+
+@_BLOCKS_AND_THREADS
+def test_dense_samplers_pinned_digest(monkeypatch, block, threads):
+    monkeypatch.setattr(sp, "_ROW_BLOCK", block)
+    for name, (draw, pinned) in _PINNED_DENSE.items():
+        out = draw(threads)
+        assert _rounded_digest(*(out if isinstance(out, tuple) else (out,))) == pinned, name
+
+
+@_BLOCKS_AND_THREADS
+def test_ratio_configuration_counts_pinned_for_each_family(monkeypatch, block, threads):
+    monkeypatch.setattr(sp, "_ROW_BLOCK", block)
+    for model, pinned in _PINNED_FAMILY_RATIO_COUNTS.items():
+        _, _, counts = sp.ratio_configuration_batch(model, 0.5, 1, 3, 0.5, _ROWS, 2024,
+                                                    threads=threads)
+        assert _int_digest(counts) == pinned, model.kind

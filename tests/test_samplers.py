@@ -346,6 +346,36 @@ def test_batch_threads_do_not_change_output():
         sp.pivot_ratio_batch(tm.pareto(1.5), 0.5, 1, 2, 10, 8, threads=0)
 
 
+_DENSE_SAMPLERS = {
+    "pivot_ratio_batch": lambda t: sp.pivot_ratio_batch(tm.pareto(1.0), t, 2, 3, 200, 4),
+    "log_trim_ratio_batch": lambda t: sp.log_trim_ratio_batch(tm.pareto(1.0), t, 2, 200, 4),
+    "successive_ratio_batch": lambda t: sp.successive_ratio_batch(
+        tm.pareto(1.0), t, 2, 3, 200, 4),
+    "pivot_ratio_with_scales_batch": lambda t: sp.pivot_ratio_with_scales_batch(
+        tm.pareto(1.0), t, 2, 3, 200, 4),
+    "ordered_log_points_batch": lambda t: sp.ordered_log_points_batch(
+        tm.pareto(1.0), t, 5, 200, 4),
+    "time_scale_batch": lambda t: sp.time_scale_batch(tm.pareto(1.0), t, 5, 200, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DENSE_SAMPLERS))
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan, 1e-308, math.inf],
+                         ids=["zero", "negative", "nan", "overflow", "zero_y"])
+def test_dense_samplers_reject_t_outside_the_domain(name, t):
+    # 1e-308: the first arrivals / t stay finite, the last ones overflow;
+    # inf: every arrival / t is 0.  The samplers that invert only some
+    # columns raise for these exactly as inverting every column does.
+    with pytest.raises(ValueError):
+        _DENSE_SAMPLERS[name](t)
+
+
+@pytest.mark.parametrize("name", sorted(_DENSE_SAMPLERS))
+def test_dense_samplers_accept_extreme_finite_t(name):
+    for t in (1e-306, 1e300):
+        assert np.all(np.isfinite(_DENSE_SAMPLERS[name](t)))
+
+
 # --- negative binomial process ----------------------------------------------
 
 
@@ -385,6 +415,22 @@ def test_negbin_blocks_and_threads_do_not_change_output(monkeypatch):
                 blocked = sp.negbin_batch(*args, probe=probe, threads=threads)
                 for a, b in zip(whole, blocked):
                     assert np.array_equal(a, b)
+
+
+def test_mixed_poisson_probe_sums_do_not_depend_on_the_row_block(monkeypatch):
+    # placement chunks follow the round schedule, so each row's float probe
+    # sum adds the same groups of points whatever the other rows of its block
+    from ppratios.limit_laws import LaplaceProbe
+
+    args = (2, 1.0, 0.5, sp.MIXED_POISSON, 200_000, 5)
+    probe = LaplaceProbe(0.9, 0.5, 1.0)
+    outputs = []
+    for block in (1 << 13, 1 << 14, 1 << 15):
+        monkeypatch.setattr(sp, "_ROW_BLOCK", block)
+        for threads in (1, 2):
+            counts, sums = sp.negbin_batch(*args, probe=probe, threads=threads)
+            outputs.append(counts.tobytes() + sums.tobytes())  # raw, unrounded bits
+    assert len(set(outputs)) == 1
 
 
 def test_nb_consecutive_draws_continue_the_stream():
