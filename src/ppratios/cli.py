@@ -10,8 +10,8 @@ artifacts: floats are written with shortest round-trip precision, JSON keys
 are sorted, and nothing wall-clock dependent enters the outputs.
 
 Exit codes: 0 success, 1 a verify experiment failed its threshold,
-2 config, domain or file-system (``io``) errors.  Errors end with one
-machine-readable JSON line on stderr.
+2 config, domain, file-system (``io``) or out-of-memory (``memory``)
+errors.  Errors end with one machine-readable JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -493,6 +493,9 @@ def run(argv=None) -> int:
         return 2
     except OSError as exc:
         _diag(str(exc), kind="io")
+        return 2
+    except MemoryError as exc:  # e.g. an output array for a huge --trials
+        _diag(str(exc) or "out of memory", kind="memory")
         return 2
 
 

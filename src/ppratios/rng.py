@@ -95,11 +95,14 @@ def uniform_grid(
 
     The dense form of :func:`uniforms_at`.  Row ``i`` equals
     ``RngStream(master_seed, stream_start+i)`` drawing ``n_draws`` uniforms
-    from counter ``counter_start``.
+    from counter ``counter_start``.  Every stream index must lie in
+    ``[0, 2**64)``, so ``stream_start + n_streams`` may not exceed ``2**64``.
     """
     first = _words(stream_start, "stream index")
-    with np.errstate(over="ignore"):
-        streams = first + np.arange(n_streams, dtype=np.uint64)
+    if int(first) + n_streams > 2**64:
+        raise ValueError(f"stream indices {int(first)} to {int(first)} + {n_streams} - 1 "
+                         "must lie in [0, 2**64)")
+    streams = first + np.arange(n_streams, dtype=np.uint64)
     counters = _words(counter_start, "counter") + np.arange(n_draws, dtype=np.uint64)
     return uniforms_at(master_seed, streams[:, None], counters)
 

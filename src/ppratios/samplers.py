@@ -32,8 +32,10 @@ Batch samplers run in blocks of ``_ROW_BLOCK`` rows (2^14, so the first
 rounds' arrays fit a 2 MiB L2 cache) on ``threads`` worker threads;
 ``threads=None`` (the default) uses the CPUs the process may run on, at
 most 4.  Neither changes any draw, count, point or probe sum, only wall
-time and memory.  With more than one thread, blocks run concurrently, so a
-caller's ``probe`` must be thread-safe unless ``threads=1`` is passed.
+time and memory.  Every block writes its rows into one output allocated
+after block 0, so a batch holds its output once, never a list of parts.
+With more than one thread, blocks run concurrently, so a caller's
+``probe`` must be thread-safe unless ``threads=1`` is passed.
 
 Ordered points are handled on the log scale internally so the slowly
 varying family stays finite deep into the small-time regime.  The dense
@@ -46,6 +48,7 @@ points is built.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -124,8 +127,8 @@ def _validate_ratio_args(t: float, r: int, n: int, epsilon: float, cap: int):
 def _validate_nb_args(n: int, alpha: float, epsilon: float, method: str):
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:  # alpha = inf puts every point at 1: no finite count
+        raise ValueError("alpha must be positive and finite")
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie strictly inside (0, 1)")
     try:
@@ -390,15 +393,21 @@ def _default_threads() -> int:
 
 
 def _map_row_blocks(fn: Callable[[int, int], np.ndarray], n_trials: int,
-                    threads: Optional[int]):
-    """Apply fn(row_offset, n_rows) over fixed row blocks, concatenating in order.
+                    threads: Optional[int], stream_start: int):
+    """Apply fn(row_offset, n_rows) over fixed row blocks, written into one preallocated output.
 
     Blocks of ``_ROW_BLOCK`` rows keep a block's temporaries cache-sized and
-    bound peak memory.  Block boundaries are fixed, so the output is
-    identical for any thread count.  ``threads`` None means
-    :func:`_default_threads`; an explicit count overrides it and must be at
-    least 1.  A tuple result is concatenated column by column; a column
-    that is None stays None.
+    bound peak memory.  Block 0 runs first; each output column is then
+    allocated once, with block 0's dtype and trailing shape, and every
+    block writes its slice of it and drops its part, so no list of parts
+    and no concatenated copy is held.  A tuple result is handled column by
+    column; a column that is None stays None.  A single block's result is
+    returned as it is.  Block boundaries are fixed, so the output (and the
+    error of the first failing block) is identical for any thread count.
+    ``threads`` None means :func:`_default_threads`; an explicit count
+    overrides it and must be at least 1.  Rows read streams
+    ``stream_start .. stream_start + n_trials - 1``, which must all lie in
+    ``[0, 2**64)``.
     """
     if threads is None:
         threads = _default_threads()
@@ -406,18 +415,43 @@ def _map_row_blocks(fn: Callable[[int, int], np.ndarray], n_trials: int,
         raise ValueError("threads must be >= 1")
     if n_trials < 1:
         raise ValueError("trials must be >= 1")
-    spans = [(s, min(s + _ROW_BLOCK, n_trials) - s) for s in range(0, n_trials, _ROW_BLOCK)]
-    if len(spans) == 1:
-        return fn(*spans[0])
+    first_stream = operator.index(stream_start)
+    if first_stream < 0 or first_stream + n_trials > 2**64:
+        raise ValueError(f"stream indices stream_start={stream_start} to stream_start + "
+                         f"{n_trials} - 1 must lie in [0, 2**64)")
+    first = fn(0, min(_ROW_BLOCK, n_trials))
+    if n_trials <= _ROW_BLOCK:
+        return first
+    is_tuple = isinstance(first, tuple)
+    out = tuple(None if part is None
+                else np.empty((n_trials,) + part.shape[1:], dtype=part.dtype)
+                for part in (first if is_tuple else (first,)))
+
+    def write(offset: int, result) -> None:
+        for col, part in zip(out, result if is_tuple else (result,)):
+            if col is not None:
+                col[offset:offset + len(part)] = part
+
+    write(0, first)
+    del first
+    offsets = range(_ROW_BLOCK, n_trials, _ROW_BLOCK)
+
+    def run(offset: int) -> None:
+        write(offset, fn(offset, min(_ROW_BLOCK, n_trials - offset)))
+
     if threads == 1:
-        parts = [fn(*span) for span in spans]
+        for offset in offsets:
+            run(offset)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda sp: fn(*sp), spans))
-    if isinstance(parts[0], tuple):
-        return tuple(None if cols[0] is None else np.concatenate(cols, axis=0)
-                     for cols in zip(*parts))
-    return np.concatenate(parts, axis=0)
+            for _ in pool.map(run, offsets):  # raises the first failing block's error
+                pass
+    return out if is_tuple else out[0]
+
+
+def _block_streams(first: int, rows: int) -> np.ndarray:
+    """Stream indices ``first .. first + rows - 1`` as uint64, so indices past 2**63 work."""
+    return np.uint64(first) + np.arange(rows, dtype=np.uint64)
 
 
 def gamma_matrix(
@@ -433,7 +467,7 @@ def gamma_matrix(
         u = uniform_grid(master_seed, stream_start + offset, rows, count, 0)
         return np.cumsum(-np.log(u), axis=1)
 
-    return _map_row_blocks(block, n_trials, threads)
+    return _map_row_blocks(block, n_trials, threads, stream_start)
 
 
 def _scaled_arrivals(gammas, t: float) -> np.ndarray:
@@ -452,8 +486,11 @@ def ordered_log_points(
 ) -> np.ndarray:
     """log of ordered points for an arrival matrix (vectorized inverse).
 
-    Raises ValueError when ``gammas / t`` overflows (``t`` too small).
+    Raises ValueError when ``t`` is not positive or ``gammas / t``
+    overflows (``t`` too small).
     """
+    if not t > 0:
+        raise ValueError("t must be positive")
     y = _scaled_arrivals(gammas, t)
     return log_inverse_tail(model, y.ravel()).reshape(y.shape)
 
@@ -464,7 +501,8 @@ def _map_log_points(model, t, n_cols, cols, statistic, n_trials, master_seed,
 
     Each block draws its ``(rows, n_cols)`` arrivals and inverts only the
     columns ``cols`` (a slice), so no ``(n_trials, n_cols)`` matrix of log
-    points is ever built; the statistics are concatenated in row order.
+    points is ever built; the statistics are written into one preallocated
+    output in row order (:func:`_map_row_blocks`).
     Arrivals increase along a row, so its first and last columns raise
     every domain error that inverting all of them would.
     """
@@ -477,7 +515,7 @@ def _map_log_points(model, t, n_cols, cols, statistic, n_trials, master_seed,
             raise ValueError("y must be strictly positive")
         return statistic(ordered_log_points(model, t, g[:, cols]))
 
-    return _map_row_blocks(block, n_trials, threads)
+    return _map_row_blocks(block, n_trials, threads, stream_start)
 
 
 def ordered_log_points_batch(
@@ -619,13 +657,13 @@ def ratio_configuration_batch(
     _validate_ratio_args(t, r, n, epsilon, cap)
 
     def block(offset: int, rows: int):
-        streams = stream_start + offset + np.arange(rows)
+        streams = _block_streams(stream_start + offset, rows)
         last, pivot, above, w = _ratio_head(model, t, r, n, master_seed, streams, 0)
         counts, _ = _ratio_below(model, t, epsilon, master_seed, streams, r + n,
                                  last, pivot, cap)
         return above, w, counts
 
-    return _map_row_blocks(block, n_trials, threads)
+    return _map_row_blocks(block, n_trials, threads, stream_start)
 
 
 def negbin_batch(
@@ -650,7 +688,7 @@ def negbin_batch(
     _validate_nb_args(n, alpha, epsilon, method)
 
     def block(offset: int, rows: int):
-        streams = stream_start + offset + np.arange(rows)
+        streams = _block_streams(stream_start + offset, rows)
         if probe is None:
             counts, _ = _negbin_rows(n, alpha, epsilon, method, master_seed, streams, 0, cap)
             return counts, None
@@ -663,4 +701,4 @@ def negbin_batch(
                                  reduce)
         return counts, sums
 
-    return _map_row_blocks(block, n_trials, threads)
+    return _map_row_blocks(block, n_trials, threads, stream_start)

@@ -543,8 +543,11 @@ def nb_functional_check(
     counts, sums = sp.negbin_batch(
         n, alpha, epsilon, method, trials, seed, probe=probe, threads=threads
     )
-    finite_amp = math.isfinite(probe.amplitude)
-    emp = float(np.mean(np.exp(-sums))) if finite_amp else float(np.mean(counts == 0))
+    if math.isfinite(probe.amplitude):
+        # the Laplace functional exp(-sum f), taken in place of the sums
+        emp = float(np.mean(np.exp(np.negative(sums, out=sums), out=sums)))
+    else:
+        emp = float(np.mean(counts == 0))
     expected = nb_laplace(n, alpha, probe)
     rel_err = abs(emp - expected) / expected if expected > 0 else math.inf
 

@@ -508,15 +508,19 @@ _EDGE = ("0", "-1", "nan", "inf", "1e-320", "1e308", str(2**64), "")
 _GRIDS = _EDGE + ("1:2", "a:b:3", "1:2:0", "1:2:-1", "1e-320:1e308:3", "nan:inf:2",
                   "2:1:3", "1:1:2", ",", "1,,2", "0.5,nan", f"1:2:{2**64}")
 # Work-bounding options draw from smaller sets, so that no example runs long
-# or asks for much memory: trials never exceed 2000 (20 for verify, whose
-# nb_functional rows run to the 10^6 cap when alpha or epsilon is extreme),
-# simulate's cap stays finite, and threads is 1 or 2.
+# or asks for much memory: trials that run never exceed 2000 (20 for verify,
+# whose nb_functional rows may run to the 10^6 cap),
+# simulate's cap stays finite, and threads is 1 or 2.  The two huge trial
+# counts run one row block and then fail to allocate the output: 2**64
+# exceeds numpy's dimension limit, and 2**50 rows of float64 (8 PiB) exceed
+# the address space, so no page is touched.
+_HUGE_TRIALS = (str(2**64), str(2**50))
 _BOUNDED = {
-    "trials": ("0", "-1", "nan", "1e308", "", "20", "2000"),
+    "trials": ("0", "-1", "nan", "1e308", "", "20", "2000") + _HUGE_TRIALS,
     "cap": ("0", "-1", "nan", "1e308", "", "1000"),
     "threads": ("1", "2"),
 }
-_VERIFY_TRIALS = ("0", "-1", "nan", "1e308", "", "20")
+_VERIFY_TRIALS = ("0", "-1", "nan", "1e308", "", "20") + _HUGE_TRIALS
 
 # a valid, quick invocation of each subcommand, as option -> flag text
 _BASE = {
@@ -593,6 +597,24 @@ def test_every_input_exits_0_1_or_2_with_a_json_diagnostic(invocation):
     assert "Traceback" not in err, argv
     if code != 0:
         json.loads(err.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("trials", _HUGE_TRIALS, ids=["2**64", "2**50"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--tail", "pareto", "--alpha", "1", "--t", "0.1", "--r", "1", "--n", "2",
+     "--epsilon", "0.3"],
+    ["estimate", "--tail", "pareto", "--alpha", "1", "--t", "0.1", "--r", "1"],
+    ["verify", "--target", "wlaw", "--tail", "pareto", "--alpha", "1", "--r", "1",
+     "--n", "2"],
+], ids=lambda argv: argv[0])
+def test_huge_trial_counts_exit_2(tmp_path, argv, trials):
+    # the output allocation fails after one row block: 2**64 rows exceed
+    # numpy's dimension limit (a domain error), 2**50 rows the address space
+    code, err = _run_captured(argv + ["--trials", trials, "--out-dir", str(tmp_path)])
+    assert code == 2
+    doc = json.loads(err.strip().splitlines()[-1])
+    assert doc["error"] == ("domain" if trials == str(2**64) else "memory"), doc
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [

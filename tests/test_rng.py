@@ -33,6 +33,15 @@ def test_grid_rows_match_single_streams():
         assert np.array_equal(grid[i], rng.RngStream(42, 100 + i).uniforms(32))
 
 
+def test_grid_reaches_the_last_stream_and_does_not_wrap():
+    last = 2**64 - 1
+    grid = rng.uniform_grid(1, last - 2, 3, 2)
+    assert np.array_equal(grid[2], rng.RngStream(1, last).uniforms(2))
+    # a row past the last stream would be stream 0 again
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        rng.uniform_grid(1, last, 3, 2)
+
+
 def test_uniform_block_arbitrary_indices():
     idx = np.array([3, 900, 17], dtype=np.uint64)
     blk = rng.uniforms_at(7, idx[:, None], np.arange(16))

@@ -1,6 +1,8 @@
 import itertools
 import math
 import os
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +176,156 @@ def test_dense_batches_blocks_and_threads_do_not_change_output(monkeypatch):
                 for threads in (1, 2, None):
                     out = np.asarray(call(threads))
                     assert np.array_equal(whole, out), (name, block, threads)
+
+
+# --- row blocks written into one preallocated output -------------------------
+
+_BLOCK = 64  # rows per block in the tests below, so that a few blocks stay small
+_MODEL = tm.pareto_perturbed(1.0, 1.0, 1.0)
+# every batch sampler as (n_trials, stream_start, threads) -> output
+_BATCHES = {
+    "gamma_matrix": lambda m, s, th: sp.gamma_matrix(5, m, 3, s, th),
+    "ordered_log_points_batch": lambda m, s, th: sp.ordered_log_points_batch(
+        _MODEL, 0.1, 3, m, 5, s, th),
+    "pivot_ratio_batch": lambda m, s, th: sp.pivot_ratio_batch(
+        _MODEL, 0.1, 1, 2, m, 5, s, th),
+    "successive_ratio_batch": lambda m, s, th: sp.successive_ratio_batch(
+        _MODEL, 0.1, 1, 2, m, 5, s, th),
+    "log_trim_ratio_batch": lambda m, s, th: sp.log_trim_ratio_batch(
+        _MODEL, 0.1, 1, m, 5, s, th),
+    "time_scale_batch": lambda m, s, th: sp.time_scale_batch(
+        _MODEL, 0.1, 3, m, 5, s, th),
+    "pivot_ratio_with_scales_batch": lambda m, s, th: sp.pivot_ratio_with_scales_batch(
+        _MODEL, 0.1, 1, 2, m, 5, s, th),
+    # r = 0: the w_rn column is None
+    "ratio_configuration_batch": lambda m, s, th: sp.ratio_configuration_batch(
+        _MODEL, 0.1, 0, 3, 0.3, m, 5, s, threads=th),
+    # no probe: the probe-sum column is None
+    "negbin_batch": lambda m, s, th: sp.negbin_batch(
+        2, 1.0, 0.3, sp.MIXED_POISSON, m, 5, s, threads=th),
+    "negbin_batch_probe": lambda m, s, th: sp.negbin_batch(
+        2, 1.0, 0.3, sp.LIMIT_RATIOS, m, 5, s, probe=lambda x: x, threads=th),
+}
+
+
+def _columns(out):
+    return out if isinstance(out, tuple) else (out,)
+
+
+def _assert_same_columns(expected, actual, label):
+    assert len(_columns(expected)) == len(_columns(actual)), label
+    for a, b in zip(_columns(expected), _columns(actual)):
+        if a is None:
+            assert b is None, label
+            continue
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), label
+        assert a.tobytes() == b.tobytes(), label
+
+
+@pytest.mark.parametrize("n_trials", [_BLOCK - 1, 3 * _BLOCK, 3 * _BLOCK + 1],
+                         ids=["below_one_block", "three_blocks", "three_blocks_plus_1"])
+def test_blocked_output_equals_one_block(monkeypatch, n_trials):
+    for name, call in _BATCHES.items():
+        whole = call(n_trials, 7, 1)  # one block at the module's block size
+        with monkeypatch.context() as m:
+            m.setattr(sp, "_ROW_BLOCK", _BLOCK)
+            for threads in (1, 2):
+                _assert_same_columns(whole, call(n_trials, 7, threads),
+                                     (name, threads))
+
+
+def test_row_blocks_write_slices_and_return_one_block_unchanged(monkeypatch):
+    monkeypatch.setattr(sp, "_ROW_BLOCK", _BLOCK)
+    calls = []
+
+    def fn(offset, rows):
+        calls.append((offset, rows))
+        col = np.arange(offset, offset + rows, dtype=np.int32)
+        return col, None, np.stack([col, -col], axis=1).astype(np.float32)
+
+    for threads in (1, 2):
+        calls.clear()
+        a, none, b = sp._map_row_blocks(fn, 2 * _BLOCK + 5, threads, 0)
+        assert calls[0] == (0, _BLOCK)  # block 0 runs first, before the others
+        assert sorted(calls) == [(0, _BLOCK), (_BLOCK, _BLOCK), (2 * _BLOCK, 5)]
+        assert none is None and a.dtype == np.int32 and b.dtype == np.float32
+        assert np.array_equal(a, np.arange(2 * _BLOCK + 5))
+        assert np.array_equal(b, np.stack([a, -a], axis=1))
+    part = np.arange(_BLOCK)
+    assert sp._map_row_blocks(lambda offset, rows: part, _BLOCK, 2, 0) is part
+
+
+def test_row_blocks_written_concurrently_lose_no_rows(monkeypatch):
+    # more workers than cores and a short switch interval: every block's
+    # slice of the shared output must still hold its own rows
+    monkeypatch.setattr(sp, "_ROW_BLOCK", 16)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = sp._map_row_blocks(lambda offset, rows: np.arange(offset, offset + rows),
+                                 16 * 300 + 7, 8, 0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(out, np.arange(16 * 300 + 7))
+
+
+def test_row_blocks_raise_the_first_failing_block_for_any_thread_count(monkeypatch):
+    monkeypatch.setattr(sp, "_ROW_BLOCK", _BLOCK)
+
+    def fn(offset, rows):
+        if offset >= 3 * _BLOCK:
+            raise ValueError(f"block at row {offset}")
+        return np.zeros(rows)
+
+    for threads in (1, 2, 4):
+        with pytest.raises(ValueError, match=f"block at row {3 * _BLOCK}$"):
+            sp._map_row_blocks(fn, 8 * _BLOCK, threads, 0)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_dense_batch_peak_memory_stays_near_its_output(threads):
+    # 2^20 rows: the output is 8 MiB.  Parts concatenated at the end held
+    # about twice that; writing each block into one output holds about one
+    # output plus the blocks in flight.
+    import tracemalloc
+
+    n_trials = 1 << 20
+    tracemalloc.start()
+    try:
+        w = sp.pivot_ratio_batch(tm.pareto(1.0), 1.0, 1, 1, n_trials, 3, threads=threads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert w.shape == (n_trials,)
+    assert peak < 1.5 * w.nbytes, peak / w.nbytes
+
+
+@pytest.mark.parametrize("name", sorted(_BATCHES))
+def test_batch_samplers_reach_the_last_stream_and_no_further(name):
+    call = _BATCHES[name]
+    last = 2**64 - 1
+    top = call(4, last - 3, 2)
+    _assert_same_columns(tuple(None if c is None else c[3:] for c in _columns(top)),
+                         _columns(call(1, last, 2)), name)
+    with pytest.raises(ValueError, match=r"2\*\*64"):
+        call(4, last - 2, 2)
+    with pytest.raises(ValueError):
+        call(4, -1, 2)
+
+
+def test_last_stream_rows_equal_the_single_trial_forms():
+    last = 2**64 - 1
+    g = sp.gamma_matrix(5, 4, 3, last - 3)
+    assert np.array_equal(g[3], sp.sample_gamma_arrivals(3, RngStream(5, last)))
+    model = tm.pareto(1.0)
+    above, w, counts = sp.ratio_configuration_batch(model, 0.1, 1, 3, 0.3, 4, 5, last - 3)
+    cfg = sp.sample_ratio_configuration(model, 0.1, 1, 3, 0.3, RngStream(5, last))
+    assert np.array_equal(above[3], cfg.above) and w[3] == cfg.w_rn
+    assert counts[3] == cfg.below.size
+    for method in sorted(sp.NB_METHODS):
+        counts, _ = sp.negbin_batch(2, 1.0, 0.3, method, 4, 5, last - 3)
+        single = sp.sample_negbin_process(2, 1.0, 0.3, method, RngStream(5, last))
+        assert counts[3] == single.points.size
 
 
 def test_default_threads_between_1_and_4(monkeypatch):
@@ -370,6 +522,15 @@ def test_dense_samplers_reject_t_outside_the_domain(name, t):
         _DENSE_SAMPLERS[name](t)
 
 
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+def test_ordered_log_points_rejects_t_before_dividing(t):
+    # no divide-by-zero or invalid-value warning precedes the error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="t must be positive"):
+            sp.ordered_log_points(tm.pareto(1.0), t, np.array([[0.5, 1.0]]))
+
+
 @pytest.mark.parametrize("name", sorted(_DENSE_SAMPLERS))
 def test_dense_samplers_accept_extreme_finite_t(name):
     for t in (1e-306, 1e300):
@@ -494,6 +655,9 @@ def test_nb_validation():
         sp.sample_negbin_process(1, 1.0, 1.5, "limit_ratios", RngStream(1, 0))
     with pytest.raises(ValueError):
         sp.sample_negbin_process(1, 1.0, 0.5, "bogus", RngStream(1, 0))
+    # alpha = inf puts every point at 1; it would draw to the cap
+    with pytest.raises(ValueError, match="finite"):
+        sp.negbin_batch(1, math.inf, 0.5, "limit_ratios", 10, 1)
 
 
 def test_nb_probe_sums_match_manual():
