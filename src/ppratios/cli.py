@@ -1,13 +1,14 @@
 """Experiment runner: declarative config in, deterministic CSV/JSON out.
 
 Subcommands: ``simulate | laws | verify | estimate | classify``.  Each takes
-only the options it reads or echoes into an artifact (``_SUBCOMMANDS``),
-as flags or as keys of an optional flat ``key=value`` config file; a key it
-does not take, or a value its flag would reject, is a config error.  Flags
-win over the file (a flag that changes a value warns on the diagnostic
-stream).  Identical arguments and seed produce byte-identical
-artifacts: floats are written with shortest round-trip precision, JSON keys
-are sorted, and nothing wall-clock dependent enters the outputs.
+only the options it reads (``_SUBCOMMANDS``), as flags or as keys of an
+optional flat ``key=value`` config file; a key it does not take, or a value
+its flag would reject, is a config error, and so is a verify option that
+the chosen target does not read (``_TARGETS``).  Flags win over the file
+(a flag that changes a value warns on the diagnostic stream).  Identical
+arguments and seed produce byte-identical artifacts: floats are written
+with shortest round-trip precision, JSON keys are sorted, and nothing
+wall-clock dependent enters the outputs.
 
 Exit codes: 0 success, 1 a verify experiment failed its threshold,
 2 config, domain, file-system (``io``) or out-of-memory (``memory``)
@@ -36,13 +37,23 @@ DEFAULT_SEED = 20240613
 #: CSV rows formatted and written per block; bounds the text held at once.
 _BLOCK = 1 << 14
 
-VERIFY_TARGETS = sorted(SWEEP_TARGETS) + [
-    "independence", "identities", "nb_functional", "z_insensitivity",
-    "conditional_gamma",
-]
-
 LAW_NAMES = ("w", "j", "l", "k_orderstat", "successive", "ratio_tail",
              "phi", "conditional_gamma")
+
+
+_TAIL = ("tail", "alpha", "beta", "c", "gamma")
+
+#: Verify target -> the options it reads, besides ``target``, ``trials``,
+#: ``seed`` and ``threads``.
+_TARGETS = {
+    **{target: _TAIL + ("r", "n", "t", "t_grid") for target in sorted(SWEEP_TARGETS)},
+    "independence": _TAIL + ("t", "r", "n"),
+    "identities": ("alpha", "r", "n"),
+    "nb_functional": ("alpha", "n", "epsilon", "method", "probe_form", "probe_amplitude",
+                      "probe_a", "probe_b"),
+    "z_insensitivity": _TAIL + ("t", "r", "n"),
+    "conditional_gamma": _TAIL + ("t", "r", "n", "w", "half_width"),
+}
 
 
 class _Option(NamedTuple):
@@ -70,7 +81,7 @@ _OPTIONS = {
     "threads": _Option(int, help="worker threads (default: usable CPUs, at most 4); "
                        "changes wall time only, never output"),
     "cap": _Option(int, 1_000_000),
-    "target": _Option(str, choices=tuple(VERIFY_TARGETS)),
+    "target": _Option(str, choices=tuple(_TARGETS)),
     "method": _Option(str, "limit_ratios", ("limit_ratios", "mixed_poisson")),
     "probe_form": _Option(str, "indicator_step", ("indicator_step", "linear_ramp")),
     "probe_amplitude": _Option(float, 1.0),
@@ -80,27 +91,25 @@ _OPTIONS = {
     "half_width": _Option(float, 0.05),
     "law": _Option(str, choices=LAW_NAMES),
     "grid": _Option(str, "0.01:0.99:99", help="abscissa grid lo:hi:count"),
-    "u": _Option(float), "z": _Option(float), "lam": _Option(float),
+    "u": _Option(float),
 }
 
-_TAIL = ("tail", "alpha", "beta", "c", "gamma")
-_SAMPLED = ("trials", "epsilon", "seed", "threads")
+#: The options every verify target reads.
+_EVERY_TARGET = ("target", "trials", "seed", "threads")
 
-#: Subcommand -> (help, the options it reads or echoes into an artifact).
+#: Subcommand -> (help, the options it reads; verify's are its targets' union).
 #: Each also takes ``--config`` and ``--out-dir``.
 _SUBCOMMANDS = {
     "simulate": ("dump per-trial ratio configurations to trials.csv",
-                 _TAIL + ("t", "r", "n", "cap") + _SAMPLED),
+                 _TAIL + ("t", "r", "n", "epsilon", "cap", "trials", "seed", "threads")),
     "laws": ("tabulate a closed-form limit law to law_table.csv",
-             ("law", "grid", "alpha", "r", "n", "u", "z", "lam", "w", "seed")),
+             ("law", "grid", "alpha", "r", "n", "u", "w")),
     "verify": ("run a statistical check; report.json + sweep.csv",
-               ("target",) + _TAIL + ("r", "n", "t", "t_grid", "method", "probe_form",
-                                      "probe_amplitude", "probe_a", "probe_b", "w",
-                                      "half_width") + _SAMPLED),
+               tuple(dict.fromkeys(_EVERY_TARGET + sum(_TARGETS.values(), ())))),
     "estimate": ("estimate the tail index from simulated ratios",
-                 _TAIL + ("t", "r") + _SAMPLED),
+                 _TAIL + ("t", "r", "trials", "seed", "threads")),
     "classify": ("classify the variation regime at small t",
-                 _TAIL + ("t", "r") + _SAMPLED),
+                 _TAIL + ("t", "r", "trials", "seed", "threads")),
 }
 
 
@@ -247,14 +256,16 @@ def _typed(key: str, text: str):
 
 
 def _merge(args: argparse.Namespace) -> dict:
-    """Defaults < config file < explicit flags, for the subcommand's options.
+    """Defaults < config file < explicit flags, for the options the run reads.
 
-    The result also holds ``experiment``, which verify echoes.  A flag that
-    changes a config value warns.
+    Those are the subcommand's options, and for verify its target's.  A set
+    option the target does not read is an error.  The result also holds
+    ``experiment``, which verify echoes.  A flag that changes a config value
+    warns.
     """
     keys = ("out_dir",) + _SUBCOMMANDS[args.experiment][1]
-    merged = {k: _OPTIONS[k].default for k in keys if _OPTIONS[k].default is not None}
     flags = {k: v for k, v in vars(args).items() if v is not None and k != "config"}
+    given = {}
     if args.config:
         for key, text in _load_config(args.config).items():
             if key not in keys:
@@ -265,8 +276,17 @@ def _merge(args: argparse.Namespace) -> dict:
                 _diag(f"config value {key}={text!r} overridden by flag "
                       f"{key}={flags[key]!r}", kind="warning")
                 continue
-            merged[key] = value
-    merged.update(flags)
+            given[key] = value
+    given.update(flags)
+    if args.experiment == "verify":
+        _need(given, "target")
+        target = given["target"]
+        keys = ("out_dir",) + _EVERY_TARGET + _TARGETS[target]
+        for key in given:
+            if key not in keys and key != "experiment":
+                raise _CliError(f"option {key!r} is not read by verify --target {target}")
+    merged = {k: _OPTIONS[k].default for k in keys if _OPTIONS[k].default is not None}
+    merged.update(given)
     return merged
 
 
@@ -291,19 +311,20 @@ def _probe_from(cfg: dict) -> ll.LaplaceProbe:
 
 
 def _t_grid_from(cfg: dict) -> list:
-    """t grid for sweeps; a single point t=1.0 when neither flag is given.
+    """t grid for sweeps, from ``t`` or ``t_grid``; t=1.0 when neither is given.
 
     Exact-law sweep targets are t-free for the pure power family, so a
-    default single point keeps quick checks one-liner friendly; the value
-    is echoed into every artifact.
+    default single point keeps quick checks one-liner friendly; the grid
+    is written into every artifact.
     """
-    if cfg.get("t_grid") is not None:
-        grid = _parse_grid(cfg["t_grid"], log_spaced=True)
+    t, t_grid = cfg.get("t"), cfg.get("t_grid")
+    if t is not None and t_grid is not None:
+        raise _CliError("options 't' and 't_grid' both set; give one")
+    if t_grid is not None:
+        grid = _parse_grid(t_grid, log_spaced=True)
         grid = np.sort(grid)[::-1]
         return [float(v) for v in grid]
-    if cfg.get("t") is not None:
-        return [cfg["t"]]
-    return [1.0]
+    return [1.0 if t is None else t]
 
 
 def _echo_meta(cfg: dict, model: TailModel | None, extra: dict) -> dict:
@@ -334,13 +355,13 @@ def _run_simulate(cfg: dict) -> int:
 
 
 def _law_table(cfg: dict) -> list:
-    """Columns (law, alpha, r, n, u, z, lam, x, density, cdf) over the grid."""
+    """Columns (law, alpha, r, n, u, w, x, density, cdf) over the grid."""
     law = cfg["law"]
     if law in ("w", "k_orderstat", "conditional_gamma"):
         _need(cfg, "r", "n")
     elif law in ("successive", "ratio_tail"):
         _need(cfg, "r")
-    alpha, r, n, u, z, lam, w = (cfg.get(k) for k in ("alpha", "r", "n", "u", "z", "lam", "w"))
+    alpha, r, n, u, w = (cfg.get(k) for k in ("alpha", "r", "n", "u", "w"))
     grid = _parse_grid(cfg["grid"])
     density = ""
 
@@ -364,12 +385,11 @@ def _law_table(cfg: dict) -> list:
         cdf = 1.0 - ll.ratio_tail_n1(r, alpha, grid)
     elif law == "phi":
         _need(cfg, "alpha", "u")
-        lam = grid
         cdf = [ll.phi_conditional(float(x), u, alpha) for x in grid]
     else:  # conditional_gamma over z
         _need(cfg, "alpha", "w")
         cdf = ll.conditional_gamma_cdf(r, n, alpha, w, grid)
-    return [law, alpha, r, n, u, z, lam, grid, density, cdf]
+    return [law, alpha, r, n, u, w, grid, density, cdf]
 
 
 def _run_laws(cfg: dict) -> int:
@@ -377,14 +397,14 @@ def _run_laws(cfg: dict) -> int:
     columns = _law_table(cfg)
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    meta = {"law": cfg["law"], "grid": cfg["grid"], "seed": cfg["seed"]}
-    header = ["law", "alpha", "r", "n", "u", "z", "lam", "x", "density", "cdf"]
+    meta = {"law": cfg["law"], "grid": cfg["grid"]}
+    header = ["law", "alpha", "r", "n", "u", "w", "x", "density", "cdf"]
     _write_csv(out / "law_table.csv", meta, header, columns)
     return 0
 
 
 def _run_verify(cfg: dict) -> int:
-    _need(cfg, "target", "trials")
+    _need(cfg, "trials")
     target = cfg["target"]
     trials, seed, threads = cfg["trials"], cfg["seed"], cfg.get("threads")
     if target in SWEEP_TARGETS:
@@ -428,8 +448,7 @@ def _run_verify(cfg: dict) -> int:
     keys, rows = report.csv_rows()
     columns = [[row[j] for row in rows] for j in range(len(keys))]
     meta = {"experiment_id": report.experiment_id, "seed": seed, "trials": trials,
-            "epsilon": cfg["epsilon"], "threshold": report.threshold,
-            "pass": report.passed}
+            "threshold": report.threshold, "pass": report.passed}
     _write_csv(out / "sweep.csv", meta, keys, columns)
     return 0 if report.passed else 1
 
@@ -444,8 +463,7 @@ def _run_estimate(cfg: dict) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "estimate.json", {
         "alpha_hat": alpha_hat, "stderr": stderr, "r": r, "t": t,
-        "trials": trials, "seed": seed, "epsilon": cfg["epsilon"],
-        "tail": model.to_record(),
+        "trials": trials, "seed": seed, "tail": model.to_record(),
     })
     return 0
 
@@ -456,8 +474,7 @@ def _run_classify(cfg: dict) -> int:
     t, r, trials, seed = (cfg[k] for k in ("t", "r", "trials", "seed"))
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    base = {"t": t, "r": r, "trials": trials, "seed": seed,
-            "epsilon": cfg["epsilon"], "tail": model.to_record()}
+    base = {"t": t, "r": r, "trials": trials, "seed": seed, "tail": model.to_record()}
     try:
         result = vf.classify_tail(model, t, r, trials, seed, threads=cfg.get("threads"))
     except vf.ClassificationError as exc:

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppratios import cli
-from ppratios import samplers as sp
 
 
 def run_cli(*args):
@@ -86,23 +85,6 @@ def test_nonpositive_trials_exit_2(tmp_path, capsys, experiment, trials):
     assert code == 2
     doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert doc == {"error": "domain", "reason": "trials must be >= 1"}
-
-
-def test_verify_artifacts_do_not_depend_on_threads(tmp_path):
-    # two row blocks, so --threads 2 runs them in parallel
-    trials = str(2 * sp._ROW_BLOCK)
-    outs = {}
-    for threads in ("1", "2", None):
-        out = tmp_path / f"threads-{threads}"
-        argv = ["verify", "--target", "wlaw", "--tail", "pareto", "--alpha", "1",
-                "--r", "1", "--n", "2", "--t-grid", "1e-1:1e-2:2", "--trials", trials,
-                "--seed", "5", "--out-dir", str(out)]
-        if threads is not None:
-            argv += ["--threads", threads]
-        assert run_cli(*argv) == 0
-        outs[threads] = [(out / name).read_bytes() for name in ("report.json", "sweep.csv")]
-    assert outs["1"] == outs["2"] == outs[None]
-    assert b"threads" not in outs[None][0]
 
 
 def test_simulate_deep_small_time_pareto_log(tmp_path):
@@ -318,25 +300,132 @@ def test_abbreviated_flag_exits_2(tmp_path, capsys):
 
 
 def test_subcommand_options_pinned():
-    # each subcommand takes exactly the options it reads or echoes; a new
-    # knob has to change this list
+    # each subcommand takes exactly the options it reads, and each verify
+    # target reads only its own; a new knob has to change these lists
     parser = cli._build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     options = {name: {a.dest for a in p._actions if a.dest != "help"}
                for name, p in sub.choices.items()}
     common = {"config", "out_dir"}
     tail = {"tail", "alpha", "beta", "c", "gamma"}
-    sampled = {"trials", "epsilon", "seed", "threads"}
-    assert options == {
-        "simulate": common | tail | sampled | {"t", "r", "n", "cap"},
-        "laws": common | {"law", "grid", "alpha", "r", "n", "u", "z", "lam", "w", "seed"},
-        "verify": common | tail | sampled | {
-            "target", "r", "n", "t", "t_grid", "method", "probe_form", "probe_amplitude",
-            "probe_a", "probe_b", "w", "half_width"},
-        "estimate": common | tail | sampled | {"t", "r"},
-        "classify": common | tail | sampled | {"t", "r"},
+    seeded = {"trials", "seed", "threads"}
+    local = tail | {"t", "r", "n"}
+    targets = {
+        **{name: tail | {"r", "n", "t", "t_grid"} for name in
+           ("wlaw", "ratio_tail_n1", "successive_ratios", "gamma_nc")},
+        "independence": local,
+        "z_insensitivity": local,
+        "identities": {"alpha", "r", "n"},
+        "nb_functional": {"alpha", "n", "epsilon", "method", "probe_form",
+                          "probe_amplitude", "probe_a", "probe_b"},
+        "conditional_gamma": local | {"w", "half_width"},
     }
-    assert sum(map(len, options.values())) == 76
+    assert {k: set(v) for k, v in cli._TARGETS.items()} == targets
+    assert options == {
+        "simulate": common | local | seeded | {"epsilon", "cap"},
+        "laws": common | {"law", "grid", "alpha", "r", "n", "u", "w"},
+        "verify": common | {"target"} | seeded | set().union(*targets.values()),
+        "estimate": common | tail | seeded | {"t", "r"},
+        "classify": common | tail | seeded | {"t", "r"},
+    }
+    assert sum(map(len, options.values())) == 71
+    # (target, option) pairs verify accepts, config, out_dir and target included
+    assert sum(len(common | {"target"} | seeded | v) for v in targets.values()) == 127
+
+
+_LAWS = ["laws", "--law", "w", "--alpha", "2", "--r", "1", "--n", "2", "--grid", "0.1:0.9:3"]
+_WLAW = ["verify", "--target", "wlaw", "--tail", "pareto", "--alpha", "1", "--r", "1",
+         "--n", "2", "--trials", "10000"]
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("argv,key,value", [
+    (_LAWS, "z", "1"),
+    (_LAWS, "lam", "1"),
+    (_LAWS, "seed", "1"),
+    (["estimate", "--tail", "pareto", "--alpha", "1", "--t", "0.1", "--r", "1",
+      "--trials", "200"], "epsilon", "0.5"),
+    (["classify", "--tail", "pareto", "--alpha", "1", "--t", "1e-4", "--r", "1",
+      "--trials", "1000"], "epsilon", "0.5"),
+    (_WLAW, "method", "mixed_poisson"),
+    (["verify", "--target", "identities", "--alpha", "1", "--r", "1", "--n", "2",
+      "--trials", "100000"], "tail", "pareto"),
+    (["verify", "--target", "nb_functional", "--alpha", "1", "--n", "2",
+      "--epsilon", "0.3", "--trials", "1000"], "t", "0.1"),
+    (_WLAW + ["--t-grid", "1e-1:1e-2:2"], "t", "0.1"),
+], ids=["laws-z", "laws-lam", "laws-seed", "estimate-epsilon", "classify-epsilon",
+        "wlaw-method", "identities-tail", "nb_functional-t", "wlaw-t-and-t_grid"])
+def test_option_the_run_does_not_read_exits_2(tmp_path, argv, key, value, via):
+    # each of these used to run and echo a value nothing read
+    if via == "flag":
+        extra = ["--" + key.replace("_", "-"), value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        extra = ["--config", str(cfg)]
+    code, err = _run_captured(argv + extra + ["--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    doc = json.loads(err.strip().splitlines()[-1])
+    assert doc["error"] == "config"
+    assert f"'{key}'" in doc["reason"] or f"--{key} " in doc["reason"], doc
+    if "--t-grid" in argv:
+        assert "'t_grid'" in doc["reason"]
+    assert not (tmp_path / "o").exists()
+
+
+class _Reads(dict):
+    """A merged config that records each key its runner looks up."""
+
+    def __init__(self):
+        super().__init__()
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+_TAIL_ARGS = ["--tail", "pareto", "--alpha", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", *_TAIL_ARGS, "--t", "0.5", "--r", "1", "--n", "2", "--trials", "20"],
+    _LAWS,
+    ["estimate", *_TAIL_ARGS, "--t", "0.1", "--r", "1", "--trials", "200"],
+    ["classify", *_TAIL_ARGS, "--t", "1e-4", "--r", "1", "--trials", "1000"],
+    *(["verify", "--target", target, *_TAIL_ARGS, "--r", "1", "--n", "2",
+       "--trials", "10000"] for target in ("wlaw", "ratio_tail_n1", "successive_ratios",
+                                           "gamma_nc")),
+    *(["verify", "--target", target, *_TAIL_ARGS, "--t", "0.01", "--r", "1", "--n", "2",
+       "--trials", "10000"] for target in ("independence", "z_insensitivity")),
+    ["verify", "--target", "identities", "--alpha", "1", "--r", "1", "--n", "2",
+     "--trials", "100000"],
+    ["verify", "--target", "nb_functional", "--alpha", "1", "--n", "2",
+     "--epsilon", "0.3", "--trials", "1000"],
+    ["verify", "--target", "conditional_gamma", *_TAIL_ARGS, "--t", "1e-3", "--r", "1",
+     "--n", "1", "--w", "0.5", "--trials", "10000"],
+], ids=lambda argv: argv[0] if argv[0] != "verify" else argv[2])
+def test_every_option_a_run_takes_is_read(monkeypatch, tmp_path, argv):
+    # each option a subcommand, or a verify target, takes is looked up by
+    # its runner, so none is only accepted and ignored
+    cfg = _Reads()
+    merge = cli._merge
+
+    def recording_merge(args):
+        cfg.update(merge(args))
+        return cfg
+
+    monkeypatch.setattr(cli, "_merge", recording_merge)
+    assert cli.run(argv + ["--out-dir", str(tmp_path)]) in (0, 1)
+    if argv[0] == "verify":
+        taken = cli._EVERY_TARGET + cli._TARGETS[argv[2]]
+    else:
+        taken = cli._SUBCOMMANDS[argv[0]][1]
+    assert set(taken) | {"out_dir"} <= cfg.read
 
 
 def test_lf_line_endings_and_roundtrip_floats(tmp_path):
@@ -528,9 +617,8 @@ _BASE = {
                  "epsilon": "0.2", "cap": "1000", "trials": "20"},
     "laws": {"law": "w", "alpha": "1", "r": "1", "n": "2", "u": "2", "w": "0.5",
              "grid": "0.1:0.9:5"},
-    "verify": {"target": "nb_functional", "tail": "pareto", "alpha": "1", "r": "1",
-               "n": "2", "t": "0.1", "t_grid": "1e-1:1e-2:2", "w": "0.5",
-               "epsilon": "0.3", "trials": "20"},
+    "verify": {"target": "nb_functional", "alpha": "1", "n": "2", "epsilon": "0.3",
+               "trials": "20"},
     "estimate": {"tail": "pareto", "alpha": "1", "t": "0.1", "r": "1", "trials": "200"},
     "classify": {"tail": "pareto", "alpha": "1", "t": "1e-4", "r": "1", "trials": "1000"},
 }
@@ -553,11 +641,15 @@ def _edge_values(sub, key):
 def _invocations(draw):
     """A subcommand, its flags with up to three set to edge values, and a config line.
 
-    The config line (or None) sets one more option, or a key that is none,
-    to an edge value through ``--config``.
+    The options are the subcommand's, and for verify those nb_functional
+    reads.  The config line (or None) sets one more option, or a key that is
+    none, to an edge value through ``--config``.
     """
     sub = draw(st.sampled_from(sorted(_BASE)))
-    keys = sorted(cli._SUBCOMMANDS[sub][1])
+    if sub == "verify":
+        keys = sorted(cli._EVERY_TARGET + cli._TARGETS[_BASE[sub]["target"]])
+    else:
+        keys = sorted(cli._SUBCOMMANDS[sub][1])
     values = dict(_BASE[sub])
     for key in draw(st.sets(st.sampled_from(keys), max_size=3)):
         values[key] = draw(st.sampled_from(_edge_values(sub, key)))

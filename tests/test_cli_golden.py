@@ -1,0 +1,156 @@
+"""Pinned digests of every CLI artifact: the determinism contract end to end.
+
+Each command runs in-process through ``cli.run`` at threads 1, 2 and the
+default, over 20 row blocks (``samplers._ROW_BLOCK`` is patched small, so the
+runs stay quick).  Its artifacts must be byte-identical across the three
+thread counts, and each must match its pin.
+
+Float cells and values went through numpy's ``log``, ``exp`` and ``pow``,
+which may differ in the last ulp on another CPU, so every float token is
+rewritten as its mantissa rounded to 40 bits and its exponent, as the float
+pins in ``test_golden.py`` are; so a float's text may change where its
+value, to 40 bits, does not.  Every other byte (meta lines, header,
+integers, JSON keys) is hashed exactly.  A change that moves an artifact's
+bytes must update its pin and say why.
+"""
+
+import hashlib
+import math
+import re
+
+import pytest
+
+from ppratios import cli
+from ppratios import samplers as sp
+
+_BLOCK = 1 << 9
+_TRIALS = "10100"  # 19 full row blocks and a partial one; verify needs 10^4
+
+_FLOAT = re.compile(r"(?<![\w.])-?(?:\d+\.\d*(?:e[+-]?\d+)?|\d+e[+-]?\d+"
+                    r"|inf|nan|Infinity|NaN)(?![\w.])")
+
+
+def _rounded(match):
+    value = float(match.group())
+    if not math.isfinite(value):
+        return match.group()
+    mantissa, exponent = math.frexp(value)
+    return f"{round(math.ldexp(mantissa, 40))}p{exponent}"
+
+
+def _digest(raw: bytes) -> str:
+    """SHA-256 of the text with every float token rounded to a 40-bit mantissa."""
+    return hashlib.sha256(_FLOAT.sub(_rounded, raw.decode()).encode()).hexdigest()
+
+
+_SEEDED = ["--trials", _TRIALS, "--seed", "7"]
+
+_COMMANDS = {
+    "simulate_pareto":
+        ["simulate", "--tail", "pareto", "--alpha", "1", "--t", "0.01", "--r", "1",
+         "--n", "4", "--epsilon", "0.3", *_SEEDED],
+    "simulate_pareto_perturbed":
+        ["simulate", "--tail", "pareto_perturbed", "--alpha", "1", "--c", "1",
+         "--gamma", "1", "--t", "0.01", "--r", "1", "--n", "3", "--epsilon", "0.3",
+         *_SEEDED],
+    "laws_w":
+        ["laws", "--law", "w", "--alpha", "2", "--r", "1", "--n", "2",
+         "--grid", "0.01:0.99:9"],
+    "laws_j":
+        ["laws", "--law", "j", "--alpha", "1.5", "--u", "0.5", "--grid", "0.5:3:9"],
+    "laws_l":
+        ["laws", "--law", "l", "--alpha", "1.5", "--grid", "1:9:9"],
+    "laws_k_orderstat":
+        ["laws", "--law", "k_orderstat", "--alpha", "1", "--r", "1", "--n", "3",
+         "--grid", "0.05:0.95:9"],
+    "laws_successive":
+        ["laws", "--law", "successive", "--alpha", "1", "--r", "2",
+         "--grid", "0.05:0.95:9"],
+    "laws_ratio_tail":
+        ["laws", "--law", "ratio_tail", "--alpha", "1", "--r", "1",
+         "--grid", "1.5:9:9"],
+    "laws_phi":
+        ["laws", "--law", "phi", "--alpha", "1", "--u", "0.5", "--grid", "0.1:10:9"],
+    "laws_conditional_gamma":
+        ["laws", "--law", "conditional_gamma", "--alpha", "1", "--r", "1", "--n", "2",
+         "--w", "0.5", "--grid", "0.1:10:9"],
+    "verify_wlaw":
+        ["verify", "--target", "wlaw", "--tail", "pareto", "--alpha", "1", "--r", "1",
+         "--n", "2", "--t-grid", "1e-1:1e-2:2", *_SEEDED],
+    "verify_z_insensitivity":
+        ["verify", "--target", "z_insensitivity", "--tail", "pareto_perturbed",
+         "--alpha", "1", "--c", "1", "--gamma", "1", "--t", "0.001", "--r", "2",
+         "--n", "3", *_SEEDED],
+    "verify_nb_functional":
+        ["verify", "--target", "nb_functional", "--alpha", "1", "--n", "2",
+         "--epsilon", "0.3", "--method", "mixed_poisson", "--probe-form", "linear_ramp",
+         *_SEEDED],
+    "estimate":
+        ["estimate", "--tail", "pareto", "--alpha", "1.5", "--t", "0.01", "--r", "2",
+         *_SEEDED],
+    "classify":
+        ["classify", "--tail", "pareto", "--alpha", "1", "--t", "1e-4", "--r", "1",
+         *_SEEDED],
+}
+
+# (command, artifact) -> SHA-256 of its text with floats rounded (``_digest``)
+_PINNED = {
+    ("classify", "classification.json"):
+        "ee0007ec0b00408a8b6f6ed77d58f88421e267f912f48cf929d993f2c5991869",
+    ("estimate", "estimate.json"):
+        "6505c699af7f0d64988a013c818e181f625f3aadc457da148da7201b75b3020e",
+    ("laws_conditional_gamma", "law_table.csv"):
+        "45abdd06587d270b81a72f7cb223ae62a212cf52c493cedc7f12d7e77512be2e",
+    ("laws_j", "law_table.csv"):
+        "c4a8ec0febad79dcaf5b07967ee3fa223132df014282778cc6aef9c3512b3f3b",
+    ("laws_k_orderstat", "law_table.csv"):
+        "6081b9afc6c42d41c02ec203acf348479556519446fd3f8590dfefabec3b4ecc",
+    ("laws_l", "law_table.csv"):
+        "93853f316e73702100827933b2a197fb25688420ab5a9fecebe79fa8b1ff74d7",
+    ("laws_phi", "law_table.csv"):
+        "1d7f0fba253c424eb8d8825d4d37b147397842d8dbe6287acb661728993b767c",
+    ("laws_ratio_tail", "law_table.csv"):
+        "95dff81f6ac0647ea2bdfe8216de5a01c609e1827fbccf12dca0cc62b1569765",
+    ("laws_successive", "law_table.csv"):
+        "bbaad5291c40ad4223649b7e5f7668906bcca7499162bc2d631a5663a1a27322",
+    ("laws_w", "law_table.csv"):
+        "31c756e2efe1a6daa90cc413af8a05793d232b7b5fe6b676c5244967f0b74932",
+    ("simulate_pareto", "trials.csv"):
+        "8fcd7d800b86e6555222742bb4f598109000d804d37dc1cf881783fa3ed1c9fa",
+    ("simulate_pareto_perturbed", "trials.csv"):
+        "bc350fb57da9ace6ed9700d3cc14ec47a1fe10b85e4b21df87d8d83a75087e1d",
+    ("verify_nb_functional", "report.json"):
+        "43e5e702eebbf90eb0e4fd539a80541af1a01b4afce4a221cfc1bbfb775cd247",
+    ("verify_nb_functional", "sweep.csv"):
+        "ba2c0b9874d97b8820b99244e41c76b1129111a62c1444da35ed04187663aad2",
+    ("verify_wlaw", "report.json"):
+        "4f2dd5102e4aa79ecb10acce5a05a7d343730ca832c85136da9f1551d9f5d4b1",
+    ("verify_wlaw", "sweep.csv"):
+        "994c2d6ab14b3052c24bd0a642ebbbaeb1c8aab58f712090b7c96ac9209c934b",
+    ("verify_z_insensitivity", "report.json"):
+        "279b22a207dca4adaa51b8fb943b816eb95036f03074a2b612a7840a61fdb506",
+    ("verify_z_insensitivity", "sweep.csv"):
+        "f504d967e486b1ccff209dd1a6a1c9066831d3abd054c38cc148f677ef0fa294",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COMMANDS))
+def test_cli_artifacts_pinned(monkeypatch, tmp_path, name):
+    monkeypatch.setattr(sp, "_ROW_BLOCK", _BLOCK)
+    argv = _COMMANDS[name]
+    pinned = {f: digest for (command, f), digest in _PINNED.items() if command == name}
+    runs = {}  # thread flag (None: the default) -> artifact bytes
+    # laws samples nothing and takes no --threads
+    for threads in ("1", "2", None) if argv[0] != "laws" else (None,):
+        out = tmp_path / f"threads-{threads}"
+        flag = [] if threads is None else ["--threads", threads]
+        assert cli.run(argv + flag + ["--out-dir", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(pinned)
+        runs[threads] = {f: (out / f).read_bytes() for f in pinned}
+    first = runs[None]
+    for threads, files in runs.items():
+        assert files == first, threads
+    if "report.json" in first:
+        # the thread count changes wall time only, so it is not echoed
+        assert b"threads" not in first["report.json"]
+    assert {f: _digest(raw) for f, raw in first.items()} == pinned
