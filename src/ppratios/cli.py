@@ -3,12 +3,13 @@
 Subcommands: ``simulate | laws | verify | estimate | classify``.  Each takes
 only the options it reads (``_SUBCOMMANDS``), as flags or as keys of an
 optional flat ``key=value`` config file; a key it does not take, or a value
-its flag would reject, is a config error, and so is a verify option that
-the chosen target does not read (``_TARGETS``).  Flags win over the file
-(a flag that changes a value warns on the diagnostic stream).  Identical
-arguments and seed produce byte-identical artifacts: floats are written
-with shortest round-trip precision, JSON keys are sorted, and nothing
-wall-clock dependent enters the outputs.
+its flag would reject, is a config error, and so is an option that the
+chosen verify target (``_TARGETS``) or law (``_LAWS``) does not read, or a
+required one left unset.  Flags win over the file (a flag that changes a
+value warns on the diagnostic stream).  Identical arguments and seed
+produce byte-identical artifacts: floats are written with shortest
+round-trip precision, JSON keys are sorted, and nothing wall-clock
+dependent enters the outputs.
 
 Exit codes: 0 success, 1 a verify experiment failed its threshold,
 2 config, domain, file-system (``io``) or out-of-memory (``memory``)
@@ -29,7 +30,6 @@ from . import limit_laws as ll
 from . import samplers as sp
 from . import verify as vf
 from .tail_models import InversionError, TailModel
-from .verify import SWEEP_TARGETS
 
 #: Fixed default master seed; never wall-clock derived.
 DEFAULT_SEED = 20240613
@@ -37,23 +37,77 @@ DEFAULT_SEED = 20240613
 #: CSV rows formatted and written per block; bounds the text held at once.
 _BLOCK = 1 << 14
 
-LAW_NAMES = ("w", "j", "l", "k_orderstat", "successive", "ratio_tail",
-             "phi", "conditional_gamma")
-
-
 _TAIL = ("tail", "alpha", "beta", "c", "gamma")
 
-#: Verify target -> the options it reads, besides ``target``, ``trials``,
-#: ``seed`` and ``threads``.
+#: Verify target -> (the options it reads besides those of every target
+#: (``_PICKS``), its check on the merged config and trials/seed/threads).
 _TARGETS = {
-    **{target: _TAIL + ("r", "n", "t", "t_grid") for target in sorted(SWEEP_TARGETS)},
-    "independence": _TAIL + ("t", "r", "n"),
-    "identities": ("alpha", "r", "n"),
-    "nb_functional": ("alpha", "n", "epsilon", "method", "probe_form", "probe_amplitude",
-                      "probe_a", "probe_b"),
-    "z_insensitivity": _TAIL + ("t", "r", "n"),
-    "conditional_gamma": _TAIL + ("t", "r", "n", "w", "half_width"),
+    **{target: (_TAIL + ("r", "n", "t", "t_grid"),
+                lambda cfg, run, target=target: vf.convergence_sweep(
+                    _tail_from(cfg), cfg["r"], cfg["n"], _t_grid_from(cfg),
+                    target=target, **run))
+       for target in sorted(vf.SWEEP_TARGETS)},
+    "independence": (_TAIL + ("t", "r", "n"), lambda cfg, run: vf.independence_check(
+        _tail_from(cfg), cfg["t"], cfg["r"], cfg["n"], **run)),
+    "identities": (("alpha", "r", "n"), lambda cfg, run: vf.identity_checks(
+        cfg["alpha"], cfg["r"], cfg["n"], **run)),
+    "nb_functional": (("alpha", "n", "epsilon", "method", "probe_form",
+                       "probe_amplitude", "probe_a", "probe_b"),
+                      lambda cfg, run: vf.nb_functional_check(
+                          cfg["n"], cfg["alpha"], ll.LaplaceProbe(
+                              cfg["probe_amplitude"], cfg["probe_a"], cfg["probe_b"],
+                              cfg["probe_form"]),
+                          cfg["epsilon"], method=cfg["method"], **run)),
+    "z_insensitivity": (_TAIL + ("t", "r", "n"),
+                        lambda cfg, run: vf.z_insensitivity_check(
+                            _tail_from(cfg), cfg["t"], cfg["r"], cfg["n"], **run)),
+    "conditional_gamma": (_TAIL + ("t", "r", "n", "w", "half_width"),
+                          lambda cfg, run: vf.conditional_gamma_check(
+                              _tail_from(cfg), cfg["t"], cfg["r"], cfg["n"], cfg["w"],
+                              cfg["half_width"], **run)),
 }
+
+#: Law -> (the options it reads besides ``law`` and ``grid``, its
+#: ``(density, cdf)`` on the merged config and the grid; density is "" where
+#: the law has none).
+_LAWS = {
+    "w": (("alpha", "r", "n"), lambda cfg, x: ll.w_law(
+        ll.LawSpec(alpha=cfg["alpha"], r=cfg["r"], n=cfg["n"]), x)),
+    "j": (("alpha", "u"), lambda cfg, x: ll.j_law(
+        ll.LawSpec(alpha=cfg["alpha"], u=cfg["u"]), x)),
+    "l": (("alpha",), lambda cfg, x: ll.l_law(cfg["alpha"], x)),
+    "k_orderstat": (("alpha", "r", "n"), lambda cfg, x: (
+        "", ll.k_orderstat_cdf(cfg["r"], cfg["n"], cfg["alpha"], x))),
+    "successive": (("alpha", "r"), lambda cfg, x: (
+        "", ll.successive_ratio_cdf(cfg["r"], cfg["alpha"], x))),
+    "ratio_tail": (("alpha", "r"), lambda cfg, x: (
+        "", 1.0 - ll.ratio_tail_n1(cfg["r"], cfg["alpha"], x))),
+    # phi over lambda
+    "phi": (("alpha", "u"), lambda cfg, x: (
+        "", [ll.phi_conditional(v, cfg["u"], cfg["alpha"]) for v in x.tolist()])),
+    # conditional_gamma over z
+    "conditional_gamma": (("alpha", "r", "n", "w"), lambda cfg, x: (
+        "", ll.conditional_gamma_cdf(cfg["r"], cfg["n"], cfg["alpha"], cfg["w"], x))),
+}
+
+#: Subcommand -> (the option that picks the run, the options every pick
+#: reads, the table of picks), for the subcommands that take one.
+_PICKS = {"verify": ("target", ("target", "trials", "seed", "threads"), _TARGETS),
+          "laws": ("law", ("law", "grid"), _LAWS)}
+
+
+def _reads(sub: str) -> tuple:
+    """The options ``sub`` reads: the union over its table."""
+    _, every, table = _PICKS[sub]
+    return tuple(dict.fromkeys(every + sum((opts for opts, _ in table.values()), ())))
+
+
+def _pick_help(sub: str) -> str:
+    """What each pick of ``sub`` reads, as flag names, from its table."""
+    pick, every, table = _PICKS[sub]
+    reads = [(f"every {pick}", every[1:])] + [(name, opts) for name, (opts, _) in table.items()]
+    return "reads, besides --config and --out-dir: " + "; ".join(
+        f"{name}: {' '.join('--' + k.replace('_', '-') for k in keys)}" for name, keys in reads)
 
 
 class _Option(NamedTuple):
@@ -81,7 +135,7 @@ _OPTIONS = {
     "threads": _Option(int, help="worker threads (default: usable CPUs, at most 4); "
                        "changes wall time only, never output"),
     "cap": _Option(int, 1_000_000),
-    "target": _Option(str, choices=tuple(_TARGETS)),
+    "target": _Option(str, choices=tuple(_TARGETS), help=_pick_help("verify")),
     "method": _Option(str, "limit_ratios", ("limit_ratios", "mixed_poisson")),
     "probe_form": _Option(str, "indicator_step", ("indicator_step", "linear_ramp")),
     "probe_amplitude": _Option(float, 1.0),
@@ -89,23 +143,20 @@ _OPTIONS = {
     "probe_b": _Option(float, 1.0),
     "w": _Option(float),
     "half_width": _Option(float, 0.05),
-    "law": _Option(str, choices=LAW_NAMES),
+    "law": _Option(str, choices=tuple(_LAWS), help=_pick_help("laws")),
     "grid": _Option(str, "0.01:0.99:99", help="abscissa grid lo:hi:count"),
     "u": _Option(float),
 }
 
-#: The options every verify target reads.
-_EVERY_TARGET = ("target", "trials", "seed", "threads")
-
-#: Subcommand -> (help, the options it reads; verify's are its targets' union).
-#: Each also takes ``--config`` and ``--out-dir``.
+#: Subcommand -> (help, the options it reads; verify's and laws' are the
+#: union over their tables).  Each also takes ``--config`` and ``--out-dir``.
 _SUBCOMMANDS = {
     "simulate": ("dump per-trial ratio configurations to trials.csv",
                  _TAIL + ("t", "r", "n", "epsilon", "cap", "trials", "seed", "threads")),
     "laws": ("tabulate a closed-form limit law to law_table.csv",
-             ("law", "grid", "alpha", "r", "n", "u", "w")),
+             _reads("laws")),
     "verify": ("run a statistical check; report.json + sweep.csv",
-               tuple(dict.fromkeys(_EVERY_TARGET + sum(_TARGETS.values(), ())))),
+               _reads("verify")),
     "estimate": ("estimate the tail index from simulated ratios",
                  _TAIL + ("t", "r", "trials", "seed", "threads")),
     "classify": ("classify the variation regime at small t",
@@ -115,6 +166,14 @@ _SUBCOMMANDS = {
 
 class _CliError(Exception):
     """Config/validation failure destined for exit code 2."""
+
+
+class _Config(dict):
+    """A run's merged options: a runner reads a required one as ``cfg[key]``
+    (unset, a config error) and an optional one as ``cfg.get(key)``."""
+
+    def __missing__(self, key):
+        raise _CliError(f"missing field: {key}")
 
 
 def _diag(reason: str, kind: str = "config"):
@@ -255,13 +314,13 @@ def _typed(key: str, text: str):
     return value
 
 
-def _merge(args: argparse.Namespace) -> dict:
+def _merge(args: argparse.Namespace) -> _Config:
     """Defaults < config file < explicit flags, for the options the run reads.
 
-    Those are the subcommand's options, and for verify its target's.  A set
-    option the target does not read is an error.  The result also holds
-    ``experiment``, which verify echoes.  A flag that changes a config value
-    warns.
+    Those are the subcommand's options, and for verify its target's and for
+    laws its law's (``_PICKS``).  A set option the pick does not read is an
+    error.  The result also holds ``experiment``, which verify echoes.  A
+    flag that changes a config value warns.
     """
     keys = ("out_dir",) + _SUBCOMMANDS[args.experiment][1]
     flags = {k: v for k, v in vars(args).items() if v is not None and k != "config"}
@@ -278,36 +337,26 @@ def _merge(args: argparse.Namespace) -> dict:
                 continue
             given[key] = value
     given.update(flags)
-    if args.experiment == "verify":
-        _need(given, "target")
-        target = given["target"]
-        keys = ("out_dir",) + _EVERY_TARGET + _TARGETS[target]
+    if args.experiment in _PICKS:
+        pick, every, table = _PICKS[args.experiment]
+        name = _Config(given)[pick]
+        keys = ("out_dir",) + every + table[name][0]
         for key in given:
             if key not in keys and key != "experiment":
-                raise _CliError(f"option {key!r} is not read by verify --target {target}")
-    merged = {k: _OPTIONS[k].default for k in keys if _OPTIONS[k].default is not None}
+                raise _CliError(f"option {key!r} is not read by "
+                                f"{args.experiment} --{pick} {name}")
+    merged = _Config({k: _OPTIONS[k].default for k in keys
+                      if _OPTIONS[k].default is not None})
     merged.update(given)
     return merged
 
 
-def _need(cfg: dict, *names):
-    for name in names:
-        if cfg.get(name) is None:
-            raise _CliError(f"missing field: {name}")
-
-
 def _tail_from(cfg: dict) -> TailModel:
-    _need(cfg, "tail")
     record = {"kind": cfg["tail"]}
     for key in ("alpha", "beta", "c", "gamma"):
         if cfg.get(key) is not None:
             record[key] = cfg[key]
     return TailModel.from_record(record)
-
-
-def _probe_from(cfg: dict) -> ll.LaplaceProbe:
-    return ll.LaplaceProbe(cfg["probe_amplitude"], cfg["probe_a"], cfg["probe_b"],
-                           cfg["probe_form"])
 
 
 def _t_grid_from(cfg: dict) -> list:
@@ -327,18 +376,8 @@ def _t_grid_from(cfg: dict) -> list:
     return [1.0 if t is None else t]
 
 
-def _echo_meta(cfg: dict, model: TailModel | None, extra: dict) -> dict:
-    meta = {"seed": cfg["seed"], "trials": cfg["trials"], "epsilon": cfg["epsilon"]}
-    if model is not None:
-        for key, value in model.to_record().items():
-            meta[f"tail_{key}"] = value
-    meta.update(extra)
-    return meta
-
-
 def _run_simulate(cfg: dict) -> int:
     model = _tail_from(cfg)
-    _need(cfg, "t", "r", "n", "trials")
     t, r, n, trials = (cfg[k] for k in ("t", "r", "n", "trials"))
     above, w, counts = sp.ratio_configuration_batch(
         model, t, r, n, cfg["epsilon"], trials, cfg["seed"], cap=cfg["cap"],
@@ -349,113 +388,42 @@ def _run_simulate(cfg: dict) -> int:
         f"above_{k}" for k in range(1, n)]
     columns = [np.arange(trials), t, r, n, "" if w is None else w, counts] + [
         above[:, k] for k in range(n - 1)]
-    meta = _echo_meta(cfg, model, {"t": t, "r": r, "n": n, "cap": cfg["cap"]})
+    meta = {"seed": cfg["seed"], "trials": trials, "epsilon": cfg["epsilon"], "t": t,
+            "r": r, "n": n, "cap": cfg["cap"],
+            **{f"tail_{key}": value for key, value in model.to_record().items()}}
     _write_csv(out / "trials.csv", meta, header, columns)
     return 0
 
 
-def _law_table(cfg: dict) -> list:
-    """Columns (law, alpha, r, n, u, w, x, density, cdf) over the grid."""
-    law = cfg["law"]
-    if law in ("w", "k_orderstat", "conditional_gamma"):
-        _need(cfg, "r", "n")
-    elif law in ("successive", "ratio_tail"):
-        _need(cfg, "r")
-    alpha, r, n, u, w = (cfg.get(k) for k in ("alpha", "r", "n", "u", "w"))
-    grid = _parse_grid(cfg["grid"])
-    density = ""
-
-    if law == "w":
-        _need(cfg, "alpha")
-        density, cdf = ll.w_law(ll.LawSpec(alpha=alpha, r=r, n=n), grid)
-    elif law == "j":
-        _need(cfg, "alpha", "u")
-        density, cdf = ll.j_law(ll.LawSpec(alpha=alpha, u=u), grid)
-    elif law == "l":
-        _need(cfg, "alpha")
-        density, cdf = ll.l_law(alpha, grid)
-    elif law == "k_orderstat":
-        _need(cfg, "alpha")
-        cdf = ll.k_orderstat_cdf(r, n, alpha, grid)
-    elif law == "successive":
-        _need(cfg, "alpha")
-        cdf = ll.successive_ratio_cdf(r, alpha, grid)
-    elif law == "ratio_tail":
-        _need(cfg, "alpha")
-        cdf = 1.0 - ll.ratio_tail_n1(r, alpha, grid)
-    elif law == "phi":
-        _need(cfg, "alpha", "u")
-        cdf = [ll.phi_conditional(float(x), u, alpha) for x in grid]
-    else:  # conditional_gamma over z
-        _need(cfg, "alpha", "w")
-        cdf = ll.conditional_gamma_cdf(r, n, alpha, w, grid)
-    return [law, alpha, r, n, u, w, grid, density, cdf]
-
-
 def _run_laws(cfg: dict) -> int:
-    _need(cfg, "law")
-    columns = _law_table(cfg)
+    """``law_table.csv``: the options the law read as meta lines, then x, density, cdf."""
+    grid = _parse_grid(cfg["grid"])
+    density, cdf = _LAWS[cfg["law"]][1](cfg, grid)
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    meta = {"law": cfg["law"], "grid": cfg["grid"]}
-    header = ["law", "alpha", "r", "n", "u", "w", "x", "density", "cdf"]
-    _write_csv(out / "law_table.csv", meta, header, columns)
+    meta = {k: v for k, v in cfg.items() if k not in ("out_dir", "experiment")}
+    _write_csv(out / "law_table.csv", meta, ["x", "density", "cdf"], [grid, density, cdf])
     return 0
 
 
 def _run_verify(cfg: dict) -> int:
-    _need(cfg, "trials")
-    target = cfg["target"]
-    trials, seed, threads = cfg["trials"], cfg["seed"], cfg.get("threads")
-    if target in SWEEP_TARGETS:
-        _need(cfg, "r", "n")
-        model = _tail_from(cfg)
-        report = vf.convergence_sweep(model, cfg["r"], cfg["n"], _t_grid_from(cfg),
-                                      trials, target, seed, threads=threads)
-    elif target == "independence":
-        _need(cfg, "t", "r", "n")
-        model = _tail_from(cfg)
-        report = vf.independence_check(model, cfg["t"], cfg["r"], cfg["n"], trials,
-                                       seed, threads=threads)
-    elif target == "identities":
-        _need(cfg, "alpha", "r", "n")
-        report = vf.identity_checks(cfg["alpha"], cfg["r"], cfg["n"], trials, seed,
-                                    threads=threads)
-    elif target == "nb_functional":
-        _need(cfg, "alpha", "n")
-        probe = _probe_from(cfg)
-        report = vf.nb_functional_check(
-            cfg["n"], cfg["alpha"], probe, cfg["epsilon"], trials, cfg["method"],
-            seed, threads=threads)
-    elif target == "z_insensitivity":
-        _need(cfg, "t", "r", "n")
-        model = _tail_from(cfg)
-        report = vf.z_insensitivity_check(model, cfg["t"], cfg["r"], cfg["n"],
-                                          trials, seed, threads=threads)
-    else:  # conditional_gamma
-        _need(cfg, "t", "w", "r", "n")
-        model = _tail_from(cfg)
-        report = vf.conditional_gamma_check(
-            model, cfg["t"], cfg["r"], cfg["n"], cfg["w"], cfg["half_width"],
-            trials, seed, threads=threads)
-
+    run = {"trials": cfg["trials"], "seed": cfg["seed"], "threads": cfg.get("threads")}
+    report = _TARGETS[cfg["target"]][1](cfg, run)
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     payload = report.to_json_dict()
     payload["parameters"] = {k: v for k, v in sorted(cfg.items())
                              if k not in ("out_dir", "threads")}
     _write_json(out / "report.json", payload)
-    keys, rows = report.csv_rows()
-    columns = [[row[j] for row in rows] for j in range(len(keys))]
-    meta = {"experiment_id": report.experiment_id, "seed": seed, "trials": trials,
-            "threshold": report.threshold, "pass": report.passed}
+    keys, columns = report.csv_columns()
+    meta = {"experiment_id": report.experiment_id, "seed": run["seed"],
+            "trials": run["trials"], "threshold": report.threshold, "pass": report.passed}
     _write_csv(out / "sweep.csv", meta, keys, columns)
     return 0 if report.passed else 1
 
 
 def _run_estimate(cfg: dict) -> int:
     model = _tail_from(cfg)
-    _need(cfg, "t", "r", "trials")
     t, r, trials, seed = (cfg[k] for k in ("t", "r", "trials", "seed"))
     ly = sp.log_trim_ratio_batch(model, t, r, trials, seed, threads=cfg.get("threads"))
     alpha_hat, stderr = vf.estimate_alpha(np.exp(ly), r)
@@ -470,7 +438,6 @@ def _run_estimate(cfg: dict) -> int:
 
 def _run_classify(cfg: dict) -> int:
     model = _tail_from(cfg)
-    _need(cfg, "t", "r", "trials")
     t, r, trials, seed = (cfg[k] for k in ("t", "r", "trials", "seed"))
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
@@ -505,7 +472,7 @@ def run(argv=None) -> int:
     except _CliError as exc:
         _diag(str(exc))
         return 2
-    except (ValueError, sp.TruncationError, InversionError) as exc:
+    except (ValueError, sp.TruncationError, InversionError, ll.QuadratureError) as exc:
         _diag(str(exc), kind="domain")
         return 2
     except OSError as exc:

@@ -21,6 +21,7 @@ from scipy.special import betainc, chdtrc, gammainc
 from scipy.special import kolmogorov as _ks_sf
 
 from . import samplers as sp
+from .limit_laws import nb_count_pmf, nb_laplace
 from .rng import uniform_grid
 from .tail_models import PARETO, RAPID_ZERO, SLOW_ZERO, TailModel
 
@@ -109,11 +110,10 @@ class VerifyReport:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
-    def csv_rows(self):
-        """Companion per-statistic rows: (keys, list of value tuples)."""
+    def csv_columns(self):
+        """Companion per-statistic table: (keys, one list of values per key)."""
         keys = sorted({k for rec in self.statistics for k in rec})
-        rows = [tuple(rec.get(k, "") for k in keys) for rec in self.statistics]
-        return keys, rows
+        return keys, [[rec.get(k, "") for rec in self.statistics] for k in keys]
 
 
 def _jsonable(obj):
@@ -536,8 +536,6 @@ def nb_functional_check(
     ``probe`` is called concurrently from worker threads unless
     ``threads=1``, so it must be thread-safe.
     """
-    from .limit_laws import nb_count_pmf, nb_laplace  # local import to avoid cycles
-
     if probe.a < epsilon or probe.b > 1.0:
         raise ValueError("probe must be supported inside (epsilon, 1)")
     counts, sums = sp.negbin_batch(

@@ -301,7 +301,8 @@ def test_abbreviated_flag_exits_2(tmp_path, capsys):
 
 def test_subcommand_options_pinned():
     # each subcommand takes exactly the options it reads, and each verify
-    # target reads only its own; a new knob has to change these lists
+    # target and each law reads only its own; a new knob has to change
+    # these lists
     parser = cli._build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     options = {name: {a.dest for a in p._actions if a.dest != "help"}
@@ -320,10 +321,21 @@ def test_subcommand_options_pinned():
                           "probe_amplitude", "probe_a", "probe_b"},
         "conditional_gamma": local | {"w", "half_width"},
     }
-    assert {k: set(v) for k, v in cli._TARGETS.items()} == targets
+    laws = {
+        "w": {"alpha", "r", "n"},
+        "j": {"alpha", "u"},
+        "l": {"alpha"},
+        "k_orderstat": {"alpha", "r", "n"},
+        "successive": {"alpha", "r"},
+        "ratio_tail": {"alpha", "r"},
+        "phi": {"alpha", "u"},
+        "conditional_gamma": {"alpha", "r", "n", "w"},
+    }
+    assert {k: set(opts) for k, (opts, _) in cli._TARGETS.items()} == targets
+    assert {k: set(opts) for k, (opts, _) in cli._LAWS.items()} == laws
     assert options == {
         "simulate": common | local | seeded | {"epsilon", "cap"},
-        "laws": common | {"law", "grid", "alpha", "r", "n", "u", "w"},
+        "laws": common | {"law", "grid"} | set().union(*laws.values()),
         "verify": common | {"target"} | seeded | set().union(*targets.values()),
         "estimate": common | tail | seeded | {"t", "r"},
         "classify": common | tail | seeded | {"t", "r"},
@@ -331,18 +343,21 @@ def test_subcommand_options_pinned():
     assert sum(map(len, options.values())) == 71
     # (target, option) pairs verify accepts, config, out_dir and target included
     assert sum(len(common | {"target"} | seeded | v) for v in targets.values()) == 127
+    # (law, option) pairs laws accepts, config, out_dir, law and grid included
+    assert sum(len(common | {"law", "grid"} | v) for v in laws.values()) == 51
 
 
-_LAWS = ["laws", "--law", "w", "--alpha", "2", "--r", "1", "--n", "2", "--grid", "0.1:0.9:3"]
+_W_LAW = ["laws", "--law", "w", "--alpha", "2", "--r", "1", "--n", "2", "--grid", "0.1:0.9:3"]
 _WLAW = ["verify", "--target", "wlaw", "--tail", "pareto", "--alpha", "1", "--r", "1",
          "--n", "2", "--trials", "10000"]
 
 
 @pytest.mark.parametrize("via", ["flag", "config"])
 @pytest.mark.parametrize("argv,key,value", [
-    (_LAWS, "z", "1"),
-    (_LAWS, "lam", "1"),
-    (_LAWS, "seed", "1"),
+    (_W_LAW, "z", "1"),
+    (_W_LAW, "lam", "1"),
+    (_W_LAW, "seed", "1"),
+    (_W_LAW + ["--w", "3"], "u", "7"),
     (["estimate", "--tail", "pareto", "--alpha", "1", "--t", "0.1", "--r", "1",
       "--trials", "200"], "epsilon", "0.5"),
     (["classify", "--tail", "pareto", "--alpha", "1", "--t", "1e-4", "--r", "1",
@@ -353,7 +368,8 @@ _WLAW = ["verify", "--target", "wlaw", "--tail", "pareto", "--alpha", "1", "--r"
     (["verify", "--target", "nb_functional", "--alpha", "1", "--n", "2",
       "--epsilon", "0.3", "--trials", "1000"], "t", "0.1"),
     (_WLAW + ["--t-grid", "1e-1:1e-2:2"], "t", "0.1"),
-], ids=["laws-z", "laws-lam", "laws-seed", "estimate-epsilon", "classify-epsilon",
+], ids=["laws-z", "laws-lam", "laws-seed", "laws_w-u-and-w", "estimate-epsilon",
+        "classify-epsilon",
         "wlaw-method", "identities-tail", "nb_functional-t", "wlaw-t-and-t_grid"])
 def test_option_the_run_does_not_read_exits_2(tmp_path, argv, key, value, via):
     # each of these used to run and echo a value nothing read
@@ -373,7 +389,7 @@ def test_option_the_run_does_not_read_exits_2(tmp_path, argv, key, value, via):
     assert not (tmp_path / "o").exists()
 
 
-class _Reads(dict):
+class _Reads(cli._Config):
     """A merged config that records each key its runner looks up."""
 
     def __init__(self):
@@ -391,10 +407,26 @@ class _Reads(dict):
 
 _TAIL_ARGS = ["--tail", "pareto", "--alpha", "1"]
 
+# a valid invocation of each law
+_LAW_ARGV = {
+    "w": _W_LAW,
+    "j": ["laws", "--law", "j", "--alpha", "1.5", "--u", "0.5", "--grid", "0.5:3:3"],
+    "l": ["laws", "--law", "l", "--alpha", "1.5", "--grid", "1:9:3"],
+    "k_orderstat": ["laws", "--law", "k_orderstat", "--alpha", "1", "--r", "1", "--n", "3",
+                    "--grid", "0.05:0.95:3"],
+    "successive": ["laws", "--law", "successive", "--alpha", "1", "--r", "2",
+                   "--grid", "0.05:0.95:3"],
+    "ratio_tail": ["laws", "--law", "ratio_tail", "--alpha", "1", "--r", "1",
+                   "--grid", "1.5:9:3"],
+    "phi": ["laws", "--law", "phi", "--alpha", "1", "--u", "0.5", "--grid", "0.1:10:3"],
+    "conditional_gamma": ["laws", "--law", "conditional_gamma", "--alpha", "1", "--r", "1",
+                          "--n", "2", "--w", "0.5", "--grid", "0.1:10:3"],
+}
+
 
 @pytest.mark.parametrize("argv", [
     ["simulate", *_TAIL_ARGS, "--t", "0.5", "--r", "1", "--n", "2", "--trials", "20"],
-    _LAWS,
+    *_LAW_ARGV.values(),
     ["estimate", *_TAIL_ARGS, "--t", "0.1", "--r", "1", "--trials", "200"],
     ["classify", *_TAIL_ARGS, "--t", "1e-4", "--r", "1", "--trials", "1000"],
     *(["verify", "--target", target, *_TAIL_ARGS, "--r", "1", "--n", "2",
@@ -408,10 +440,10 @@ _TAIL_ARGS = ["--tail", "pareto", "--alpha", "1"]
      "--epsilon", "0.3", "--trials", "1000"],
     ["verify", "--target", "conditional_gamma", *_TAIL_ARGS, "--t", "1e-3", "--r", "1",
      "--n", "1", "--w", "0.5", "--trials", "10000"],
-], ids=lambda argv: argv[0] if argv[0] != "verify" else argv[2])
+], ids=lambda argv: {"verify": argv[2], "laws": f"laws-{argv[2]}"}.get(argv[0], argv[0]))
 def test_every_option_a_run_takes_is_read(monkeypatch, tmp_path, argv):
-    # each option a subcommand, or a verify target, takes is looked up by
-    # its runner, so none is only accepted and ignored
+    # each option a subcommand, a verify target or a law takes is looked up
+    # by its runner, so none is only accepted and ignored
     cfg = _Reads()
     merge = cli._merge
 
@@ -421,8 +453,9 @@ def test_every_option_a_run_takes_is_read(monkeypatch, tmp_path, argv):
 
     monkeypatch.setattr(cli, "_merge", recording_merge)
     assert cli.run(argv + ["--out-dir", str(tmp_path)]) in (0, 1)
-    if argv[0] == "verify":
-        taken = cli._EVERY_TARGET + cli._TARGETS[argv[2]]
+    if argv[0] in cli._PICKS:
+        _, every, table = cli._PICKS[argv[0]]
+        taken = every + table[argv[2]][0]
     else:
         taken = cli._SUBCOMMANDS[argv[0]][1]
     assert set(taken) | {"out_dir"} <= cfg.read
@@ -615,13 +648,14 @@ _VERIFY_TRIALS = ("0", "-1", "nan", "1e308", "", "20") + _HUGE_TRIALS
 _BASE = {
     "simulate": {"tail": "pareto", "alpha": "1", "t": "0.5", "r": "1", "n": "2",
                  "epsilon": "0.2", "cap": "1000", "trials": "20"},
-    "laws": {"law": "w", "alpha": "1", "r": "1", "n": "2", "u": "2", "w": "0.5",
-             "grid": "0.1:0.9:5"},
+    "laws": {"law": "w", "alpha": "1", "r": "1", "n": "2", "grid": "0.1:0.9:5"},
     "verify": {"target": "nb_functional", "alpha": "1", "n": "2", "epsilon": "0.3",
                "trials": "20"},
     "estimate": {"tail": "pareto", "alpha": "1", "t": "0.1", "r": "1", "trials": "200"},
     "classify": {"tail": "pareto", "alpha": "1", "t": "1e-4", "r": "1", "trials": "1000"},
 }
+# valid values of the law options that law w does not read
+_LAW_VALUES = {"u": "0.5", "w": "0.5"}
 
 
 def _edge_values(sub, key):
@@ -641,16 +675,20 @@ def _edge_values(sub, key):
 def _invocations(draw):
     """A subcommand, its flags with up to three set to edge values, and a config line.
 
-    The options are the subcommand's, and for verify those nb_functional
-    reads.  The config line (or None) sets one more option, or a key that is
-    none, to an edge value through ``--config``.
+    The options are the subcommand's, for verify those nb_functional reads,
+    and for laws those of a drawn law.  The config line (or None) sets one
+    more option, or a key that is none, to an edge value through ``--config``.
     """
     sub = draw(st.sampled_from(sorted(_BASE)))
-    if sub == "verify":
-        keys = sorted(cli._EVERY_TARGET + cli._TARGETS[_BASE[sub]["target"]])
+    values = dict(_BASE[sub])
+    if sub == "laws":
+        law = draw(st.sampled_from(sorted(cli._LAWS)))
+        keys = sorted(cli._PICKS["laws"][1] + cli._LAWS[law][0])
+        values = {k: {**values, **_LAW_VALUES, "law": law}[k] for k in keys}
+    elif sub == "verify":
+        keys = sorted(cli._PICKS["verify"][1] + cli._TARGETS[values["target"]][0])
     else:
         keys = sorted(cli._SUBCOMMANDS[sub][1])
-    values = dict(_BASE[sub])
     for key in draw(st.sets(st.sampled_from(keys), max_size=3)):
         values[key] = draw(st.sampled_from(_edge_values(sub, key)))
     config = None
@@ -721,6 +759,8 @@ def test_huge_trial_counts_exit_2(tmp_path, argv, trials):
     # a binomial coefficient overflowed a float (OverflowError), and the sum
     # had 2**64 terms
     ["laws", "--law", "k_orderstat", "--alpha", "1", "--r", "1", "--n", str(2**64)],
+    # an infinite alpha left phi's integral not finite (QuadratureError)
+    ["laws", "--law", "phi", "--alpha", "inf", "--u", "0.5", "--grid", "0.1:0.9:5"],
     # n < 1 left no pivot column (IndexError) or, for n = 0, gave W = 1
     ["verify", "--target", "wlaw", "--tail", "pareto", "--alpha", "1", "--r", "1",
      "--n", "-1", "--trials", "10000"],
@@ -729,8 +769,8 @@ def test_huge_trial_counts_exit_2(tmp_path, argv, trials):
     ["verify", "--target", "gamma_nc", "--tail", "pareto", "--alpha", "1", "--r", "1",
      "--n", "-1", "--trials", "10000"],
 ], ids=["nb_small_epsilon", "nb_large_alpha", "conditional_gamma_large_alpha",
-        "k_orderstat_large_n", "wlaw_negative_n", "z_insensitivity_zero_n",
-        "gamma_nc_negative_n"])
+        "k_orderstat_large_n", "phi_infinite_alpha", "wlaw_negative_n",
+        "z_insensitivity_zero_n", "gamma_nc_negative_n"])
 def test_overflowing_or_empty_inputs_exit_2(tmp_path, argv):
     code, err = _run_captured(argv + ["--out-dir", str(tmp_path)])
     assert code == 2

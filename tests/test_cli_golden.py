@@ -100,21 +100,21 @@ _PINNED = {
     ("estimate", "estimate.json"):
         "6505c699af7f0d64988a013c818e181f625f3aadc457da148da7201b75b3020e",
     ("laws_conditional_gamma", "law_table.csv"):
-        "45abdd06587d270b81a72f7cb223ae62a212cf52c493cedc7f12d7e77512be2e",
+        "11854cfd161552cf4de57f12bcff6be2738a772e9f912d34e72053a9ec926d2e",
     ("laws_j", "law_table.csv"):
-        "c4a8ec0febad79dcaf5b07967ee3fa223132df014282778cc6aef9c3512b3f3b",
+        "ffd0e33d4c9f47b78723c450710836a6d74250a35cc811c801eab1a7623310c9",
     ("laws_k_orderstat", "law_table.csv"):
-        "6081b9afc6c42d41c02ec203acf348479556519446fd3f8590dfefabec3b4ecc",
+        "fad3881d3a43ba807aa17fb3b3e61c24ee9be6b71e2bb466626ad3524edc6879",
     ("laws_l", "law_table.csv"):
-        "93853f316e73702100827933b2a197fb25688420ab5a9fecebe79fa8b1ff74d7",
+        "418cf750a7db8640f8a503ca95257b36dab2e8453f81a99cb2c17d9a7a47571d",
     ("laws_phi", "law_table.csv"):
-        "1d7f0fba253c424eb8d8825d4d37b147397842d8dbe6287acb661728993b767c",
+        "f4ae9208adcbdd147e99628df626878ba94d1fdd68c46fc14274db87e14c39fd",
     ("laws_ratio_tail", "law_table.csv"):
-        "95dff81f6ac0647ea2bdfe8216de5a01c609e1827fbccf12dca0cc62b1569765",
+        "4f4c33758eae641d8c83d695f9fd2e8b3208e88adf40be5c7610d5183a56176e",
     ("laws_successive", "law_table.csv"):
-        "bbaad5291c40ad4223649b7e5f7668906bcca7499162bc2d631a5663a1a27322",
+        "9de0a7a5770444e9de63c1eedb4f3232f009a65710951bf3c08da153fe0f2f86",
     ("laws_w", "law_table.csv"):
-        "31c756e2efe1a6daa90cc413af8a05793d232b7b5fe6b676c5244967f0b74932",
+        "00c6bae20c72063bd43481dea134950638d4d6714d7e2a4bb39b4569f36ad425",
     ("simulate_pareto", "trials.csv"):
         "8fcd7d800b86e6555222742bb4f598109000d804d37dc1cf881783fa3ed1c9fa",
     ("simulate_pareto_perturbed", "trials.csv"):

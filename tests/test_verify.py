@@ -332,8 +332,9 @@ def test_report_json_and_csv_shapes():
     assert doc["pass"] == rep.passed
     assert doc["seed"] == 1
     assert len(doc["statistics"]) == 2
-    keys, rows = rep.csv_rows()
-    assert "ks" in keys and len(rows) == 2
+    keys, columns = rep.csv_columns()
+    assert "ks" in keys and len(columns) == len(keys)
+    assert all(len(column) == 2 for column in columns)
 
 
 def test_report_json_handles_nonfinite():
