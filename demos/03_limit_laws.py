@@ -9,19 +9,18 @@ import numpy as np
 from ppratios import limit_laws as ll
 
 alpha, r, n = 1.0, 2, 2
-spec = ll.LawSpec(alpha=alpha, r=r, n=n)
 
 print(f"pivot-ratio law for alpha={alpha}, r={r}, n={n}: three evaluations")
 w = np.array([0.2, 0.5, 0.8])
-density, cdf = ll.w_law(spec, w)
+density, cdf = ll.w_law(r, n, alpha, w)
 print("  w              :", w)
 print("  beta form      :", np.round(cdf, 10))
 print("  binomial form  :", np.round(ll.k_orderstat_cdf(r, n, alpha, w), 10))
 print("  density        :", np.round(density, 6))
+print("  cdf at 0 and 1 :", ll.w_cdf(r, n, alpha, [0.0, 1.0]), "(w_cdf, closed support)")
 
 print("\nabove-1 laws")
-jspec = ll.LawSpec(alpha=1.0, u=0.5)
-print("  J(0.5) cdf at 1.5:", ll.j_law(jspec, 1.5)[1], "(= 2/3)")
+print("  J(0.5) cdf at 1.5:", ll.j_law(0.5, 1.0, 1.5)[1], "(= 2/3)")
 print("  L cdf at 2       :", ll.l_law(1.0, 2.0)[1], "(= 1/2)")
 print("  successive-ratio cdf, k=3, alpha=2, y=0.9:",
       ll.successive_ratio_cdf(3, 2.0, 0.9), "(= 0.9^6)")

@@ -38,7 +38,6 @@ from .samplers import (
 )
 from .limit_laws import (
     LaplaceProbe,
-    LawSpec,
     conditional_gamma_cdf,
     incomplete_beta,
     j_law,
@@ -50,6 +49,8 @@ from .limit_laws import (
     phi_conditional,
     ratio_tail_n1,
     successive_ratio_cdf,
+    time_scale_cdf,
+    w_cdf,
     w_law,
 )
 from .verify import (
@@ -76,10 +77,10 @@ __all__ = [
     "NBSample", "OrderedSample", "RatioConfiguration", "TruncationError",
     "sample_gamma_arrivals", "sample_negbin_process", "sample_ordered_points",
     "sample_ratio_configuration",
-    "LaplaceProbe", "LawSpec", "conditional_gamma_cdf",
+    "LaplaceProbe", "conditional_gamma_cdf",
     "incomplete_beta", "j_law", "k_orderstat_cdf", "l_law",
     "limit_laplace_full", "nb_count_pmf", "nb_laplace", "phi_conditional",
-    "ratio_tail_n1", "successive_ratio_cdf", "w_law",
+    "ratio_tail_n1", "successive_ratio_cdf", "time_scale_cdf", "w_cdf", "w_law",
     "ClassificationError", "EmpiricalDistribution", "TailClassification",
     "VerifyReport", "classify_tail", "convergence_sweep", "estimate_alpha",
     "identity_checks", "independence_check", "ks_distance",

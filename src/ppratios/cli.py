@@ -28,6 +28,7 @@ import numpy as np
 
 from . import limit_laws as ll
 from . import samplers as sp
+from . import tail_models as tm
 from . import verify as vf
 from .tail_models import InversionError, TailModel
 
@@ -71,10 +72,8 @@ _TARGETS = {
 #: ``(density, cdf)`` on the merged config and the grid; density is "" where
 #: the law has none).
 _LAWS = {
-    "w": (("alpha", "r", "n"), lambda cfg, x: ll.w_law(
-        ll.LawSpec(alpha=cfg["alpha"], r=cfg["r"], n=cfg["n"]), x)),
-    "j": (("alpha", "u"), lambda cfg, x: ll.j_law(
-        ll.LawSpec(alpha=cfg["alpha"], u=cfg["u"]), x)),
+    "w": (("alpha", "r", "n"), lambda cfg, x: ll.w_law(cfg["r"], cfg["n"], cfg["alpha"], x)),
+    "j": (("alpha", "u"), lambda cfg, x: ll.j_law(cfg["u"], cfg["alpha"], x)),
     "l": (("alpha",), lambda cfg, x: ll.l_law(cfg["alpha"], x)),
     "k_orderstat": (("alpha", "r", "n"), lambda cfg, x: (
         "", ll.k_orderstat_cdf(cfg["r"], cfg["n"], cfg["alpha"], x))),
@@ -123,8 +122,7 @@ _OPTIONS = {
     "config": _Option(str, help="flat key=value file of this subcommand's options; "
                       "flags win"),
     "out_dir": _Option(str, "out"),
-    "tail": _Option(str, choices=("pareto", "pareto_log", "pareto_perturbed",
-                                  "rapid_zero", "slow_zero")),
+    "tail": _Option(str, choices=tuple(sorted(tm.KINDS))),
     "alpha": _Option(float), "beta": _Option(float), "c": _Option(float),
     "gamma": _Option(float),
     "r": _Option(int), "n": _Option(int), "t": _Option(float),
@@ -136,8 +134,8 @@ _OPTIONS = {
                        "changes wall time only, never output"),
     "cap": _Option(int, 1_000_000),
     "target": _Option(str, choices=tuple(_TARGETS), help=_pick_help("verify")),
-    "method": _Option(str, "limit_ratios", ("limit_ratios", "mixed_poisson")),
-    "probe_form": _Option(str, "indicator_step", ("indicator_step", "linear_ramp")),
+    "method": _Option(str, sp.LIMIT_RATIOS, tuple(sorted(sp.NB_METHODS))),
+    "probe_form": _Option(str, ll.INDICATOR_STEP, tuple(sorted(ll.PROBE_FORMS))),
     "probe_amplitude": _Option(float, 1.0),
     "probe_a": _Option(float, 0.5),
     "probe_b": _Option(float, 1.0),
@@ -220,7 +218,8 @@ def _write_csv(path: Path, meta: dict, header: list, columns: list) -> None:
 
     A column is a scalar (its ``_fmt`` text on every row), a 1-D ndarray or
     a list; all non-scalar columns have one length, the row count.  Every
-    cell reads exactly as ``_fmt`` writes it.
+    cell reads exactly as ``_fmt`` writes it.  The directory is created
+    if missing.
     """
     sized = [j for j, col in enumerate(columns) if isinstance(col, (list, np.ndarray))]
     lengths = {len(columns[j]) for j in sized}
@@ -234,6 +233,7 @@ def _write_csv(path: Path, meta: dict, header: list, columns: list) -> None:
     for j, col in enumerate(columns):
         template += [None if j in sized else _fmt(col),
                      "," if j < len(columns) - 1 else "\n"]
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         for key in sorted(meta):
             fh.write(f"# {key}={_fmt(meta[key])}\n")
@@ -247,6 +247,7 @@ def _write_csv(path: Path, meta: dict, header: list, columns: list) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
@@ -382,8 +383,6 @@ def _run_simulate(cfg: dict) -> int:
     above, w, counts = sp.ratio_configuration_batch(
         model, t, r, n, cfg["epsilon"], trials, cfg["seed"], cap=cfg["cap"],
         threads=cfg.get("threads"))
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
     header = ["trial_index", "t", "r", "n", "w_rn", "count_below"] + [
         f"above_{k}" for k in range(1, n)]
     columns = [np.arange(trials), t, r, n, "" if w is None else w, counts] + [
@@ -391,7 +390,7 @@ def _run_simulate(cfg: dict) -> int:
     meta = {"seed": cfg["seed"], "trials": trials, "epsilon": cfg["epsilon"], "t": t,
             "r": r, "n": n, "cap": cfg["cap"],
             **{f"tail_{key}": value for key, value in model.to_record().items()}}
-    _write_csv(out / "trials.csv", meta, header, columns)
+    _write_csv(Path(cfg["out_dir"]) / "trials.csv", meta, header, columns)
     return 0
 
 
@@ -399,10 +398,9 @@ def _run_laws(cfg: dict) -> int:
     """``law_table.csv``: the options the law read as meta lines, then x, density, cdf."""
     grid = _parse_grid(cfg["grid"])
     density, cdf = _LAWS[cfg["law"]][1](cfg, grid)
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
     meta = {k: v for k, v in cfg.items() if k not in ("out_dir", "experiment")}
-    _write_csv(out / "law_table.csv", meta, ["x", "density", "cdf"], [grid, density, cdf])
+    _write_csv(Path(cfg["out_dir"]) / "law_table.csv", meta, ["x", "density", "cdf"],
+               [grid, density, cdf])
     return 0
 
 
@@ -410,7 +408,6 @@ def _run_verify(cfg: dict) -> int:
     run = {"trials": cfg["trials"], "seed": cfg["seed"], "threads": cfg.get("threads")}
     report = _TARGETS[cfg["target"]][1](cfg, run)
     out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
     payload = report.to_json_dict()
     payload["parameters"] = {k: v for k, v in sorted(cfg.items())
                              if k not in ("out_dir", "threads")}
@@ -427,9 +424,7 @@ def _run_estimate(cfg: dict) -> int:
     t, r, trials, seed = (cfg[k] for k in ("t", "r", "trials", "seed"))
     ly = sp.log_trim_ratio_batch(model, t, r, trials, seed, threads=cfg.get("threads"))
     alpha_hat, stderr = vf.estimate_alpha(np.exp(ly), r)
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "estimate.json", {
+    _write_json(Path(cfg["out_dir"]) / "estimate.json", {
         "alpha_hat": alpha_hat, "stderr": stderr, "r": r, "t": t,
         "trials": trials, "seed": seed, "tail": model.to_record(),
     })
@@ -440,7 +435,6 @@ def _run_classify(cfg: dict) -> int:
     model = _tail_from(cfg)
     t, r, trials, seed = (cfg[k] for k in ("t", "r", "trials", "seed"))
     out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
     base = {"t": t, "r": r, "trials": trials, "seed": seed, "tail": model.to_record()}
     try:
         result = vf.classify_tail(model, t, r, trials, seed, threads=cfg.get("threads"))

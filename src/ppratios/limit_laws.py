@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad as _scipy_quad
@@ -26,24 +25,6 @@ from scipy.special import betainc, betaln, gammainc
 INDICATOR_STEP = "indicator_step"
 LINEAR_RAMP = "linear_ramp"
 PROBE_FORMS = frozenset({INDICATOR_STEP, LINEAR_RAMP})
-
-
-@dataclass(frozen=True)
-class LawSpec:
-    """Parameter bundle selecting one closed-form limit law."""
-
-    alpha: float
-    r: int = 0
-    n: int = 1
-    u: Optional[float] = None
-
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
-        if self.r < 0 or self.n < 1:
-            raise ValueError("require r >= 0 and n >= 1")
-        if self.u is not None and not (0.0 < self.u < 1.0):
-            raise ValueError("u must lie strictly inside (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -118,42 +99,63 @@ def incomplete_beta(a: float, b: float, x):
     return float(out) if out.ndim == 0 else out
 
 
-def w_law(spec: LawSpec, w):
+def _check_pivot(r: int, n: int, alpha: float) -> None:
+    """The pivot-ratio parameters: r >= 1 deleted points, rank n >= 1, alpha > 0."""
+    if r < 1 or n < 1:
+        raise ValueError("require r >= 1 and n >= 1")
+    if not alpha > 0:
+        raise ValueError("alpha must be positive")
+
+
+def w_cdf(r: int, n: int, alpha: float, w):
+    """CDF ``B(r, n; w**alpha)`` of the limiting pivot ratio W, with w clipped to [0, 1].
+
+    One array is allocated: the clipped copy of ``w``, on which the power
+    and the incomplete beta are taken in place.
+    """
+    _check_pivot(r, n, alpha)
+    x = np.array(w, dtype=float)
+    np.clip(x, 0.0, 1.0, out=x)
+    x **= alpha
+    betainc(r, n, x, out=x)
+    return float(x) if x.ndim == 0 else x
+
+
+def w_law(r: int, n: int, alpha: float, w):
     """Density and CDF of the limiting pivot ratio W for ``r >= 1``.
 
     density = (1 - w**alpha)**(n-1) * alpha * w**(alpha*r - 1) / B(r, n)
-    cdf     = B(r, n; w**alpha)
+    cdf     = B(r, n; w**alpha)  (:func:`w_cdf`)
     """
-    if spec.r < 1:
-        raise ValueError("w_law requires r >= 1 (the ratio is undefined at r=0)")
-    a, r, n = spec.alpha, spec.r, spec.n
+    _check_pivot(r, n, alpha)
     arr = np.asarray(w, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr).astype(float)
     if np.any((arr <= 0) | (arr >= 1)):
         raise ValueError("w must lie strictly inside (0, 1)")
-    wa = arr**a
-    density = (1.0 - wa) ** (n - 1) * a * arr ** (a * r - 1.0) / math.exp(betaln(r, n))
-    cdf = betainc(r, n, wa)
+    wa = arr**alpha
+    density = (1.0 - wa) ** (n - 1) * alpha * arr ** (alpha * r - 1.0) / math.exp(betaln(r, n))
+    cdf = w_cdf(r, n, alpha, arr)
     if scalar:
         return float(density[0]), float(cdf[0])
     return density, cdf
 
 
-def j_law(spec: LawSpec, x):
+def j_law(u: float, alpha: float, x):
     """Density and CDF of the truncated-Pareto law J(u) on (1, 1/u)."""
-    if spec.u is None or not (0.0 < spec.u < 1.0):
-        raise ValueError("j_law requires u strictly inside (0, 1)")
-    a, u = spec.alpha, spec.u
+    if not alpha > 0:
+        raise ValueError("alpha must be positive")
+    if not (0.0 < u < 1.0):
+        raise ValueError("u must lie strictly inside (0, 1)")
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr).astype(float)
     if np.any(arr <= 0):
         raise ValueError("x must be positive")
-    norm = 1.0 - u**a
+    norm = 1.0 - u**alpha
     inside = (arr > 1.0) & (arr < 1.0 / u)
-    density = np.where(inside, a * arr ** (-a - 1.0) / norm, 0.0)
-    cdf = np.clip((1.0 - arr ** -a) / norm, 0.0, 1.0)
+    density = np.where(inside, alpha * arr ** (-alpha - 1.0) / norm, 0.0)
+    cdf = np.clip((1.0 - arr ** -alpha) / norm, 0.0, 1.0)
     cdf[arr <= 1.0] = 0.0
     cdf[arr >= 1.0 / u] = 1.0
     if scalar:
@@ -184,13 +186,10 @@ def k_orderstat_cdf(r: int, n: int, alpha: float, w):
     incomplete-beta form of the pivot ratio law.  The binomial coefficients
     are floats, so r + n - 1 is at most 1029.
     """
-    if r < 1 or n < 1:
-        raise ValueError("require r >= 1 and n >= 1")
+    _check_pivot(r, n, alpha)
     m = r + n - 1
     if m > 1029:  # math.comb(1030, 515) overflows a float
         raise ValueError("the binomial form needs r + n - 1 <= 1029")
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
     arr = np.asarray(w, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr).astype(float)
@@ -207,10 +206,12 @@ def k_orderstat_cdf(r: int, n: int, alpha: float, w):
 def successive_ratio_cdf(k: int, alpha: float, y):
     """CDF ``y**(k*alpha)`` of the limit of the k-th successive ratio.
 
-    ``alpha = 0`` and ``alpha = inf`` follow the point-mass conventions
-    (mass at 0 and at 1 respectively), which the power form already encodes.
+    ``k`` may be an integer array that broadcasts against ``y``, one k per
+    column.  ``alpha = 0`` and ``alpha = inf`` follow the point-mass
+    conventions (mass at 0 and at 1 respectively), which the power form
+    already encodes.
     """
-    if k < 1:
+    if np.any(np.asarray(k) < 1):
         raise ValueError("k must be >= 1")
     if alpha < 0:
         raise ValueError("alpha must be nonnegative (inf allowed)")
@@ -376,23 +377,26 @@ def phi_conditional(lam: float, u: float, alpha: float) -> float:
     return _quad(integrand, 1.0, 1.0 / u) / norm
 
 
+def time_scale_cdf(k: int, z):
+    """CDF of the limiting time scale t*tail(k-th largest point): Gamma(k, 1)."""
+    return gammainc(k, z)
+
+
 def conditional_gamma_cdf(r: int, n: int, alpha: float, w: float, z):
     """Limiting conditional CDF of the top-point time scale given the pivot ratio.
 
-    Returns the regularized lower incomplete gamma with shape r+n evaluated
-    at ``w**-alpha * z``.
+    The Gamma(r+n, 1) CDF (:func:`time_scale_cdf`) at ``w**-alpha * z``.
     """
-    if r < 1 or n < 1:
-        raise ValueError("require r >= 1 and n >= 1")
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    _check_pivot(r, n, alpha)
     if not (0.0 < w < 1.0):
         raise ValueError("w must lie strictly inside (0, 1)")
     arr = np.asarray(z, dtype=float)
     if np.any(arr < 0):
         raise ValueError("z must be nonnegative")
     try:
+        # Python's float power: numpy's array power differs from it in the last
+        # bit for some (w, alpha)
         scale = w**-alpha
     except OverflowError:
         raise ValueError(f"w**-alpha overflows for w={w!r}, alpha={alpha!r}") from None
-    return gammainc(r + n, scale * arr)
+    return time_scale_cdf(r + n, scale * arr)

@@ -14,14 +14,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import betainc, chdtrc, gammainc
+from scipy.special import chdtrc
 from scipy.special import kolmogorov as _ks_sf
 
+from . import limit_laws as ll
 from . import samplers as sp
-from .limit_laws import nb_count_pmf, nb_laplace
 from .rng import uniform_grid
 from .tail_models import PARETO, RAPID_ZERO, SLOW_ZERO, TailModel
 
@@ -238,23 +239,6 @@ def chi_square_independence(u: np.ndarray, v: np.ndarray):
     return stat, _chi2_sf(stat, dof), g
 
 
-# ---------------------------------------------------------------------------
-# limit-law CDF callables
-
-
-def _wlaw_cdf(r: int, n: int, alpha: float) -> Callable[..., np.ndarray]:
-    def cdf(w, out=None):
-        x = np.clip(w, 0.0, 1.0, out=out)
-        x **= alpha
-        return betainc(r, n, x, out=x)
-
-    return cdf
-
-
-def _gamma_cdf(k: int) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda z: gammainc(k, z)
-
-
 def default_threshold(model: TailModel, trials: int) -> float:
     """1% KS critical value for exact (pure power) targets, ABS_KS_BOUND otherwise."""
     if model.kind == PARETO:
@@ -300,25 +284,24 @@ def convergence_sweep(
         base = it * trials
         entry = {"t": t}
         if target == WLAW:
-            # the samples are sorted and turned into their PIT values in
-            # place.  w lies in (0, 1], so the CDF's clip changes no value:
-            # one PIT serves both statistics
+            # w lies in (0, 1], so the CDF's clip changes no value: one PIT
+            # of the sorted samples serves both statistics
             w = sp.pivot_ratio_batch(model, t, r, n, trials, seed, base, threads)
             w.sort()
-            entry.update(_pit_statistics(_wlaw_cdf(r, n, alpha)(w, out=w)))
+            entry.update(_pit_statistics(ll.w_cdf(r, n, alpha, w)))
         elif target == RATIO_TAIL_N1:
             y = sp.log_trim_ratio_batch(model, t, r, trials, seed, base, threads)
             np.exp(y, out=y)
             y.sort()
-            y **= -r * alpha
-            entry.update(_pit_statistics(np.subtract(1.0, y, out=y)))
+            pit = ll.ratio_tail_n1(r, alpha, y)
+            entry.update(_pit_statistics(np.subtract(1.0, pit, out=pit)))
         elif target == SUCCESSIVE_RATIOS:
             ratios = sp.successive_ratio_batch(model, t, max(r, 1), n, trials, seed, base, threads)
             per_k = []
             for j in range(n):
                 k = max(r, 1) + j
                 emp = EmpiricalDistribution.from_samples(ratios[:, j])
-                per_k.append(ks_distance(emp, lambda y, k=k: np.clip(y, 0, 1) ** (k * alpha)))
+                per_k.append(ks_distance(emp, partial(ll.successive_ratio_cdf, k, alpha)))
             entry["ks"] = max(per_k)
             entry["ks_per_coordinate"] = per_k
         else:  # GAMMA_NC
@@ -327,7 +310,7 @@ def convergence_sweep(
             per_k = []
             for k in range(max(r, 1), kmax + 1):
                 emp = EmpiricalDistribution.from_samples(scales[:, k - 1])
-                per_k.append(ks_distance(emp, _gamma_cdf(k)))
+                per_k.append(ks_distance(emp, partial(ll.time_scale_cdf, k)))
             entry["ks"] = max(per_k)
             entry["ks_per_k"] = per_k
         entry["p_value"] = ks_p_value(entry["ks"], trials)
@@ -410,7 +393,7 @@ def independence_check(
         )
 
     ratios = sp.successive_ratio_batch(model, t, r, n, trials, seed, 0, threads)
-    pit = ratios ** ((np.arange(n) + r) * alpha)[None, :]
+    pit = ll.successive_ratio_cdf(np.arange(r, r + n), alpha, ratios)
     stats = []
     worst = None
     for j in range(n - 1):
@@ -546,14 +529,14 @@ def nb_functional_check(
         emp = float(np.mean(np.exp(np.negative(sums, out=sums), out=sums)))
     else:
         emp = float(np.mean(counts == 0))
-    expected = nb_laplace(n, alpha, probe)
+    expected = ll.nb_laplace(n, alpha, probe)
     rel_err = abs(emp - expected) / expected if expected > 0 else math.inf
 
     # count law in (a, 1) with a = epsilon (counts are taken at the sampler
     # truncation, so epsilon plays the role of the interval edge)
     kmax = int(counts.max())
     observed = np.bincount(counts, minlength=kmax + 1).astype(float)
-    expected_counts = trials * nb_count_pmf(n, alpha, epsilon, kmax)
+    expected_counts = trials * ll.nb_count_pmf(n, alpha, epsilon, kmax)
     chi2, p_count, dof = chi_square_counts(observed, expected_counts)
     p_succ = epsilon**alpha
 
@@ -685,7 +668,7 @@ def z_insensitivity_check(
         model, t, r, n, trials, seed, 0, threads
     )
     edges = np.quantile(z, np.linspace(0, 1, Z_BINS + 1))
-    cdf = _wlaw_cdf(r, n, alpha)
+    cdf = partial(ll.w_cdf, r, n, alpha)
     per_bin = []
     for b in range(Z_BINS):
         lo, hi = edges[b], edges[b + 1]
@@ -744,12 +727,12 @@ def conditional_gamma_check(
     idx = np.flatnonzero(mask)
     if idx.size < 1_000:
         raise ValueError("conditioning bin too narrow for the trial budget")
-    pit = gammainc(r + n, w[idx] ** -alpha * a_scale[idx])
+    pit = ll.time_scale_cdf(r + n, w[idx] ** -alpha * a_scale[idx])
     emp = EmpiricalDistribution.from_samples(pit)
     ks_pit = ks_distance(emp, lambda u: np.clip(u, 0.0, 1.0))
     threshold = KS_COEFF_1PCT / math.sqrt(idx.size)
     # the bin-center comparison carries O(half_width) discretization bias
-    center_cdf = lambda zv: gammainc(r + n, w_center**-alpha * zv)
+    center_cdf = partial(ll.conditional_gamma_cdf, r, n, alpha, w_center)
     ks_center = ks_distance(EmpiricalDistribution.from_samples(a_scale[idx]), center_cdf)
     return VerifyReport(
         experiment_id=f"conditional_gamma_{model.kind}_r{r}_n{n}",

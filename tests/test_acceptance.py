@@ -150,7 +150,7 @@ def test_c5_identity_suite():
     for alpha in (0.5, 1.0, 2.0):
         for r in (1, 2):
             for n in (1, 2, 3):
-                via_beta = ll.w_law(ll.LawSpec(alpha=alpha, r=r, n=n), w)[1]
+                via_beta = ll.w_law(r, n, alpha, w)[1]
                 via_binom = ll.k_orderstat_cdf(r, n, alpha, w)
                 via_lib = ss.betainc(r, n, w**alpha)
                 worst = max(worst,

@@ -768,10 +768,15 @@ def test_huge_trial_counts_exit_2(tmp_path, argv, trials):
      "--r", "1", "--n", "0", "--t", "0.1", "--trials", "100000"],
     ["verify", "--target", "gamma_nc", "--tail", "pareto", "--alpha", "1", "--r", "1",
      "--n", "-1", "--trials", "10000"],
+    # fails before any artifact, so no output directory may be left behind
+    ["classify", "--tail", "pareto", "--alpha", "1", "--t", "0", "--r", "1",
+     "--trials", "1000"],
 ], ids=["nb_small_epsilon", "nb_large_alpha", "conditional_gamma_large_alpha",
         "k_orderstat_large_n", "phi_infinite_alpha", "wlaw_negative_n",
-        "z_insensitivity_zero_n", "gamma_nc_negative_n"])
+        "z_insensitivity_zero_n", "gamma_nc_negative_n", "classify_zero_t"])
 def test_overflowing_or_empty_inputs_exit_2(tmp_path, argv):
-    code, err = _run_captured(argv + ["--out-dir", str(tmp_path)])
+    out = tmp_path / "out"
+    code, err = _run_captured(argv + ["--out-dir", str(out)])
     assert code == 2
     assert json.loads(err.strip().splitlines()[-1])["error"] == "domain"
+    assert not out.exists()

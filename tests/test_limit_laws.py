@@ -25,46 +25,55 @@ def test_incomplete_beta_examples():
 
 
 def test_w_law_examples():
-    d, c = ll.w_law(ll.LawSpec(alpha=1, r=1, n=1), 0.3)
+    d, c = ll.w_law(1, 1, 1, 0.3)
     assert d == pytest.approx(1.0)
     assert c == pytest.approx(0.3)
-    _, c = ll.w_law(ll.LawSpec(alpha=2, r=1, n=1), 0.5)
+    _, c = ll.w_law(1, 1, 2, 0.5)
     assert c == pytest.approx(0.25)
-    d, _ = ll.w_law(ll.LawSpec(alpha=2, r=1, n=2), 0.5)
+    d, _ = ll.w_law(1, 2, 2, 0.5)
     assert d == pytest.approx(1.5)  # (1-0.25)*2*0.5/B(1,2)
 
 
 def test_w_law_rejects_r0_and_boundary():
     with pytest.raises(ValueError):
-        ll.w_law(ll.LawSpec(alpha=1, r=0, n=1), 0.5)
+        ll.w_law(0, 1, 1, 0.5)
     with pytest.raises(ValueError):
-        ll.w_law(ll.LawSpec(alpha=1, r=1, n=1), 1.0)
+        ll.w_law(1, 1, 1, 1.0)
+
+
+@pytest.mark.parametrize("alpha,r,n", [(1, 1, 2), (2.0, 2, 3), (0.7, 3, 1)])
+def test_w_cdf_is_w_law_cdf_on_the_closed_support(alpha, r, n):
+    w = np.linspace(0.001, 0.999, 999)
+    cdf = ll.w_cdf(r, n, alpha, w)
+    assert cdf.tobytes() == ll.w_law(r, n, alpha, w)[1].tobytes()
+    assert ll.w_cdf(r, n, alpha, 0.3) == ll.w_law(r, n, alpha, 0.3)[1]
+    assert isinstance(ll.w_cdf(r, n, alpha, 0.3), float)
+    ends = ll.w_cdf(r, n, alpha, np.array([-2.0, 0.0, 1.0, 3.0]))
+    assert ends.tolist() == [0.0, 0.0, 1.0, 1.0]
+    assert w.tolist() == np.linspace(0.001, 0.999, 999).tolist()  # input untouched
 
 
 @pytest.mark.parametrize("alpha,r,n", [(1, 1, 1), (2, 1, 2), (0.5, 2, 3), (1.5, 3, 1)])
 def test_w_law_density_integrates_to_one(alpha, r, n):
-    spec = ll.LawSpec(alpha=alpha, r=r, n=n)
-    total, err = quad(lambda w: ll.w_law(spec, w)[0], 0, 1, epsabs=1e-10, epsrel=1e-10)
+    total, err = quad(lambda w: ll.w_law(r, n, alpha, w)[0], 0, 1, epsabs=1e-10, epsrel=1e-10)
     assert total == pytest.approx(1.0, abs=1e-8)
 
 
 @pytest.mark.parametrize("alpha,r,n", [(1, 1, 2), (2, 2, 2), (0.7, 1, 3)])
 def test_w_law_cdf_density_consistency(alpha, r, n):
-    spec = ll.LawSpec(alpha=alpha, r=r, n=n)
     w = np.linspace(0.05, 0.95, 37)
     h = 1e-6
-    _, hi = ll.w_law(spec, w + h)
-    _, lo = ll.w_law(spec, w - h)
-    density, _ = ll.w_law(spec, w)
+    _, hi = ll.w_law(r, n, alpha, w + h)
+    _, lo = ll.w_law(r, n, alpha, w - h)
+    density, _ = ll.w_law(r, n, alpha, w)
     assert np.allclose((hi - lo) / (2 * h), density, atol=1e-5)
 
 
 def test_j_and_l_cdf_density_consistency():
     h = 1e-7
-    spec = ll.LawSpec(alpha=1.4, u=0.35)
     x = np.linspace(1.05, 1.0 / 0.35 - 0.05, 31)
-    num = (ll.j_law(spec, x + h)[1] - ll.j_law(spec, x - h)[1]) / (2 * h)
-    assert np.allclose(num, ll.j_law(spec, x)[0], atol=1e-5)
+    num = (ll.j_law(0.35, 1.4, x + h)[1] - ll.j_law(0.35, 1.4, x - h)[1]) / (2 * h)
+    assert np.allclose(num, ll.j_law(0.35, 1.4, x)[0], atol=1e-5)
     x = np.linspace(1.05, 8.0, 31)
     num = (ll.l_law(0.9, x + h)[1] - ll.l_law(0.9, x - h)[1]) / (2 * h)
     assert np.allclose(num, ll.l_law(0.9, x)[0], atol=1e-5)
@@ -74,12 +83,11 @@ def test_j_and_l_cdf_density_consistency():
 
 
 def test_j_law_examples():
-    spec = ll.LawSpec(alpha=1, u=0.5)
-    _, c = ll.j_law(spec, 2.0)
+    _, c = ll.j_law(0.5, 1, 2.0)
     assert c == pytest.approx(1.0)  # right endpoint of (1, 1/u)
-    _, c = ll.j_law(spec, 1.5)
+    _, c = ll.j_law(0.5, 1, 1.5)
     assert c == pytest.approx(2.0 / 3.0)
-    d, c = ll.j_law(spec, 0.9)
+    d, c = ll.j_law(0.5, 1, 0.9)
     assert d == 0.0 and c == 0.0
 
 
@@ -87,14 +95,13 @@ def test_j_law_u_to_zero_recovers_l_law():
     # the truncated law approaches the untruncated one at rate u**alpha
     x = np.linspace(1.01, 5.0, 23)
     for alpha in (0.5, 1.0, 2.0):
-        _, cj = ll.j_law(ll.LawSpec(alpha=alpha, u=1e-15), x)
+        _, cj = ll.j_law(1e-15, alpha, x)
         _, cl = ll.l_law(alpha, x)
         assert np.allclose(cj, cl, atol=1e-7)
 
 
 def test_j_law_density_integrates_to_one():
-    spec = ll.LawSpec(alpha=1.5, u=0.3)
-    total, _ = quad(lambda x: ll.j_law(spec, x)[0], 1.0, 1.0 / 0.3,
+    total, _ = quad(lambda x: ll.j_law(0.3, 1.5, x)[0], 1.0, 1.0 / 0.3,
                     epsabs=1e-10, epsrel=1e-10)
     assert total == pytest.approx(1.0, abs=1e-8)
 
@@ -154,6 +161,15 @@ def test_successive_ratio_examples():
     assert ll.successive_ratio_cdf(1, 1.0, 0.5) == pytest.approx(0.5)
     assert ll.successive_ratio_cdf(2, 1.0, 0.5) == pytest.approx(0.25)
     assert ll.successive_ratio_cdf(3, 2.0, 0.9) == pytest.approx(0.9**6)
+
+
+def test_successive_ratio_cdf_takes_one_k_per_column():
+    y = uniform_grid(5, 0, 1000, 3)
+    k = np.arange(2, 5)
+    got = ll.successive_ratio_cdf(k, 1.5, y)
+    assert got.tobytes() == (y ** (k * 1.5)[None, :]).tobytes()
+    with pytest.raises(ValueError):
+        ll.successive_ratio_cdf(np.arange(0, 3), 1.5, y)
 
 
 def test_successive_ratio_degenerate_conventions():
@@ -262,8 +278,7 @@ def test_phi_conditional_values():
 
 def test_phi_matches_j_law_expectation():
     lam, u, alpha = 0.9, 0.4, 1.3
-    spec = ll.LawSpec(alpha=alpha, u=u)
-    want, _ = quad(lambda x: math.exp(-lam * x) * ll.j_law(spec, x)[0],
+    want, _ = quad(lambda x: math.exp(-lam * x) * ll.j_law(u, alpha, x)[0],
                    1.0, 1.0 / u, epsabs=1e-12, epsrel=1e-12)
     assert ll.phi_conditional(lam, u, alpha) == pytest.approx(want, rel=1e-9)
 
@@ -277,6 +292,15 @@ def test_conditional_gamma_values():
     # careful: r=1, n=1 has shape 2; use the dedicated shape-1 identity instead
     assert ll.conditional_gamma_cdf(1, 1, 2.0, 0.9, 1e9) == pytest.approx(1.0)
     assert got[0] == pytest.approx(1 - math.exp(-0.5) * 1.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("r,n,alpha,w", [(1, 1, 1.0, 0.5), (2, 3, 1.7, 0.31), (3, 1, 0.4, 0.93)])
+def test_conditional_gamma_is_time_scale_cdf_at_scaled_z(r, n, alpha, w):
+    z = np.linspace(0.0, 12.0, 61)
+    got = ll.conditional_gamma_cdf(r, n, alpha, w, z)
+    assert got.tobytes() == ll.time_scale_cdf(r + n, w**-alpha * z).tobytes()
+    # shape 1 is the exponential law
+    assert np.allclose(ll.time_scale_cdf(1, z), -np.expm1(-z), rtol=1e-14, atol=0)
 
 
 def test_conditional_gamma_shape_one():
@@ -310,12 +334,11 @@ def test_probe_validation():
 
 
 def test_law_spec_validation():
-    with pytest.raises(ValueError):
-        ll.LawSpec(alpha=0.0)
-    with pytest.raises(ValueError):
-        ll.LawSpec(alpha=1.0, u=1.5)
-    with pytest.raises(ValueError):
-        ll.LawSpec(alpha=1.0, r=-1)
+    for call in (lambda: ll.w_law(1, 1, 0.0, 0.5), lambda: ll.j_law(0.5, 0.0, 1.5),
+                 lambda: ll.w_cdf(1, 1, 0.0, 0.5), lambda: ll.j_law(1.5, 1.0, 1.2),
+                 lambda: ll.w_law(-1, 1, 1.0, 0.5), lambda: ll.w_cdf(-1, 1, 1.0, 0.5)):
+        with pytest.raises(ValueError):
+            call()
 
 
 # --- the three-way pivot law identity ---------------------------------------
@@ -327,7 +350,7 @@ def test_pivot_law_three_way_identity(alpha, r, n):
     import scipy.special as ss
 
     w = np.linspace(0.01, 0.99, 99)
-    via_beta = ll.w_law(ll.LawSpec(alpha=alpha, r=r, n=n), w)[1]
+    via_beta = ll.w_law(r, n, alpha, w)[1]
     via_binomial = ll.k_orderstat_cdf(r, n, alpha, w)
     via_library = ss.betainc(r, n, w**alpha)  # independent third route
     assert np.max(np.abs(via_beta - via_binomial)) < 1e-10
@@ -341,6 +364,5 @@ def test_product_of_ratio_limits_matches_w_law():
     u = uniform_grid(777, 0, trials, n)
     prod = np.prod(u ** (1.0 / (alpha * np.arange(r, r + n)))[None, :], axis=1)
     emp = EmpiricalDistribution.from_samples(prod)
-    ks = ks_distance(emp, lambda w: ll.w_law(ll.LawSpec(alpha=alpha, r=r, n=n),
-                                             np.clip(w, 1e-12, 1 - 1e-12))[1])
+    ks = ks_distance(emp, lambda w: ll.w_cdf(r, n, alpha, w))
     assert ks < 0.003

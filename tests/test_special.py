@@ -90,7 +90,7 @@ def test_log_beta():
     # the Beta(r, n) normalisation of the pivot density, alpha = 1:
     # r=1, n=1 is uniform; r=2, n=3 is 12 w (1-w)^2
     w = np.linspace(0.05, 0.95, 19)
-    density, _ = ll.w_law(ll.LawSpec(alpha=1.0, r=1, n=1), w)
+    density, _ = ll.w_law(1, 1, 1.0, w)
     assert np.allclose(density, 1.0, rtol=1e-14)
-    density, _ = ll.w_law(ll.LawSpec(alpha=1.0, r=2, n=3), w)
+    density, _ = ll.w_law(2, 3, 1.0, w)
     assert np.allclose(density, 12.0 * w * (1 - w) ** 2, rtol=1e-13)
