@@ -364,8 +364,8 @@ def _t_grid_from(cfg: dict) -> list:
     """t grid for sweeps, from ``t`` or ``t_grid``; t=1.0 when neither is given.
 
     Exact-law sweep targets are t-free for the pure power family, so a
-    default single point keeps quick checks one-liner friendly; the grid
-    is written into every artifact.
+    default single point keeps quick checks one-liner friendly.  Each sweep
+    statistic records its own t.
     """
     t, t_grid = cfg.get("t"), cfg.get("t_grid")
     if t is not None and t_grid is not None:
@@ -383,9 +383,8 @@ def _run_simulate(cfg: dict) -> int:
     above, w, counts = sp.ratio_configuration_batch(
         model, t, r, n, cfg["epsilon"], trials, cfg["seed"], cap=cfg["cap"],
         threads=cfg.get("threads"))
-    header = ["trial_index", "t", "r", "n", "w_rn", "count_below"] + [
-        f"above_{k}" for k in range(1, n)]
-    columns = [np.arange(trials), t, r, n, "" if w is None else w, counts] + [
+    header = ["trial_index", "w_rn", "count_below"] + [f"above_{k}" for k in range(1, n)]
+    columns = [np.arange(trials), "" if w is None else w, counts] + [
         above[:, k] for k in range(n - 1)]
     meta = {"seed": cfg["seed"], "trials": trials, "epsilon": cfg["epsilon"], "t": t,
             "r": r, "n": n, "cap": cfg["cap"],

@@ -84,27 +84,20 @@ def uniforms_at(master_seed: int, streams, counters) -> np.ndarray:
     return out[()]
 
 
-def uniform_grid(
-    master_seed: int,
-    stream_start: int,
-    n_streams: int,
-    n_draws: int,
-    counter_start: int = 0,
-) -> np.ndarray:
-    """Uniform(0,1) matrix; row i is stream ``stream_start+i``, column j is counter ``counter_start+j``.
+def uniform_grid(master_seed: int, stream_start: int, n_streams: int, n_draws: int) -> np.ndarray:
+    """Uniform(0,1) matrix; row i is stream ``stream_start+i``, column j is counter ``j``.
 
-    The dense form of :func:`uniforms_at`.  Row ``i`` equals
-    ``RngStream(master_seed, stream_start+i)`` drawing ``n_draws`` uniforms
-    from counter ``counter_start``.  Every stream index must lie in
-    ``[0, 2**64)``, so ``stream_start + n_streams`` may not exceed ``2**64``.
+    The dense form of :func:`uniforms_at`.  Row ``i`` equals the first
+    ``n_draws`` uniforms of ``RngStream(master_seed, stream_start+i)``.
+    Every stream index must lie in ``[0, 2**64)``, so
+    ``stream_start + n_streams`` may not exceed ``2**64``.
     """
     first = _words(stream_start, "stream index")
     if int(first) + n_streams > 2**64:
         raise ValueError(f"stream indices {int(first)} to {int(first)} + {n_streams} - 1 "
                          "must lie in [0, 2**64)")
     streams = first + np.arange(n_streams, dtype=np.uint64)
-    counters = _words(counter_start, "counter") + np.arange(n_draws, dtype=np.uint64)
-    return uniforms_at(master_seed, streams[:, None], counters)
+    return uniforms_at(master_seed, streams[:, None], np.arange(n_draws, dtype=np.uint64))
 
 
 @dataclass
@@ -120,10 +113,6 @@ class RngStream:
     master_seed: int
     stream_index: int = 0
     cursor: int = field(default=0, repr=False, compare=False)
-
-    def spawn(self, stream_index: int) -> "RngStream":
-        """Fresh stream with the same master seed and a new index."""
-        return RngStream(self.master_seed, stream_index)
 
     def uniforms(self, n: int) -> np.ndarray:
         """Next ``n`` Uniform(0,1) variates, advancing the cursor."""

@@ -57,7 +57,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .rng import RngStream, uniform_grid, uniforms_at
-from .tail_models import TailModel, eval_tail, log_inverse_tail
+from .tail_models import TailModel, log_inverse_tail, tail_at_log
 
 LIMIT_RATIOS = "limit_ratios"
 MIXED_POISSON = "mixed_poisson"
@@ -464,7 +464,7 @@ def gamma_matrix(
     """(n_trials, count) matrix of Poisson arrivals; row i replays stream i."""
 
     def block(offset: int, rows: int) -> np.ndarray:
-        u = uniform_grid(master_seed, stream_start + offset, rows, count, 0)
+        u = uniform_grid(master_seed, stream_start + offset, rows, count)
         return np.cumsum(-np.log(u), axis=1)
 
     return _map_row_blocks(block, n_trials, threads, stream_start)
@@ -602,7 +602,7 @@ def time_scale_batch(
         raise ValueError("kmax must be >= 1")
 
     def scales(lp):
-        return t * eval_tail(model, np.exp(lp).ravel()).reshape(lp.shape)
+        return t * tail_at_log(model, lp)
 
     return _map_log_points(model, t, kmax, slice(None), scales, n_trials, master_seed,
                            stream_start, threads)
@@ -628,8 +628,8 @@ def pivot_ratio_with_scales_batch(
 
     def scales(lp):  # columns r-1 and r+n-1 only
         w = np.exp(lp[:, 1] - lp[:, 0])
-        z = t * eval_tail(model, np.exp(lp[:, 1]))
-        a = t * eval_tail(model, np.exp(lp[:, 0]))
+        z = t * tail_at_log(model, lp[:, 1])
+        a = t * tail_at_log(model, lp[:, 0])
         return w, z, a
 
     return _map_log_points(model, t, r + n, slice(r - 1, None, n), scales, n_trials,

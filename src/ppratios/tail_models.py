@@ -193,6 +193,19 @@ def eval_tail(model: TailModel, x):
     return float(out[0]) if scalar else out
 
 
+def tail_at_log(model: TailModel, lx):
+    """``eval_tail(model, exp(lx))``, also where ``exp(lx)`` underflows.
+
+    Deep in the small-time regime the slowly varying family's points
+    underflow float64; there ``log1p(1/x) = -log x + log1p(x)`` is ``-lx``
+    to double precision, so it is taken from the log directly.
+    """
+    lx = np.asarray(lx, dtype=float)
+    if model.kind != SLOW_ZERO:
+        return eval_tail(model, np.exp(lx))
+    return np.where(lx < -700.0, -lx, eval_tail(model, np.exp(np.maximum(lx, -700.0))))
+
+
 def log_inverse_tail(model: TailModel, y):
     """``log`` of the right-continuous inverse of the tail function.
 
@@ -345,11 +358,4 @@ def rv_limit_table(model: TailModel, u: float, y: float, t_grid) -> np.ndarray:
     if not np.all(np.isfinite(yt)):
         raise ValueError(f"t={float(t[~np.isfinite(yt)][0])!r} is too small: "
                          "y / t overflows to inf")
-    lx = math.log(u) + log_inverse_tail(model, yt)
-    if model.kind == SLOW_ZERO:
-        # the inverse underflows float64 deep in the grid; evaluate
-        # log1p(exp(-lx)) from the log directly
-        neg = -lx
-        vals = np.where(neg > 700.0, neg, np.log1p(np.exp(np.minimum(neg, 700.0))))
-        return t * vals
-    return t * eval_tail(model, np.exp(lx))
+    return t * tail_at_log(model, math.log(u) + log_inverse_tail(model, yt))

@@ -87,24 +87,24 @@ class EmpiricalDistribution:
 
 @dataclass
 class VerifyReport:
-    """Per-experiment statistics plus the pass verdict at the final grid point."""
+    """Per-experiment statistics plus the pass verdict at the final grid point.
+
+    ``details`` holds computed values only; the run's inputs are recorded
+    once, by the caller (the CLI writes them as ``parameters``).
+    """
 
     experiment_id: str
-    t_grid: list
     statistics: list
     passed: bool
     threshold: float
-    seed: int
     details: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
             "experiment_id": self.experiment_id,
-            "t_grid": list(self.t_grid),
             "statistics": _jsonable(self.statistics),
             "pass": bool(self.passed),
             "threshold": self.threshold,
-            "seed": self.seed,
             "details": _jsonable(self.details),
         }
 
@@ -136,7 +136,7 @@ def _jsonable(obj):
 
 @dataclass
 class TailClassification:
-    """Trichotomy verdict with the evidence that produced it."""
+    """Trichotomy verdict with the computed evidence that produced it."""
 
     verdict: str
     alpha_hat: Optional[float]
@@ -239,6 +239,19 @@ def chi_square_independence(u: np.ndarray, v: np.ndarray):
     return stat, _chi2_sf(stat, dof), g
 
 
+def _finite_index(model: TailModel) -> float:
+    """The model's tail index; ``ValueError`` unless it is finite and positive.
+
+    The checks that compare against a regular-variation limit law need one:
+    with the index 0 or inf the law degenerates and every KS is vacuous.
+    """
+    alpha = model.rv_index
+    if not (0 < alpha < math.inf):
+        raise ValueError(f"{model.kind} has no finite positive tail index; "
+                         "this check needs one")
+    return alpha
+
+
 def default_threshold(model: TailModel, trials: int) -> float:
     """1% KS critical value for exact (pure power) targets, ABS_KS_BOUND otherwise."""
     if model.kind == PARETO:
@@ -274,9 +287,7 @@ def convergence_sweep(
         raise ValueError("trials must be >= 10^4")
     if target not in SWEEP_TARGETS:
         raise ValueError(f"unknown sweep target: {target!r}")
-    alpha = model.rv_index
-    if not (0 < alpha < math.inf):
-        raise ValueError("convergence sweeps need a finite positive tail index")
+    alpha = _finite_index(model)
     threshold = default_threshold(model, trials)
 
     stats = []
@@ -319,16 +330,9 @@ def convergence_sweep(
     passed = stats[-1]["ks"] <= threshold
     return VerifyReport(
         experiment_id=f"sweep_{target}_{model.kind}_r{r}_n{n}",
-        t_grid=t_arr,
         statistics=stats,
         passed=bool(passed),
         threshold=float(threshold),
-        seed=seed,
-        details={
-            "model": model.to_record(),
-            "r": r, "n": n, "trials": trials, "target": target,
-            "threshold_rule": "1.63/sqrt(trials) for exact targets, 0.01 absolute otherwise",
-        },
     )
 
 
@@ -383,13 +387,10 @@ def independence_check(
         collapsed = med > boundary if model.kind == RAPID_ZERO else med < boundary
         return VerifyReport(
             experiment_id=f"independence_{model.kind}_r{r}_n{n}",
-            t_grid=[float(t)],
             statistics=[{"t": t, "median_ratio": med, "point_mass_at": limit}],
             passed=bool(collapsed),
             threshold=boundary,
-            seed=seed,
-            details={"model": model.to_record(), "verdict": f"point_mass_at_{limit:g}",
-                     "r": r, "n": n, "trials": trials},
+            details={"verdict": f"point_mass_at_{limit:g}"},
         )
 
     ratios = sp.successive_ratio_batch(model, t, r, n, trials, seed, 0, threads)
@@ -409,16 +410,11 @@ def independence_check(
     passed = worst["p_value"] > P_THRESHOLD
     return VerifyReport(
         experiment_id=f"independence_{model.kind}_r{r}_n{n}",
-        t_grid=[float(t)],
         statistics=stats,
         passed=bool(passed),
         threshold=P_THRESHOLD,
-        seed=seed,
-        details={
-            "model": model.to_record(), "r": r, "n": n, "trials": trials,
-            "max_chi2": worst["chi2"], "min_p_value": worst["p_value"],
-            "marginal_pit_ks": marginal_ks,
-        },
+        details={"max_chi2": worst["chi2"], "min_p_value": worst["p_value"],
+                 "marginal_pit_ks": marginal_ks},
     )
 
 
@@ -492,12 +488,9 @@ def identity_checks(
     passed = all(rec["pass"] for rec in stats)
     return VerifyReport(
         experiment_id=f"identities_a{alpha:g}_r{r}_n{n}",
-        t_grid=[],
         statistics=stats,
         passed=bool(passed),
         threshold=thr_ab,
-        seed=seed,
-        details={"alpha": alpha, "r": r, "n": n, "trials": trials},
     )
 
 
@@ -547,21 +540,14 @@ def nb_functional_check(
     passed = (rel_err <= NB_REL_ERR_THRESHOLD) and (p_count > P_THRESHOLD)
     return VerifyReport(
         experiment_id=f"nb_functional_{method}_n{n}_a{alpha:g}",
-        t_grid=[],
         statistics=[{
             "empirical_functional": emp, "expected_functional": expected,
             "rel_err": rel_err, "chi2": chi2, "p_value": p_count, "dof": dof,
         }],
         passed=bool(passed),
         threshold=NB_REL_ERR_THRESHOLD,
-        seed=seed,
-        details={
-            "n": n, "alpha": alpha, "epsilon": epsilon, "method": method,
-            "trials": trials, "void_empirical": void_emp,
-            "void_expected": void_expected, "void_se": void_se,
-            "probe": {"amplitude": probe.amplitude, "a": probe.a, "b": probe.b,
-                      "form": probe.form},
-        },
+        details={"void_empirical": void_emp, "void_expected": void_expected,
+                 "void_se": void_se},
     )
 
 
@@ -626,13 +612,11 @@ def classify_tail(
     boundary = 1.0 + _rapid_median_allowance(t)
     median_ratio = math.exp(med_ly) if med_ly < 700.0 else math.inf
     evidence = {
-        "t": t, "r": r, "trials": trials,
         "median_ratio": median_ratio,
         "log_ratio_quartiles": [float(q25), float(med_ly), float(q75)],
         "p_within_delta_of_1": p_low,
         "p_beyond_m": p_high,
         "median_boundary": boundary,
-        "delta": CLASSIFY_DELTA, "eta": CLASSIFY_ETA, "big_m": CLASSIFY_BIG_M,
     }
     if p_high > 1.0 - CLASSIFY_ETA:
         return TailClassification(SLOWLY_VARYING, None, evidence)
@@ -663,7 +647,7 @@ def z_insensitivity_check(
     the per-bin KS statistics against the closed-form law must agree within
     twice the per-bin KS noise level.
     """
-    alpha = model.rv_index
+    alpha = _finite_index(model)
     w, z, _ = sp.pivot_ratio_with_scales_batch(
         model, t, r, n, trials, seed, 0, threads
     )
@@ -685,16 +669,10 @@ def z_insensitivity_check(
     pooled = ks_distance(EmpiricalDistribution.from_samples(w), cdf)
     return VerifyReport(
         experiment_id=f"z_insensitivity_{model.kind}_r{r}_n{n}",
-        t_grid=[float(t)],
         statistics=per_bin,
         passed=bool(passed),
         threshold=2.0 * noise,
-        seed=seed,
-        details={
-            "model": model.to_record(), "r": r, "n": n, "trials": trials,
-            "ks_spread": spread, "per_bin_noise": noise, "pooled_ks": pooled,
-            "bin_rule": "quantile bins of the pivot time scale",
-        },
+        details={"ks_spread": spread, "per_bin_noise": noise, "pooled_ks": pooled},
     )
 
 
@@ -719,7 +697,7 @@ def conditional_gamma_check(
     """
     if not (0 < w_center < 1) or not (0 < half_width < min(w_center, 1 - w_center)):
         raise ValueError("conditioning window must sit strictly inside (0, 1)")
-    alpha = model.rv_index
+    alpha = _finite_index(model)
     w, _, a_scale = sp.pivot_ratio_with_scales_batch(
         model, t, r, n, trials, seed, 0, threads
     )
@@ -736,18 +714,11 @@ def conditional_gamma_check(
     ks_center = ks_distance(EmpiricalDistribution.from_samples(a_scale[idx]), center_cdf)
     return VerifyReport(
         experiment_id=f"conditional_gamma_{model.kind}_r{r}_n{n}",
-        t_grid=[float(t)],
         statistics=[{
             "t": t, "ks": ks_pit, "p_value": ks_p_value(ks_pit, idx.size),
             "bin_count": int(idx.size),
         }],
         passed=bool(ks_pit <= threshold),
         threshold=threshold,
-        seed=seed,
-        details={
-            "model": model.to_record(), "r": r, "n": n, "trials": trials,
-            "w_center": w_center, "half_width": half_width,
-            "bin_center_ks_diagnostic": ks_center,
-            "pit_rule": "per-trial conditioning at the trial's own pivot value",
-        },
+        details={"bin_center_ks_diagnostic": ks_center},
     )

@@ -31,7 +31,7 @@ def test_verify_wlaw_example(tmp_path):
     assert code == 0
     doc = json.loads((tmp_path / "report.json").read_text())
     assert doc["pass"] is True
-    assert doc["seed"] == 7
+    assert doc["parameters"]["seed"] == 7
     assert (tmp_path / "sweep.csv").exists()
 
 
@@ -140,12 +140,10 @@ def test_simulate_csv_shape(tmp_path):
                    "--seed", "4", "--out-dir", str(tmp_path))
     assert code == 0
     meta, header, body = read_csv_body(tmp_path / "trials.csv")
-    assert header.split(",") == ["trial_index", "t", "r", "n", "w_rn",
-                                 "count_below", "above_1", "above_2"]
+    assert header.split(",") == ["trial_index", "w_rn", "count_below", "above_1", "above_2"]
     assert len(body) == 20
-    assert any(line.startswith("# seed=4") for line in meta)
-    assert any(line.startswith("# epsilon=0.3") for line in meta)
-    assert any(line.startswith("# trials=20") for line in meta)
+    for line in ("# seed=4", "# epsilon=0.3", "# trials=20", "# t=0.5", "# r=1", "# n=3"):
+        assert line in meta
 
 
 def test_estimate_and_classify_outputs(tmp_path):
@@ -197,7 +195,7 @@ def test_config_file_merge_and_conflict_warning(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "overridden by flag" in err
     doc = json.loads((out / "report.json").read_text())
-    assert doc["seed"] == 12  # flag wins
+    assert doc["parameters"]["seed"] == 12  # flag wins
 
 
 def test_config_file_bad_line(tmp_path, capsys):
@@ -498,7 +496,7 @@ def test_t_grid_parsing(tmp_path):
                    "--out-dir", str(tmp_path))
     assert code == 0
     doc = json.loads((tmp_path / "report.json").read_text())
-    assert doc["t_grid"] == [1e-1, 1e-2, 1e-3]
+    assert [rec["t"] for rec in doc["statistics"]] == [1e-1, 1e-2, 1e-3]
 
 
 def test_config_file_missing_exits_2(tmp_path, capsys):
@@ -612,15 +610,15 @@ def test_simulate_without_pivot_leaves_w_rn_empty(tmp_path):
                    "--r", "0", "--n", "3", "--trials", "50", "--epsilon", "0.3",
                    "--seed", "4", "--out-dir", str(tmp_path))
     assert code == 0
-    _, header, body = read_csv_body(tmp_path / "trials.csv")
+    meta, header, body = read_csv_body(tmp_path / "trials.csv")
     cols = header.split(",")
-    assert cols == ["trial_index", "t", "r", "n", "w_rn", "count_below",
-                    "above_1", "above_2"]
+    assert cols == ["trial_index", "w_rn", "count_below", "above_1", "above_2"]
     cells = [row.split(",") for row in body]
     assert len(cells) == 50
     assert [row[0] for row in cells] == [str(i) for i in range(50)]
     assert all(row[cols.index("w_rn")] == "" for row in cells)
-    assert all(row[1:4] == ["0.1", "0", "3"] for row in cells)
+    for line in ("# t=0.1", "# r=0", "# n=3"):
+        assert line in meta
     assert all(float(row[-1]) > 0 for row in cells)
 
 
@@ -771,9 +769,16 @@ def test_huge_trial_counts_exit_2(tmp_path, argv, trials):
     # fails before any artifact, so no output directory may be left behind
     ["classify", "--tail", "pareto", "--alpha", "1", "--t", "0", "--r", "1",
      "--trials", "1000"],
+    # a tail without a finite positive index degenerates the pivot law: the
+    # z check passed vacuously (KS 1.0 in every bin), the conditional one failed
+    ["verify", "--target", "z_insensitivity", "--tail", "rapid_zero", "--t", "0.01",
+     "--r", "1", "--n", "2", "--trials", "20000"],
+    ["verify", "--target", "conditional_gamma", "--tail", "rapid_zero", "--t", "0.01",
+     "--r", "1", "--n", "2", "--w", "0.5", "--trials", "20000"],
 ], ids=["nb_small_epsilon", "nb_large_alpha", "conditional_gamma_large_alpha",
         "k_orderstat_large_n", "phi_infinite_alpha", "wlaw_negative_n",
-        "z_insensitivity_zero_n", "gamma_nc_negative_n", "classify_zero_t"])
+        "z_insensitivity_zero_n", "gamma_nc_negative_n", "classify_zero_t",
+        "z_insensitivity_rapid_zero", "conditional_gamma_rapid_zero"])
 def test_overflowing_or_empty_inputs_exit_2(tmp_path, argv):
     out = tmp_path / "out"
     code, err = _run_captured(argv + ["--out-dir", str(out)])

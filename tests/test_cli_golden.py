@@ -15,6 +15,7 @@ bytes must update its pin and say why.
 """
 
 import hashlib
+import json
 import math
 import re
 
@@ -96,7 +97,7 @@ _COMMANDS = {
 # (command, artifact) -> SHA-256 of its text with floats rounded (``_digest``)
 _PINNED = {
     ("classify", "classification.json"):
-        "ee0007ec0b00408a8b6f6ed77d58f88421e267f912f48cf929d993f2c5991869",
+        "45c97ed51d5bda370f6eb0ad2dbc6fa4ac833e4446c1d287d0094d678dcb935b",
     ("estimate", "estimate.json"):
         "6505c699af7f0d64988a013c818e181f625f3aadc457da148da7201b75b3020e",
     ("laws_conditional_gamma", "law_table.csv"):
@@ -116,19 +117,19 @@ _PINNED = {
     ("laws_w", "law_table.csv"):
         "00c6bae20c72063bd43481dea134950638d4d6714d7e2a4bb39b4569f36ad425",
     ("simulate_pareto", "trials.csv"):
-        "8fcd7d800b86e6555222742bb4f598109000d804d37dc1cf881783fa3ed1c9fa",
+        "24ef5c7c0cbb056e03019b211ef22d42992fd2c0991f9581d33acc8190a576ff",
     ("simulate_pareto_perturbed", "trials.csv"):
-        "bc350fb57da9ace6ed9700d3cc14ec47a1fe10b85e4b21df87d8d83a75087e1d",
+        "edff4d89eb4ff0fa7ffa440792845ab1112b4574191b3b5a168da3050b97d81f",
     ("verify_nb_functional", "report.json"):
-        "43e5e702eebbf90eb0e4fd539a80541af1a01b4afce4a221cfc1bbfb775cd247",
+        "62a439f194d53fa5d21b3e3e10f4997ed5b1c51d04ba6dd7a99f8359122b256e",
     ("verify_nb_functional", "sweep.csv"):
         "ba2c0b9874d97b8820b99244e41c76b1129111a62c1444da35ed04187663aad2",
     ("verify_wlaw", "report.json"):
-        "4f2dd5102e4aa79ecb10acce5a05a7d343730ca832c85136da9f1551d9f5d4b1",
+        "dec3f31969763c4e42f7edb50cbc1b80afcae7e245abff247e91023eaf6ee322",
     ("verify_wlaw", "sweep.csv"):
         "994c2d6ab14b3052c24bd0a642ebbbaeb1c8aab58f712090b7c96ac9209c934b",
     ("verify_z_insensitivity", "report.json"):
-        "279b22a207dca4adaa51b8fb943b816eb95036f03074a2b612a7840a61fdb506",
+        "861f7b1272c12fcd88d55159ab7f8a682a26a9f668be68d1f08ac3378c0ba4e3",
     ("verify_z_insensitivity", "sweep.csv"):
         "f504d967e486b1ccff209dd1a6a1c9066831d3abd054c38cc148f677ef0fa294",
 }
@@ -153,4 +154,8 @@ def test_cli_artifacts_pinned(monkeypatch, tmp_path, name):
     if "report.json" in first:
         # the thread count changes wall time only, so it is not echoed
         assert b"threads" not in first["report.json"]
+        # the CLI's parameters are the one record of the run's inputs
+        report = json.loads(first["report.json"])
+        assert not {"seed", "t_grid"} & set(report)
+        assert not set(report["details"]) & set(report["parameters"])
     assert {f: _digest(raw) for f, raw in first.items()} == pinned

@@ -18,12 +18,12 @@ def test_distinct_streams_differ():
     assert not np.array_equal(a, c)
 
 
-def test_cursor_advances_and_spawn_resets():
+def test_cursor_advances_and_fresh_stream_replays():
     s = rng.RngStream(9, 0)
     first = s.uniforms(10)
     second = s.uniforms(10)
     assert not np.array_equal(first, second)
-    replay = s.spawn(0).uniforms(20)
+    replay = rng.RngStream(9, 0).uniforms(20)
     assert np.array_equal(replay, np.concatenate([first, second]))
 
 
@@ -64,7 +64,7 @@ def test_uniforms_at_matches_grid():
 
 def test_counter_offset_is_positional():
     full = rng.uniform_grid(11, 0, 2, 20)
-    tail = rng.uniform_grid(11, 0, 2, 8, counter_start=12)
+    tail = rng.uniforms_at(11, np.arange(2)[:, None], 12 + np.arange(8))
     assert np.array_equal(tail, full[:, 12:])
 
 

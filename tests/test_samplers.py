@@ -95,6 +95,18 @@ def test_time_scale_batch_gamma_law():
         assert ks_distance(emp, lambda z, k=k: gammainc(k, z)) < 0.002
 
 
+@pytest.mark.parametrize("t", [1e-3, 1e-8])
+def test_slow_zero_time_scales_are_the_arrivals(t):
+    # t * tail(k-th point) is the k-th arrival exactly; at these t the slowly
+    # varying family's points underflow float64, so the scales are taken
+    # from their logs
+    g = sp.gamma_matrix(1, 1000, 2)
+    scales = sp.time_scale_batch(tm.slow_zero(), t, 2, 1000, 1)
+    assert np.allclose(scales, g, rtol=1e-15, atol=0)
+    _, z, a = sp.pivot_ratio_with_scales_batch(tm.slow_zero(), t, 1, 1, 1000, 1)
+    assert np.allclose(np.column_stack([a, z]), g, rtol=1e-15, atol=0)
+
+
 # --- ratio configurations ---------------------------------------------------
 
 
