@@ -15,11 +15,13 @@ depends only on the round index -- 4 in the first round, doubling each round
 up to ``_CHUNK`` (4, 8, 16, 32, 64, 64, ...; see :func:`_round_widths`) --
 and a per-round hook collects the points (single-trial forms, which run the
 engine on one row) or reduces them into probe sums (batch forms, row-blocked
-by :func:`_map_row_blocks`).  A round is laid out round-major, one line of
-active rows per counter, so the running sum of its arrivals is a loop of
-whole-line adds in the same order as ``np.cumsum`` along a row; the
-negative binomial points reach ``on_points`` row-major again, so a probe
-sum adds each row's cells along a contiguous axis.  Both forms therefore share
+by :func:`_map_row_blocks`).  Every block of arrivals, a round's or a
+dense sampler's, is drawn line-major by :func:`_arrivals`: one contiguous
+line of rows per counter, so the running sum is a loop of whole-line adds
+in the same order as ``np.cumsum`` along a row, and every arrival keeps its
+bits.  The negative binomial points reach ``on_points`` row-major again, so
+a probe sum adds each row's cells along a contiguous axis.  Both forms
+therefore share
 
 * one cap rule: before each round, :class:`TruncationError` is raised once
   ``cap`` arrivals past the head have been drawn (rounds end 4, 12, 28, 60,
@@ -40,9 +42,11 @@ With more than one thread, blocks run concurrently, so a caller's
 Ordered points are handled on the log scale internally so the slowly
 varying family stays finite deep into the small-time regime.  The dense
 batch samplers (pivot, log-trim and successive ratios, time scales) reduce
-each row block to their statistic and invert only the arrival columns it
+each row block to their statistic and invert only the arrival lines it
 reads (:func:`_map_log_points`), so no trials-by-columns matrix of log
-points is built.
+points is built; the ratio configurations' head does the same
+(:func:`_ratio_head`).  Matrix outputs are returned row-major, one row per
+trial.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .rng import RngStream, uniform_grid, uniforms_at
+from .rng import RngStream, uniforms_at
 from .tail_models import TailModel, log_inverse_tail, tail_at_log
 
 LIMIT_RATIOS = "limit_ratios"
@@ -158,16 +162,48 @@ def _round_widths():
         width = min(2 * width, _CHUNK)
 
 
+def _arrivals(master_seed, streams, start, count):
+    """Line-major ``(count, rows)`` arrivals of counters ``start .. start + count - 1``.
+
+    Line ``j`` holds counter ``start + j`` of every stream in ``streams``,
+    so it is contiguous, and the running sum of ``-log u`` down the lines is
+    ``count - 1`` whole-line adds in the order ``np.cumsum`` takes along a
+    row: each value is bit-identical to ``np.cumsum(-np.log(u), axis=1)``
+    of the row-major block.
+    """
+    arr = uniforms_at(master_seed, streams[None, :], start + np.arange(count)[:, None])
+    # a - log u is a + (-log u) exactly
+    np.log(arr, out=arr)
+    np.negative(arr[0], out=arr[0])
+    for j in range(1, count):
+        np.subtract(arr[j - 1], arr[j], out=arr[j])
+    return arr
+
+
+def _rows(lines: np.ndarray) -> np.ndarray:
+    """A line-major ``(columns, rows)`` array as a C-ordered ``(rows, columns)`` one."""
+    return np.ascontiguousarray(lines.T)
+
+
+def _log_lines(model, t, g, lines):
+    """Log points of the arrival lines ``g[lines]`` of a line-major block at ``t > 0``.
+
+    Arrivals increase down the lines, so the first and last lines raise
+    every domain error that inverting all of them would.
+    """
+    if not np.all(_scaled_arrivals(g[[0, -1]], t) > 0):
+        raise ValueError("y must be strictly positive")
+    return ordered_log_points(model, t, g[lines])
+
+
 def _extend(master_seed, streams, start, last, accept, cap, on_round=None):
     """Extend each row's arrivals until the first one ``accept`` rejects.
 
     Row ``i`` reads stream ``streams[i]`` from counter ``start`` on and
     continues from the arrival ``last[i]``.  Each round draws the next
     width of :func:`_round_widths` for every row still active (at most
-    ``_CHUNK`` counters per row) as a round-major ``(width, active rows)``
-    array: counter ``j`` of every active row is one contiguous line, so
-    the running sum is ``width - 1`` whole-line adds in the order
-    ``np.cumsum`` takes.  ``accept(rows, arr)`` returns ``(kept, values)``
+    ``_CHUNK`` counters per row) as a line-major ``(width, active rows)``
+    array (:func:`_arrivals`).  ``accept(rows, arr)`` returns ``(kept, values)``
     in that layout for those rows and their new arrivals, where ``kept``
     is a prefix of each column, and ``on_round(rows, values, kept)`` sees
     every round.  Returns the per-row kept counts and the counter just
@@ -186,12 +222,7 @@ def _extend(master_seed, streams, start, last, accept, cap, on_round=None):
                 f"{act.size} of {streams.size} rows (epsilon or cap too small)"
             )
         width = next(widths)
-        arr = uniforms_at(master_seed, streams[None, act], offset + np.arange(width)[:, None])
-        # last + cumsum(-log u): a - log u is a + (-log u) exactly
-        np.log(arr, out=arr)
-        np.negative(arr[0], out=arr[0])
-        for j in range(1, width):
-            np.subtract(arr[j - 1], arr[j], out=arr[j])
+        arr = _arrivals(master_seed, streams[act], offset, width)
         arr += last[act]
         kept, values = accept(act, arr)
         if on_round is not None:
@@ -207,15 +238,16 @@ def _extend(master_seed, streams, start, last, accept, cap, on_round=None):
 
 
 def _ratio_head(model, t, r, n, master_seed, streams, start):
-    """Last head arrival, log pivot, above ratios and w_rn (or None) per row."""
-    head = r + n
-    u = uniforms_at(master_seed, streams[:, None], start + np.arange(head))
-    g = np.cumsum(-np.log(u), axis=1)
-    lp = ordered_log_points(model, t, g)
-    pivot = lp[:, head - 1]
-    above = np.exp(lp[:, r : head - 1] - pivot[:, None])
-    w = np.exp(pivot - lp[:, r - 1]) if r >= 1 else None
-    return g[:, -1], pivot, above, w
+    """Last head arrival, log pivot, above ratios and w_rn (or None) per row.
+
+    Only the lines ``max(r - 1, 0) .. r + n - 1`` of the head are inverted.
+    """
+    g = _arrivals(master_seed, streams, start, r + n)
+    lp = _log_lines(model, t, g, slice(max(r - 1, 0), None))
+    pivot = lp[-1]
+    above = _rows(np.exp(lp[-n:-1] - pivot))
+    w = np.exp(pivot - lp[0]) if r >= 1 else None
+    return g[-1], pivot, above, w
 
 
 def _ratio_below(model, t, epsilon, master_seed, streams, start, last, pivot,
@@ -409,10 +441,7 @@ def _map_row_blocks(fn: Callable[[int, int], np.ndarray], n_trials: int,
     ``stream_start .. stream_start + n_trials - 1``, which must all lie in
     ``[0, 2**64)``.
     """
-    if threads is None:
-        threads = _default_threads()
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
+    threads = _resolve_threads(threads)
     if n_trials < 1:
         raise ValueError("trials must be >= 1")
     first_stream = operator.index(stream_start)
@@ -439,14 +468,31 @@ def _map_row_blocks(fn: Callable[[int, int], np.ndarray], n_trials: int,
     def run(offset: int) -> None:
         write(offset, fn(offset, min(_ROW_BLOCK, n_trials - offset)))
 
-    if threads == 1:
-        for offset in offsets:
-            run(offset)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for _ in pool.map(run, offsets):  # raises the first failing block's error
-                pass
+    _run_blocks(run, offsets, threads)
     return out if is_tuple else out[0]
+
+
+def _resolve_threads(threads: Optional[int]) -> int:
+    """``threads``, or :func:`_default_threads` for None; ``ValueError`` below 1."""
+    if threads is None:
+        threads = _default_threads()
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    return threads
+
+
+def _run_blocks(fn: Callable, offsets, threads: Optional[int]) -> list:
+    """``[fn(offset) for offset in offsets]`` on ``threads`` worker threads.
+
+    Results keep the order of ``offsets``, and the first failing offset's
+    error is raised, for any thread count.  ``threads`` as in
+    :func:`_resolve_threads`.
+    """
+    threads = _resolve_threads(threads)
+    if threads == 1:
+        return [fn(offset) for offset in offsets]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, offsets))
 
 
 def _block_streams(first: int, rows: int) -> np.ndarray:
@@ -464,8 +510,8 @@ def gamma_matrix(
     """(n_trials, count) matrix of Poisson arrivals; row i replays stream i."""
 
     def block(offset: int, rows: int) -> np.ndarray:
-        u = uniform_grid(master_seed, stream_start + offset, rows, count)
-        return np.cumsum(-np.log(u), axis=1)
+        return _rows(_arrivals(master_seed, _block_streams(stream_start + offset, rows), 0,
+                               count))
 
     return _map_row_blocks(block, n_trials, threads, stream_start)
 
@@ -499,21 +545,19 @@ def _map_log_points(model, t, n_cols, cols, statistic, n_trials, master_seed,
                     stream_start, threads):
     """``statistic`` of the log points in columns ``cols`` of each row block.
 
-    Each block draws its ``(rows, n_cols)`` arrivals and inverts only the
-    columns ``cols`` (a slice), so no ``(n_trials, n_cols)`` matrix of log
-    points is ever built; the statistics are written into one preallocated
+    Each block draws its arrivals line-major, ``(n_cols, rows)``
+    (:func:`_arrivals`), and inverts only the lines ``cols`` (a slice), so
+    no ``(n_trials, n_cols)`` matrix of log points is ever built.
+    ``statistic`` takes those log points line-major, one line per column,
+    and returns each row's values; they are written into one preallocated
     output in row order (:func:`_map_row_blocks`).
-    Arrivals increase along a row, so its first and last columns raise
-    every domain error that inverting all of them would.
     """
     if not t > 0:
         raise ValueError("t must be positive")
 
     def block(offset: int, rows: int):
-        g = gamma_matrix(master_seed, rows, n_cols, stream_start + offset)
-        if not np.all(_scaled_arrivals(g[:, [0, -1]], t) > 0):
-            raise ValueError("y must be strictly positive")
-        return statistic(ordered_log_points(model, t, g[:, cols]))
+        g = _arrivals(master_seed, _block_streams(stream_start + offset, rows), 0, n_cols)
+        return statistic(_log_lines(model, t, g, cols))
 
     return _map_row_blocks(block, n_trials, threads, stream_start)
 
@@ -530,7 +574,7 @@ def ordered_log_points_batch(
     """(n_trials, n_cols) matrix of log ordered points at time t."""
     if n_cols < 1:
         raise ValueError("n_cols must be >= 1")
-    return _map_log_points(model, t, n_cols, slice(None), lambda lp: lp, n_trials,
+    return _map_log_points(model, t, n_cols, slice(None), _rows, n_trials,
                            master_seed, stream_start, threads)
 
 
@@ -549,7 +593,7 @@ def pivot_ratio_batch(
         raise ValueError("the pivot ratio requires r >= 1 and n >= 1")
     # columns r-1 and r+n-1 only
     return _map_log_points(model, t, r + n, slice(r - 1, None, n),
-                           lambda lp: np.exp(lp[:, 1] - lp[:, 0]), n_trials,
+                           lambda lp: np.exp(lp[1] - lp[0]), n_trials,
                            master_seed, stream_start, threads)
 
 
@@ -567,7 +611,7 @@ def successive_ratio_batch(
     if r < 1 or count < 1:
         raise ValueError("require r >= 1 and count >= 1")
     return _map_log_points(model, t, r + count, slice(r - 1, None),
-                           lambda lp: np.exp(lp[:, 1:] - lp[:, :-1]), n_trials,
+                           lambda lp: _rows(np.exp(lp[1:] - lp[:-1])), n_trials,
                            master_seed, stream_start, threads)
 
 
@@ -584,7 +628,7 @@ def log_trim_ratio_batch(
     if r < 1:
         raise ValueError("r must be >= 1")
     return _map_log_points(model, t, r + 1, slice(r - 1, None),
-                           lambda lp: lp[:, 0] - lp[:, 1], n_trials, master_seed,
+                           lambda lp: lp[0] - lp[1], n_trials, master_seed,
                            stream_start, threads)
 
 
@@ -602,7 +646,7 @@ def time_scale_batch(
         raise ValueError("kmax must be >= 1")
 
     def scales(lp):
-        return t * tail_at_log(model, lp)
+        return _rows(t * tail_at_log(model, lp))
 
     return _map_log_points(model, t, kmax, slice(None), scales, n_trials, master_seed,
                            stream_start, threads)
@@ -627,9 +671,9 @@ def pivot_ratio_with_scales_batch(
         raise ValueError("require r >= 1 and n >= 1")
 
     def scales(lp):  # columns r-1 and r+n-1 only
-        w = np.exp(lp[:, 1] - lp[:, 0])
-        z = t * tail_at_log(model, lp[:, 1])
-        a = t * tail_at_log(model, lp[:, 0])
+        w = np.exp(lp[1] - lp[0])
+        z = t * tail_at_log(model, lp[1])
+        a = t * tail_at_log(model, lp[0])
         return w, z, a
 
     return _map_log_points(model, t, r + n, slice(r - 1, None, n), scales, n_trials,

@@ -61,7 +61,6 @@ WLAW = "wlaw"
 RATIO_TAIL_N1 = "ratio_tail_n1"
 SUCCESSIVE_RATIOS = "successive_ratios"
 GAMMA_NC = "gamma_nc"
-SWEEP_TARGETS = frozenset({WLAW, RATIO_TAIL_N1, SUCCESSIVE_RATIOS, GAMMA_NC})
 
 
 class ClassificationError(RuntimeError):
@@ -158,15 +157,39 @@ def ks_distance(emp: EmpiricalDistribution, cdf: Callable[[np.ndarray], np.ndarr
     """One-sample Kolmogorov-Smirnov statistic with both one-sided corrections."""
     if emp.n_samples < 10:
         raise ValueError("need at least 10 samples")
-    x = emp.sorted_values
-    n = emp.n_samples
-    f = np.asarray(cdf(x), dtype=float)
-    grid = np.arange(1, n + 1, dtype=float)
-    grid /= n
-    d_plus = np.max(grid - f)
-    grid -= 1.0 / n
-    d_minus = np.max(f - grid)
-    return float(max(d_plus, d_minus))
+    return _sorted_statistics(emp.sorted_values, cdf, threads=1)[0]
+
+
+def _sorted_statistics(x: np.ndarray, cdf, threads: Optional[int], bins: int = 0):
+    """KS distance of the sorted sample ``x`` to ``cdf``, and its PIT counts in ``bins`` bins.
+
+    The sample is taken in contiguous chunks of ``samplers._ROW_BLOCK``
+    values on ``threads`` worker threads (the batch samplers' row-block
+    pool).  Each chunk evaluates ``cdf`` (elementwise) at its values, the
+    two one-sided KS maxima at their global ranks ``i / n`` and
+    ``i / n - 1 / n``, and, when ``bins`` > 0, how many PIT values fall in
+    each of ``bins`` equal bins of [0, 1].  Maxima merge by ``max`` and
+    counts by integer sums, so both are bit-identical to the one-shot
+    formulas at any thread count.  Returns ``(ks, counts or None)``.
+    """
+    n = x.size
+    step = sp._ROW_BLOCK
+
+    def chunk(lo: int):
+        f = np.asarray(cdf(x[lo:lo + step]), dtype=float)
+        grid = np.arange(lo + 1, lo + f.size + 1, dtype=float)
+        grid /= n
+        d_plus = np.max(grid - f)
+        grid -= 1.0 / n
+        d_minus = np.max(f - grid)
+        if not bins:
+            return d_plus, d_minus, None
+        idx = np.minimum((f * bins).astype(np.int64), bins - 1)
+        return d_plus, d_minus, np.bincount(idx, minlength=bins)
+
+    d_plus, d_minus, counts = zip(*sp._run_blocks(chunk, range(0, n, step), threads))
+    ks = float(max(np.max(d_plus), np.max(d_minus)))
+    return ks, (np.sum(counts, axis=0) if bins else None)
 
 
 def ks_p_value(stat: float, n: int) -> float:
@@ -263,6 +286,40 @@ def default_threshold(model: TailModel, trials: int) -> float:
 # verification operations
 
 
+def _trim_ratios(model, t, r, n, *run):
+    y = sp.log_trim_ratio_batch(model, t, r, *run)
+    return [np.exp(y, out=y)]
+
+
+#: Sweep target -> (its samples at one t as 1-D lines, from
+#: ``(model, t, r, n, trials, seed, stream_start, threads)``; the limit CDF
+#: of each line, from ``(r, n, alpha)``; the report key of the per-line KS
+#: list, or None for a one-line target, whose report adds the uniformity
+#: chi-square of its CDF values; whether the laws read the tail index,
+#: which then must be finite and positive).
+_SWEEPS = {
+    # pivot ratio vs its Beta-power CDF
+    WLAW: (lambda model, t, r, n, *run: [sp.pivot_ratio_batch(model, t, r, n, *run)],
+           lambda r, n, alpha: [partial(ll.w_cdf, r, n, alpha)], None, True),
+    # above-1 ratio vs the power tail
+    RATIO_TAIL_N1: (_trim_ratios,
+                    lambda r, n, alpha: [lambda y: 1.0 - ll.ratio_tail_n1(r, alpha, y)],
+                    None, True),
+    # successive ratios R_k, k = max(r, 1) .. max(r, 1) + n - 1
+    SUCCESSIVE_RATIOS: (
+        lambda model, t, r, n, *run: sp.successive_ratio_batch(model, t, max(r, 1), n, *run).T,
+        lambda r, n, alpha: [partial(ll.successive_ratio_cdf, k, alpha)
+                             for k in range(max(r, 1), max(r, 1) + n)],
+        "ks_per_coordinate", True),
+    # time scales t*tail(k-th point) vs Gamma(k, 1), k = max(r, 1) .. r + n
+    GAMMA_NC: (
+        lambda model, t, r, n, *run: sp.time_scale_batch(model, t, r + n, *run).T[max(r, 1) - 1:],
+        lambda r, n, alpha: [partial(ll.time_scale_cdf, k) for k in range(max(r, 1), r + n + 1)],
+        "ks_per_k", False),
+}
+SWEEP_TARGETS = frozenset(_SWEEPS)
+
+
 def convergence_sweep(
     model: TailModel,
     r: int,
@@ -275,55 +332,40 @@ def convergence_sweep(
 ) -> VerifyReport:
     """KS distance to the selected limit law along a decreasing grid of t.
 
-    Targets: ``wlaw`` (pivot ratio vs its Beta-power CDF), ``ratio_tail_n1``
-    (above-1 ratio vs the power tail), ``successive_ratios`` (per-coordinate
-    KS, statistic is the worst coordinate), ``gamma_nc`` (time scales
-    t*tail(k-th point) vs Gamma(k, 1), worst k in r..r+n).
+    Targets (``_SWEEPS``): ``wlaw`` (pivot ratio vs its Beta-power CDF),
+    ``ratio_tail_n1`` (above-1 ratio vs the power tail), ``successive_ratios``
+    (per-coordinate KS, statistic is the worst coordinate), ``gamma_nc``
+    (time scales t*tail(k-th point) vs Gamma(k, 1), worst k in r..r+n).
+    Each sample line is sorted and its statistics are taken in chunks on
+    ``threads`` worker threads (:func:`_sorted_statistics`); the report does
+    not depend on ``threads``.
     """
     t_arr = [float(t) for t in t_grid]
     if len(t_arr) == 0 or any(b >= a for a, b in zip(t_arr, t_arr[1:])):
         raise ValueError("t_grid must be strictly decreasing")
     if trials < 10_000:
         raise ValueError("trials must be >= 10^4")
-    if target not in SWEEP_TARGETS:
+    if target not in _SWEEPS:
         raise ValueError(f"unknown sweep target: {target!r}")
-    alpha = _finite_index(model)
+    sample, laws, per_line_key, reads_alpha = _SWEEPS[target]
+    cdfs = laws(r, n, _finite_index(model) if reads_alpha else None)
     threshold = default_threshold(model, trials)
 
     stats = []
     for it, t in enumerate(t_arr):
-        base = it * trials
         entry = {"t": t}
-        if target == WLAW:
-            # w lies in (0, 1], so the CDF's clip changes no value: one PIT
-            # of the sorted samples serves both statistics
-            w = sp.pivot_ratio_batch(model, t, r, n, trials, seed, base, threads)
-            w.sort()
-            entry.update(_pit_statistics(ll.w_cdf(r, n, alpha, w)))
-        elif target == RATIO_TAIL_N1:
-            y = sp.log_trim_ratio_batch(model, t, r, trials, seed, base, threads)
-            np.exp(y, out=y)
-            y.sort()
-            pit = ll.ratio_tail_n1(r, alpha, y)
-            entry.update(_pit_statistics(np.subtract(1.0, pit, out=pit)))
-        elif target == SUCCESSIVE_RATIOS:
-            ratios = sp.successive_ratio_batch(model, t, max(r, 1), n, trials, seed, base, threads)
-            per_k = []
-            for j in range(n):
-                k = max(r, 1) + j
-                emp = EmpiricalDistribution.from_samples(ratios[:, j])
-                per_k.append(ks_distance(emp, partial(ll.successive_ratio_cdf, k, alpha)))
-            entry["ks"] = max(per_k)
-            entry["ks_per_coordinate"] = per_k
-        else:  # GAMMA_NC
-            kmax = r + n
-            scales = sp.time_scale_batch(model, t, kmax, trials, seed, base, threads)
-            per_k = []
-            for k in range(max(r, 1), kmax + 1):
-                emp = EmpiricalDistribution.from_samples(scales[:, k - 1])
-                per_k.append(ks_distance(emp, partial(ll.time_scale_cdf, k)))
-            entry["ks"] = max(per_k)
-            entry["ks_per_k"] = per_k
+        per_line = []
+        for line, cdf in zip(sample(model, t, r, n, trials, seed, it * trials, threads), cdfs):
+            x = np.ascontiguousarray(line)
+            x.sort()
+            ks, counts = _sorted_statistics(x, cdf, threads,
+                                            0 if per_line_key else UNIFORMITY_BINS)
+            per_line.append(ks)
+        entry["ks"] = max(per_line)
+        if per_line_key:
+            entry[per_line_key] = per_line
+        else:
+            entry.update(_uniformity_chi2(counts))
         entry["p_value"] = ks_p_value(entry["ks"], trials)
         stats.append(entry)
 
@@ -336,23 +378,10 @@ def convergence_sweep(
     )
 
 
-def _pit_statistics(pit_values: np.ndarray) -> dict:
-    """KS distance and uniformity chi-square of the limit CDF at the sorted samples.
-
-    The KS distance of the samples to the CDF is that of their PIT values
-    to Uniform(0, 1), so each CDF value is computed once.
-    """
-    emp = EmpiricalDistribution(sorted_values=pit_values, n_samples=pit_values.size)
-    return {"ks": ks_distance(emp, lambda u: u), **_uniformity_chi2(pit_values)}
-
-
-def _uniformity_chi2(pit_values: np.ndarray) -> dict:
-    """Equiprobable-bin chi-square of probability-integral-transformed values."""
-    bins = UNIFORMITY_BINS
-    idx = np.minimum((pit_values * bins).astype(np.int64), bins - 1)
-    counts = np.bincount(idx, minlength=bins).astype(float)
-    expected = np.full(bins, pit_values.size / bins)
-    stat, p, _ = chi_square_counts(counts, expected)
+def _uniformity_chi2(counts: np.ndarray) -> dict:
+    """Chi-square of PIT values' counts in equiprobable bins against uniformity."""
+    expected = np.full(counts.size, counts.sum() / counts.size)
+    stat, p, _ = chi_square_counts(counts.astype(float), expected)
     return {"chi2": stat, "chi2_p_value": p}
 
 

@@ -489,6 +489,16 @@ def test_conditional_gamma_target(tmp_path):
     assert code == 0
 
 
+def test_gamma_nc_target_reads_no_tail_index(tmp_path):
+    # t*tail(k-th point) ~ Gamma(k, 1) holds for every tail, slowly varying too
+    code = run_cli("verify", "--target", "gamma_nc", "--tail", "slow_zero", "--r", "1",
+                   "--n", "2", "--t-grid", "1e-3", "--trials", "100000",
+                   "--out-dir", str(tmp_path))
+    assert code == 0
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert doc["pass"] is True and doc["statistics"][-1]["ks"] <= doc["threshold"]
+
+
 def test_t_grid_parsing(tmp_path):
     code = run_cli("verify", "--tail", "pareto", "--alpha", "1", "--r", "1",
                    "--n", "1", "--target", "wlaw", "--trials", "20000",

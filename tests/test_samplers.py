@@ -10,7 +10,7 @@ from scipy.special import gammainc
 
 from ppratios import samplers as sp
 from ppratios import tail_models as tm
-from ppratios.rng import RngStream
+from ppratios.rng import RngStream, uniform_grid
 from ppratios.verify import (
     EmpiricalDistribution,
     ks_distance,
@@ -188,6 +188,73 @@ def test_dense_batches_blocks_and_threads_do_not_change_output(monkeypatch):
                 for threads in (1, 2, None):
                     out = np.asarray(call(threads))
                     assert np.array_equal(whole, out), (name, block, threads)
+
+
+def _row_major_dense(model, t, stream_start, rows):
+    """Every dense sampler in row-major form, kept as a reference.
+
+    Each draws the ``(rows, columns)`` uniform grid, sums it with
+    ``np.cumsum(axis=1)`` and inverts every column.
+    """
+
+    def arrivals(count):
+        return np.cumsum(-np.log(uniform_grid(5, stream_start, rows, count)), axis=1)
+
+    def log_points(count):
+        return sp.ordered_log_points(model, t, arrivals(count))
+
+    def scale(lp):
+        return t * tm.tail_at_log(model, lp)
+
+    lp5, lp3 = log_points(5), log_points(3)
+    head = log_points(4)  # r = 1, n = 3
+    return {
+        "gamma_matrix": arrivals(4),
+        "ordered_log_points_batch": log_points(4),
+        "pivot_ratio_batch": np.exp(lp5[:, 4] - lp5[:, 1]),
+        "successive_ratio_batch": np.exp(lp5[:, 2:] - lp5[:, 1:-1]),
+        "log_trim_ratio_batch": lp3[:, 1] - lp3[:, 2],
+        "time_scale_batch": scale(log_points(4)),
+        "pivot_ratio_with_scales_batch": (np.exp(lp5[:, 4] - lp5[:, 1]), scale(lp5[:, 4]),
+                                          scale(lp5[:, 1])),
+        "ratio_head": (arrivals(4)[:, -1], head[:, 3], np.exp(head[:, 1:3] - head[:, 3:]),
+                       np.exp(head[:, 3] - head[:, 0])),
+    }
+
+
+def _line_major_dense(model, t, stream_start, rows, threads):
+    streams = sp._block_streams(stream_start, rows)
+    run = (rows, 5, stream_start, threads)
+    return {
+        "gamma_matrix": sp.gamma_matrix(5, rows, 4, stream_start, threads),
+        "ordered_log_points_batch": sp.ordered_log_points_batch(model, t, 4, *run),
+        "pivot_ratio_batch": sp.pivot_ratio_batch(model, t, 2, 3, *run),
+        "successive_ratio_batch": sp.successive_ratio_batch(model, t, 2, 3, *run),
+        "log_trim_ratio_batch": sp.log_trim_ratio_batch(model, t, 2, *run),
+        "time_scale_batch": sp.time_scale_batch(model, t, 4, *run),
+        "pivot_ratio_with_scales_batch": sp.pivot_ratio_with_scales_batch(model, t, 2, 3, *run),
+        "ratio_head": sp._ratio_head(model, t, 1, 3, 5, streams, 0),
+    }
+
+
+@pytest.mark.parametrize("model", [tm.pareto(1.3), tm.pareto_log(1.0, 1.5),
+                                   tm.pareto_log(2.0, -0.5), tm.pareto_perturbed(1, 1, 1),
+                                   tm.rapid_zero(), tm.slow_zero()],
+                         ids=["pareto", "pareto_log_beta_pos", "pareto_log_beta_neg",
+                              "pareto_perturbed", "rapid_zero", "slow_zero"])
+def test_line_major_dense_samplers_match_the_row_major_reference(monkeypatch, model):
+    # each counter is one contiguous line and the running sum takes
+    # np.cumsum's order, so every value is bit-identical to the row-major
+    # block, over one block and over three
+    t, stream_start, rows = 0.05, 11, 2_500
+    reference = _row_major_dense(model, t, stream_start, rows)
+    for block in (sp._ROW_BLOCK, 1_000):
+        with monkeypatch.context() as m:
+            m.setattr(sp, "_ROW_BLOCK", block)
+            for threads in (1, 2):
+                got = _line_major_dense(model, t, stream_start, rows, threads)
+                for name, expected in reference.items():
+                    _assert_same_columns(expected, got[name], (name, block, threads))
 
 
 # --- row blocks written into one preallocated output -------------------------

@@ -68,6 +68,50 @@ def test_ks_requires_min_samples():
         vf.ks_distance(vf.EmpiricalDistribution.from_samples([0.5]), lambda x: x)
 
 
+def _one_shot_statistics(x, cdf, bins):
+    """KS distance and PIT bin counts of a sorted sample over the whole array at once."""
+    n = x.size
+    f = np.asarray(cdf(x), dtype=float)
+    grid = np.arange(1, n + 1, dtype=float)
+    grid /= n
+    d_plus = np.max(grid - f)
+    grid -= 1.0 / n
+    d_minus = np.max(f - grid)
+    idx = np.minimum((f * bins).astype(np.int64), bins - 1)
+    return float(max(d_plus, d_minus)), np.bincount(idx, minlength=bins)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_chunked_statistics_equal_the_one_shot_formulas(monkeypatch, threads):
+    # 3_500 values in chunks of 1_000: three full chunks and a ragged one
+    monkeypatch.setattr(sp, "_ROW_BLOCK", 1_000)
+    u = np.sort(uniform_grid(77, 0, 3_500, 1).ravel())
+    cdfs = {
+        "w": (u, lambda w: ll.w_cdf(2, 3, 1.5, w)),
+        "ratio_tail": (np.sort(u ** -0.7), lambda y: 1.0 - ll.ratio_tail_n1(1, 1.3, y)),
+        "successive": (u, lambda y: ll.successive_ratio_cdf(2, 0.8, y)),
+        "gamma": (np.sort(-np.log(u)), lambda z: ll.time_scale_cdf(1, z)),
+        "misspecified": (u, lambda w: np.clip(w, 0, 1) ** 2),
+    }
+    for name, (x, cdf) in cdfs.items():
+        ks, counts = _one_shot_statistics(x, cdf, vf.UNIFORMITY_BINS)
+        got_ks, got_counts = vf._sorted_statistics(x, cdf, threads, vf.UNIFORMITY_BINS)
+        assert got_ks == ks, name
+        assert got_counts.dtype == counts.dtype and np.array_equal(got_counts, counts), name
+        assert vf._sorted_statistics(x, cdf, threads) == (ks, None), name
+        assert vf.ks_distance(vf.EmpiricalDistribution(x, x.size), cdf) == ks, name
+
+
+@pytest.mark.parametrize("target", sorted(vf.SWEEP_TARGETS))
+def test_sweep_reports_do_not_depend_on_threads_or_chunks(monkeypatch, target):
+    args = (tm.pareto_perturbed(1, 1, 1), 2, 2, [0.1, 1e-3], 10_000, target, 8)
+    whole = vf.convergence_sweep(*args, threads=1).to_json()
+    # 10_000 values in chunks of 4_096: two full chunks and a ragged one
+    monkeypatch.setattr(sp, "_ROW_BLOCK", 4_096)
+    for threads in (1, 2):
+        assert vf.convergence_sweep(*args, threads=threads).to_json() == whole
+
+
 def test_two_sample_ks_identical_is_zero():
     x = np.linspace(0, 1, 100)
     assert vf.two_sample_ks(x, x) == 0.0
