@@ -320,11 +320,11 @@ def _merge(args: argparse.Namespace) -> _Config:
 
     Those are the subcommand's options, and for verify its target's and for
     laws its law's (``_PICKS``).  A set option the pick does not read is an
-    error.  The result also holds ``experiment``, which verify echoes.  A
-    flag that changes a config value warns.
+    error.  A flag that changes a config value warns.
     """
     keys = ("out_dir",) + _SUBCOMMANDS[args.experiment][1]
-    flags = {k: v for k, v in vars(args).items() if v is not None and k != "config"}
+    flags = {k: v for k, v in vars(args).items()
+             if v is not None and k not in ("config", "experiment")}
     given = {}
     if args.config:
         for key, text in _load_config(args.config).items():
@@ -343,7 +343,7 @@ def _merge(args: argparse.Namespace) -> _Config:
         name = _Config(given)[pick]
         keys = ("out_dir",) + every + table[name][0]
         for key in given:
-            if key not in keys and key != "experiment":
+            if key not in keys:
                 raise _CliError(f"option {key!r} is not read by "
                                 f"{args.experiment} --{pick} {name}")
     merged = _Config({k: _OPTIONS[k].default for k in keys
@@ -397,7 +397,7 @@ def _run_laws(cfg: dict) -> int:
     """``law_table.csv``: the options the law read as meta lines, then x, density, cdf."""
     grid = _parse_grid(cfg["grid"])
     density, cdf = _LAWS[cfg["law"]][1](cfg, grid)
-    meta = {k: v for k, v in cfg.items() if k not in ("out_dir", "experiment")}
+    meta = {k: v for k, v in cfg.items() if k != "out_dir"}
     _write_csv(Path(cfg["out_dir"]) / "law_table.csv", meta, ["x", "density", "cdf"],
                [grid, density, cdf])
     return 0

@@ -60,9 +60,9 @@ class LaplaceProbe:
         return float(out) if np.ndim(x) == 0 else out
 
 
-# adaptive quadrature tolerances and subinterval limit of the Laplace-functional integrals
-_ABS_TOL = 1e-10
-_REL_TOL = 1e-10
+# relative tolerance (no absolute floor) and subinterval limit of the
+# Laplace-functional integrals
+_REL_TOL = 1e-12
 _MAX_DEPTH = 200
 
 
@@ -76,12 +76,11 @@ def _quad(fn, lo, hi, breakpoints=None) -> float:
         points = sorted(p for p in breakpoints if lo < p < hi)
         points = points or None
     value, err = _scipy_quad(
-        fn, lo, hi, epsabs=_ABS_TOL, epsrel=_REL_TOL, limit=_MAX_DEPTH, points=points
+        fn, lo, hi, epsabs=0.0, epsrel=_REL_TOL, limit=_MAX_DEPTH, points=points
     )
     if not math.isfinite(value):
         raise QuadratureError(f"integral on ({lo}, {hi}) is not finite")
-    tol = _ABS_TOL + _REL_TOL * abs(value)
-    if err > max(tol * 100.0, 1e-7):
+    if err > 100.0 * _REL_TOL * abs(value):
         raise QuadratureError(
             f"quadrature error {err:.3e} above tolerance on ({lo}, {hi})"
         )
@@ -266,29 +265,31 @@ def _lambda_mass(alpha: float, lo: float, hi: float) -> float:
     return lo**-alpha - upper
 
 
-def _exp_decrement(amplitude: float) -> float:
-    """1 - exp(-amplitude), with amplitude = inf allowed."""
-    if math.isinf(amplitude):
-        return 1.0
-    return -math.expm1(-amplitude)
+def _above_one(alpha: float, f: LaplaceProbe, lo: float, hi: float) -> float:
+    """``integral of exp(-f) d(base measure)`` over (lo, hi), for lo >= 1.
 
-
-def _probe_deficit(alpha: float, f: LaplaceProbe, lo: float, hi: float) -> float:
-    """``integral of (1 - exp(-f)) d(base measure)`` over (lo, hi)."""
-    lo = max(lo, f.a)
-    hi = min(hi, f.b)
-    if hi <= lo or f.amplitude == 0.0:
-        return 0.0
-    if f.form == INDICATOR_STEP:
-        return _exp_decrement(f.amplitude) * _lambda_mass(alpha, lo, hi)
-    if lo <= 0.0 and alpha >= 1.0:
-        return math.inf  # ramp decays too slowly to tame the x**(-alpha-1) pole
+    Outside the probe this is the base mass of the two side intervals; inside
+    it is ``exp(-amplitude)`` times the mass for a step (or a zero ramp), and
+    a quadrature of ``exp(-amplitude*x)`` for a ramp, broken at 1, 10 and 40
+    decay lengths past the probe's lower edge.
+    """
+    inner_lo, inner_hi = max(lo, f.a), min(hi, f.b)
+    outside = _lambda_mass(alpha, lo, min(hi, f.a)) + _lambda_mass(alpha, max(lo, f.b), hi)
     lam = f.amplitude
+    if inner_hi <= inner_lo:
+        return outside
+    if f.form == INDICATOR_STEP or lam == 0.0:
+        return outside + math.exp(-lam) * _lambda_mass(alpha, inner_lo, inner_hi)
 
     def integrand(x):
-        return -math.expm1(-lam * x) * alpha * x ** (-alpha - 1.0)
+        return math.exp(-lam * x) * alpha * x ** (-alpha - 1.0)
 
-    return _quad(integrand, lo, hi)
+    knots = [inner_lo + k / lam for k in (1.0, 10.0, 40.0)]
+    # quad takes no breakpoints on an infinite interval: the part past the
+    # last knot is a call of its own
+    split = min(inner_hi, knots[-1])
+    return (outside + _quad(integrand, inner_lo, split, breakpoints=knots)
+            + _quad(integrand, split, inner_hi))
 
 
 def nb_laplace(n: int, alpha: float, f: LaplaceProbe) -> float:
@@ -300,16 +301,16 @@ def nb_laplace(n: int, alpha: float, f: LaplaceProbe) -> float:
         raise ValueError("n must be >= 1")
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    deficit = _probe_deficit(alpha, f, 0.0, 1.0)
-    if math.isinf(deficit):
-        return 0.0
-    return (1.0 + deficit) ** (-n)
-
-
-def _upper_factor_r0(n: int, alpha: float, f: LaplaceProbe) -> float:
-    """``E[exp(-f(L))]**(n-1)`` for the r = 0 above-1 factor."""
-    mean = 1.0 - _probe_deficit(alpha, f, 1.0, math.inf)
-    return mean ** (n - 1)
+    lo, hi, lam = f.a, min(1.0, f.b), f.amplitude
+    if hi <= lo or lam == 0.0:
+        return 1.0
+    if f.form == INDICATOR_STEP:
+        deficit = -math.expm1(-lam) * _lambda_mass(alpha, lo, hi)
+    elif lo <= 0.0 and alpha >= 1.0:
+        return 0.0  # the ramp decays too slowly to tame the x**(-alpha-1) pole
+    else:
+        deficit = _quad(lambda x: -math.expm1(-lam * x) * alpha * x ** (-alpha - 1.0), lo, hi)
+    return 0.0 if math.isinf(deficit) else (1.0 + deficit) ** (-n)
 
 
 def _upper_factor(r: int, n: int, alpha: float, f: LaplaceProbe) -> float:
@@ -321,9 +322,7 @@ def _upper_factor(r: int, n: int, alpha: float, f: LaplaceProbe) -> float:
     log_b = betaln(r, n)
 
     def outer(s: float) -> float:
-        hi = s ** (-1.0 / alpha)
-        mass = _lambda_mass(alpha, 1.0, hi)  # equals 1 - s
-        kernel = mass - _probe_deficit(alpha, f, 1.0, hi)
+        kernel = _above_one(alpha, f, 1.0, s ** (-1.0 / alpha))
         return s ** (r - 1.0) * kernel ** (n - 1) * math.exp(-log_b)
 
     # the support edge s**(-1/alpha) crossing a probe edge puts kinks in the
@@ -347,7 +346,7 @@ def limit_laplace_full(r: int, n: int, alpha: float, f: LaplaceProbe) -> float:
     if n == 1:
         first = 1.0
     elif r == 0:
-        first = _upper_factor_r0(n, alpha, f)
+        first = _above_one(alpha, f, 1.0, math.inf) ** (n - 1)
     else:
         first = _upper_factor(r, n, alpha, f)
     f_at_one = f(1.0)
@@ -370,11 +369,8 @@ def phi_conditional(lam: float, u: float, alpha: float) -> float:
     if lam == 0.0:
         return 1.0
     norm = -math.expm1(alpha * math.log(u))
-
-    def integrand(x):
-        return math.exp(-lam * x) * alpha * x ** (-alpha - 1.0)
-
-    return _quad(integrand, 1.0, 1.0 / u) / norm
+    ramp = LaplaceProbe(lam, 1.0, math.inf, LINEAR_RAMP)
+    return _above_one(alpha, ramp, 1.0, 1.0 / u) / norm
 
 
 def time_scale_cdf(k: int, z):

@@ -406,9 +406,9 @@ def independence_check(
     if r < 1:
         raise ValueError("r must be >= 1")
     alpha = model.rv_index
+    ratios = sp.successive_ratio_batch(model, t, r, n, trials, seed, 0, threads)
 
     if model.kind in (RAPID_ZERO, SLOW_ZERO):
-        ratios = sp.successive_ratio_batch(model, t, r, n, trials, seed, 0, threads)
         med = float(np.median(ratios))
         limit = 1.0 if model.kind == RAPID_ZERO else 0.0
         boundary = (1.0 - _rapid_median_allowance(t) if model.kind == RAPID_ZERO
@@ -422,7 +422,6 @@ def independence_check(
             details={"verdict": f"point_mass_at_{limit:g}"},
         )
 
-    ratios = sp.successive_ratio_batch(model, t, r, n, trials, seed, 0, threads)
     pit = ll.successive_ratio_cdf(np.arange(r, r + n), alpha, ratios)
     stats = []
     worst = None

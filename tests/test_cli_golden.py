@@ -121,15 +121,15 @@ _PINNED = {
     ("simulate_pareto_perturbed", "trials.csv"):
         "edff4d89eb4ff0fa7ffa440792845ab1112b4574191b3b5a168da3050b97d81f",
     ("verify_nb_functional", "report.json"):
-        "62a439f194d53fa5d21b3e3e10f4997ed5b1c51d04ba6dd7a99f8359122b256e",
+        "c24230871c6f2c1e7e7b5a35e2b51158237bc5cb145c1b16d2b42bd58a0572cf",
     ("verify_nb_functional", "sweep.csv"):
         "ba2c0b9874d97b8820b99244e41c76b1129111a62c1444da35ed04187663aad2",
     ("verify_wlaw", "report.json"):
-        "dec3f31969763c4e42f7edb50cbc1b80afcae7e245abff247e91023eaf6ee322",
+        "ce22802496021b97b04ff9b42efd0c121e94d8f4a0d0399f63d8ad952ff6687d",
     ("verify_wlaw", "sweep.csv"):
         "994c2d6ab14b3052c24bd0a642ebbbaeb1c8aab58f712090b7c96ac9209c934b",
     ("verify_z_insensitivity", "report.json"):
-        "861f7b1272c12fcd88d55159ab7f8a682a26a9f668be68d1f08ac3378c0ba4e3",
+        "35f8416bc8f7ccdb81e1aeacfb8adfeceeae6fd899426b20a6b78d91b52e72ba",
     ("verify_z_insensitivity", "sweep.csv"):
         "f504d967e486b1ccff209dd1a6a1c9066831d3abd054c38cc148f677ef0fa294",
 }
@@ -158,4 +158,6 @@ def test_cli_artifacts_pinned(monkeypatch, tmp_path, name):
         report = json.loads(first["report.json"])
         assert not {"seed", "t_grid"} & set(report)
         assert not set(report["details"]) & set(report["parameters"])
+        # the subcommand is the run's name, not one of its inputs
+        assert "experiment" not in report["parameters"]
     assert {f: _digest(raw) for f, raw in first.items()} == pinned

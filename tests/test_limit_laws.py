@@ -205,7 +205,8 @@ def test_nb_laplace_indicator_closed_form():
 
 def test_nb_laplace_ramp_quadrature():
     probe = ll.LaplaceProbe(0.5, 0.4, 0.9, ll.LINEAR_RAMP)
-    assert ll.nb_laplace(2, 1.5, probe) == pytest.approx(0.35282526460243074, rel=1e-9)
+    # reference value from mpmath at 40 digits
+    assert ll.nb_laplace(2, 1.5, probe) == pytest.approx(0.35282526460243072, rel=1e-10)
 
 
 def test_nb_laplace_ramp_pole_divergence():
@@ -237,6 +238,13 @@ def test_limit_laplace_r0_upper_factor():
     probe = ll.LaplaceProbe(1.0, 0.8, 1.5)
     got = ll.limit_laplace_full(0, 2, 1.0, probe)
     assert got == pytest.approx(0.21652304430503155, rel=1e-10)
+    # probes covering the whole above-1 support, where the factor is tiny;
+    # reference values from mpmath at 40 digits, at lam = 20 and 40
+    for form, want in ((ll.INDICATOR_STEP, (1.0620885660120249e-18, 4.5121284696135379e-36)),
+                       (ll.LINEAR_RAMP, (4.846250599327885e-20, 1.0754837257308142e-37))):
+        for lam, value in zip((20.0, 40.0), want):
+            got = ll.limit_laplace_full(0, 2, 1.0, ll.LaplaceProbe(lam, 0.5, math.inf, form))
+            assert got == pytest.approx(value, rel=1e-10)
 
 
 def test_limit_laplace_beta_mixture_frozen():
@@ -246,6 +254,13 @@ def test_limit_laplace_beta_mixture_frozen():
     probe_above = ll.LaplaceProbe(0.8, 1.2, 1.6)
     assert ll.limit_laplace_full(1, 3, 1.0, probe_above) == pytest.approx(
         0.7097400698810118, rel=1e-9)
+    # the Beta mixture at probes covering the above-1 support: a ramp once
+    # gave a negative value here.  Reference values from mpmath at 40 digits.
+    for form, want in ((ll.INDICATOR_STEP, (5.310442835532944e-19, 2.256064234806769e-36)),
+                       (ll.LINEAR_RAMP, (4.6423467817545361e-20, 1.0509678377938392e-37))):
+        for lam, value in zip((20.0, 40.0), want):
+            got = ll.limit_laplace_full(1, 2, 1.0, ll.LaplaceProbe(lam, 0.5, math.inf, form))
+            assert got == pytest.approx(value, rel=1e-10)
 
 
 def test_limit_laplace_monte_carlo_oracle():
@@ -274,6 +289,11 @@ def test_phi_conditional_values():
     # u -> 1: support collapses to {1}, transform degenerates to e^{-lam}
     assert ll.phi_conditional(2.0, 1 - 1e-9, 1.0) == pytest.approx(
         math.exp(-2.0), rel=1e-6)
+    # far below any absolute tolerance; reference values from mpmath's closed
+    # form alpha lam**alpha [Gamma(-alpha, lam) - Gamma(-alpha, lam/u)] / (1 - u**alpha)
+    for lam, want in ((50.0, 2.0345168399114043e-23), (100.0, 2.0872783349834873e-45),
+                      (150.0, 2.7428445105132601e-67), (200.0, 4.0119436529519089e-89)):
+        assert ll.phi_conditional(lam, 0.01, 6.0) == pytest.approx(want, rel=1e-10)
 
 
 def test_phi_matches_j_law_expectation():
