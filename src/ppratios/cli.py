@@ -36,7 +36,7 @@ from .tail_models import InversionError, TailModel
 DEFAULT_SEED = 20240613
 
 #: CSV rows formatted and written per block; bounds the text held at once.
-_BLOCK = 1 << 14
+_BLOCK = 1 << 12
 
 _TAIL = ("tail", "alpha", "beta", "c", "gamma")
 
@@ -422,7 +422,7 @@ def _run_estimate(cfg: dict) -> int:
     model = _tail_from(cfg)
     t, r, trials, seed = (cfg[k] for k in ("t", "r", "trials", "seed"))
     ly = sp.log_trim_ratio_batch(model, t, r, trials, seed, threads=cfg.get("threads"))
-    alpha_hat, stderr = vf.estimate_alpha(np.exp(ly), r)
+    alpha_hat, stderr = vf.estimate_alpha(np.exp(ly, out=ly), r)
     _write_json(Path(cfg["out_dir"]) / "estimate.json", {
         "alpha_hat": alpha_hat, "stderr": stderr, "r": r, "t": t,
         "trials": trials, "seed": seed, "tail": model.to_record(),

@@ -364,8 +364,8 @@ def phi_conditional(lam: float, u: float, alpha: float) -> float:
         raise ValueError("u must lie strictly inside (0, 1)")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:  # at alpha = inf the density alpha * x**(-alpha-1) is nan
+        raise ValueError("alpha must be positive and finite")
     if lam == 0.0:
         return 1.0
     norm = -math.expm1(alpha * math.log(u))

@@ -15,13 +15,17 @@ depends only on the round index -- 4 in the first round, doubling each round
 up to ``_CHUNK`` (4, 8, 16, 32, 64, 64, ...; see :func:`_round_widths`) --
 and a per-round hook collects the points (single-trial forms, which run the
 engine on one row) or reduces them into probe sums (batch forms, row-blocked
-by :func:`_map_row_blocks`).  Every block of arrivals, a round's or a
-dense sampler's, is drawn line-major by :func:`_arrivals`: one contiguous
-line of rows per counter, so the running sum is a loop of whole-line adds
-in the same order as ``np.cumsum`` along a row, and every arrival keeps its
-bits.  The negative binomial points reach ``on_points`` row-major again, so
-a probe sum adds each row's cells along a contiguous axis.  Both forms
-therefore share
+by :func:`_map_row_blocks`).  A round runs in slabs of consecutive active
+rows, at most ``_SLAB`` counters each (2^17, 1 MiB of float64; see
+:func:`_slabs`), so a worker's round temporaries stay the same size however
+many rows are active; the ``mixed_poisson`` placement chunks take the same
+slabs.  Every block of arrivals, a round's slab or a dense sampler's, is
+drawn line-major by :func:`_arrivals`: one contiguous line of rows per
+counter, so the running sum is a loop of whole-line adds in the same order
+as ``np.cumsum`` along a row, and every arrival keeps its bits.  The
+negative binomial points reach ``on_points`` row-major again, so a probe
+sum adds each row's cells along a contiguous axis.  Both forms therefore
+share
 
 * one cap rule: before each round, :class:`TruncationError` is raised once
   ``cap`` arrivals past the head have been drawn (rounds end 4, 12, 28, 60,
@@ -30,14 +34,14 @@ therefore share
   the last counter it consumed -- the crossing arrival, or for
   ``mixed_poisson`` the last placed point.
 
-Batch samplers run in blocks of ``_ROW_BLOCK`` rows (2^14, so the first
-rounds' arrays fit a 2 MiB L2 cache) on ``threads`` worker threads;
-``threads=None`` (the default) uses the CPUs the process may run on, at
-most 4.  Neither changes any draw, count, point or probe sum, only wall
-time and memory.  Every block writes its rows into one output allocated
-after block 0, so a batch holds its output once, never a list of parts.
-With more than one thread, blocks run concurrently, so a caller's
-``probe`` must be thread-safe unless ``threads=1`` is passed.
+Batch samplers run in blocks of ``_ROW_BLOCK`` rows (2^14) on ``threads``
+worker threads; ``threads=None`` (the default) uses the CPUs the process
+may run on, at most 4.  Neither the block, the slab nor the thread count
+changes any draw, count, point or probe sum, only wall time and memory.
+Every block writes its rows into one output allocated after block 0, so
+a batch holds its output once, never a list of parts.  With more than
+one thread, blocks run concurrently, so a caller's ``probe`` must be
+thread-safe unless ``threads=1`` is passed.
 
 Ordered points are handled on the log scale internally so the slowly
 varying family stays finite deep into the small-time regime.  The dense
@@ -69,6 +73,7 @@ NB_METHODS = frozenset({LIMIT_RATIOS, MIXED_POISSON})
 
 _CHUNK = 64  # widest engine round and placement chunk, in counters per row
 _ROW_BLOCK = 1 << 14  # rows per thread task in batch samplers
+_SLAB = 1 << 17  # counters per engine slab: 1 MiB per float64 temporary
 
 
 class TruncationError(RuntimeError):
@@ -162,6 +167,17 @@ def _round_widths():
         width = min(2 * width, _CHUNK)
 
 
+def _slabs(rows: np.ndarray, width: int):
+    """``(position, piece)`` of ``rows`` cut into consecutive pieces of ``_SLAB // width``.
+
+    A round or placement chunk of ``width`` counters per row then holds at
+    most ``_SLAB`` values per temporary (one row when ``width`` exceeds it).
+    """
+    step = max(_SLAB // width, 1)
+    for lo in range(0, rows.size, step):
+        yield lo, rows[lo:lo + step]
+
+
 def _arrivals(master_seed, streams, start, count):
     """Line-major ``(count, rows)`` arrivals of counters ``start .. start + count - 1``.
 
@@ -202,12 +218,16 @@ def _extend(master_seed, streams, start, last, accept, cap, on_round=None):
     Row ``i`` reads stream ``streams[i]`` from counter ``start`` on and
     continues from the arrival ``last[i]``.  Each round draws the next
     width of :func:`_round_widths` for every row still active (at most
-    ``_CHUNK`` counters per row) as a line-major ``(width, active rows)``
-    array (:func:`_arrivals`).  ``accept(rows, arr)`` returns ``(kept, values)``
-    in that layout for those rows and their new arrivals, where ``kept``
-    is a prefix of each column, and ``on_round(rows, values, kept)`` sees
-    every round.  Returns the per-row kept counts and the counter just
-    after each row's crossing arrival.
+    ``_CHUNK`` counters per row), one slab of consecutive active rows at a
+    time (:func:`_slabs`: at most ``_SLAB`` counters), each as a line-major
+    ``(width, slab rows)`` array (:func:`_arrivals`).  ``accept(rows, arr)``
+    returns ``(kept, values)`` in that layout for those rows and their new
+    arrivals, where ``kept`` is a prefix of each column, and
+    ``on_round(rows, values, kept)`` sees every slab.  A row's draws, sums
+    and hook calls do not depend on the slab it falls in; the cap rule is
+    checked once per round and the survivors keep their order.  Returns the
+    per-row kept counts and the counter just after each row's crossing
+    arrival.
     """
     counts = np.zeros(streams.size, dtype=np.int64)
     finish = np.empty(streams.size, dtype=np.int64)
@@ -222,17 +242,21 @@ def _extend(master_seed, streams, start, last, accept, cap, on_round=None):
                 f"{act.size} of {streams.size} rows (epsilon or cap too small)"
             )
         width = next(widths)
-        arr = _arrivals(master_seed, streams[act], offset, width)
-        arr += last[act]
-        kept, values = accept(act, arr)
-        if on_round is not None:
-            on_round(act, values, kept)
-        k = np.count_nonzero(kept, axis=0)
-        counts[act] += k
-        done = k < width
-        finish[act[done]] = offset + k[done] + 1
-        last[act] = arr[-1]
-        act = act[~done]
+        live = np.empty(act.size, dtype=bool)
+        for lo, rows in _slabs(act, width):
+            arr = _arrivals(master_seed, streams[rows], offset, width)
+            arr += last[rows]
+            kept, values = accept(rows, arr)
+            if on_round is not None:
+                on_round(rows, values, kept)
+            k = np.count_nonzero(kept, axis=0)
+            counts[rows] += k
+            done = k < width
+            finish[rows[done]] = offset + k[done] + 1
+            last[rows] = arr[-1]
+            live[lo:lo + rows.size] = ~done
+            del arr, kept, values  # freed before the next slab is drawn
+        act = act[live]
         offset += width
     return counts, finish
 
@@ -256,7 +280,8 @@ def _ratio_below(model, t, epsilon, master_seed, streams, start, last, pivot,
     log_eps = math.log(epsilon)
 
     def accept(rows, arr):
-        log_ratios = ordered_log_points(model, t, arr) - pivot[rows]
+        log_ratios = ordered_log_points(model, t, arr)
+        log_ratios -= pivot[rows]
         return log_ratios > log_eps, log_ratios
 
     return _extend(master_seed, streams, start, last, accept, cap, on_below)
@@ -297,8 +322,9 @@ def _negbin_rows(n, alpha, epsilon, method, master_seed, streams, start, cap,
     # the mixed Poisson count; place that many i.i.d. points by inverse CDF
     # of the truncated base density, one counter each after the crossing.
     # Only the masked cells are drawn; the others hold u = 1 (the point 1).
-    # Chunk widths follow the round schedule, so a row's chunks, and with
-    # them its probe sum, do not depend on the other rows of its block.
+    # Chunk widths follow the round schedule, and rows are taken in slabs as
+    # in the engine, so a row's chunks, and with them its probe sum, do not
+    # depend on the other rows of its block.
     if on_points is not None:
         max_count = int(counts.max())
         col = 0
@@ -306,13 +332,13 @@ def _negbin_rows(n, alpha, epsilon, method, master_seed, streams, start, cap,
             if col >= max_count:
                 break
             cols = col + np.arange(width)
-            idx = np.flatnonzero(counts > col)
-            mask = cols[None, :] < counts[idx, None]
-            rows, cs = np.nonzero(mask)
-            u = np.ones(mask.shape)
-            u[rows, cs] = uniforms_at(master_seed, streams[idx[rows]],
-                                      finish[idx[rows]] + cols[cs])
-            on_points(idx, (ea - u * (ea - 1.0)) ** -inv_alpha, mask)
+            for _, idx in _slabs(np.flatnonzero(counts > col), width):
+                mask = cols[None, :] < counts[idx, None]
+                rows, cs = np.nonzero(mask)
+                u = np.ones(mask.shape)
+                u[rows, cs] = uniforms_at(master_seed, streams[idx[rows]],
+                                          finish[idx[rows]] + cols[cs])
+                on_points(idx, (ea - u * (ea - 1.0)) ** -inv_alpha, mask)
             col += width
     return counts, finish + counts
 

@@ -361,6 +361,8 @@ def convergence_sweep(
             ks, counts = _sorted_statistics(x, cdf, threads,
                                             0 if per_line_key else UNIFORMITY_BINS)
             per_line.append(ks)
+            del x  # one sorted copy at a time
+        del line  # this t's sample goes before the next t is drawn
         entry["ks"] = max(per_line)
         if per_line_key:
             entry[per_line_key] = per_line
@@ -654,7 +656,7 @@ def classify_tail(
             "not consistently heavy; t not small enough", evidence)
     if p_low > 1.0 - CLASSIFY_ETA or median_ratio < boundary:
         return TailClassification(RAPIDLY_VARYING, None, evidence)
-    alpha_hat, stderr = estimate_alpha(np.exp(ly), r)
+    alpha_hat, stderr = estimate_alpha(np.exp(ly, out=ly), r)
     evidence["alpha_stderr"] = stderr
     return TailClassification(REGULARLY_VARYING, alpha_hat, evidence)
 

@@ -377,7 +377,7 @@ def test_option_the_run_does_not_read_exits_2(tmp_path, argv, key, value, via):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key}={value}\n")
         extra = ["--config", str(cfg)]
-    code, err = _run_captured(argv + extra + ["--out-dir", str(tmp_path / "o")])
+    code, err, _ = _run_captured(argv + extra + ["--out-dir", str(tmp_path / "o")])
     assert code == 2
     doc = json.loads(err.strip().splitlines()[-1])
     assert doc["error"] == "config"
@@ -594,7 +594,9 @@ def test_column_writer_edge_values_match_per_cell_writer(tmp_path):
     _assert_same_bytes(tmp_path, header, columns, m)
 
 
-@pytest.mark.parametrize("rows", [0, 1, cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1])
+# the first block's edges, and a later block's, where earlier blocks are written whole
+@pytest.mark.parametrize("rows", [0, 1, cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1,
+                                  4 * cli._BLOCK - 1, 4 * cli._BLOCK, 4 * cli._BLOCK + 1])
 def test_column_writer_block_edges_match_per_cell_writer(tmp_path, rows):
     rng = np.random.default_rng(rows)
     floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-320, 300, rows)
@@ -708,14 +710,15 @@ def _invocations(draw):
 
 
 def _run_captured(argv):
+    """Exit code, stderr text and the warnings issued by one in-process run."""
     err = io.StringIO()
-    with contextlib.redirect_stderr(err), warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
             code = cli.run(argv)
         except SystemExit as exc:  # argparse's exit, after its JSON line
             code = exc.code
-    return code, err.getvalue()
+    return code, err.getvalue(), caught
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -730,7 +733,7 @@ def test_every_input_exits_0_1_or_2_with_a_json_diagnostic(invocation):
             path = Path(tmp) / "edge.cfg"
             path.write_text(config + "\n")
             argv += ["--config", str(path)]
-        code, err = _run_captured(argv)
+        code, err, _ = _run_captured(argv)
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err, argv
     if code != 0:
@@ -748,7 +751,7 @@ def test_every_input_exits_0_1_or_2_with_a_json_diagnostic(invocation):
 def test_huge_trial_counts_exit_2(tmp_path, argv, trials):
     # the output allocation fails after one row block: 2**64 rows exceed
     # numpy's dimension limit (a domain error), 2**50 rows the address space
-    code, err = _run_captured(argv + ["--trials", trials, "--out-dir", str(tmp_path)])
+    code, err, _ = _run_captured(argv + ["--trials", trials, "--out-dir", str(tmp_path)])
     assert code == 2
     doc = json.loads(err.strip().splitlines()[-1])
     assert doc["error"] == ("domain" if trials == str(2**64) else "memory"), doc
@@ -767,7 +770,7 @@ def test_huge_trial_counts_exit_2(tmp_path, argv, trials):
     # a binomial coefficient overflowed a float (OverflowError), and the sum
     # had 2**64 terms
     ["laws", "--law", "k_orderstat", "--alpha", "1", "--r", "1", "--n", str(2**64)],
-    # an infinite alpha left phi's integral not finite (QuadratureError)
+    # an infinite alpha left phi's integrand nan: quad warned, then QuadratureError
     ["laws", "--law", "phi", "--alpha", "inf", "--u", "0.5", "--grid", "0.1:0.9:5"],
     # n < 1 left no pivot column (IndexError) or, for n = 0, gave W = 1
     ["verify", "--target", "wlaw", "--tail", "pareto", "--alpha", "1", "--r", "1",
@@ -791,7 +794,9 @@ def test_huge_trial_counts_exit_2(tmp_path, argv, trials):
         "z_insensitivity_rapid_zero", "conditional_gamma_rapid_zero"])
 def test_overflowing_or_empty_inputs_exit_2(tmp_path, argv):
     out = tmp_path / "out"
-    code, err = _run_captured(argv + ["--out-dir", str(out)])
+    code, err, caught = _run_captured(argv + ["--out-dir", str(out)])
     assert code == 2
-    assert json.loads(err.strip().splitlines()[-1])["error"] == "domain"
+    assert not caught, [str(w.message) for w in caught]
+    assert len(err.splitlines()) == 1, err  # the JSON diagnostic alone
+    assert json.loads(err)["error"] == "domain"
     assert not out.exists()

@@ -294,6 +294,10 @@ def test_phi_conditional_values():
     for lam, want in ((50.0, 2.0345168399114043e-23), (100.0, 2.0872783349834873e-45),
                       (150.0, 2.7428445105132601e-67), (200.0, 4.0119436529519089e-89)):
         assert ll.phi_conditional(lam, 0.01, 6.0) == pytest.approx(want, rel=1e-10)
+    # rejected before any quadrature, so no IntegrationWarning is issued
+    for alpha in (math.inf, math.nan, 0.0):
+        with pytest.raises(ValueError, match="alpha"):
+            ll.phi_conditional(0.5, 0.5, alpha)
 
 
 def test_phi_matches_j_law_expectation():

@@ -158,14 +158,27 @@ def test_ratio_configuration_batch_rows_match_single_trials(model):
         assert counts[i] == cfg.below.size
 
 
+def _same_bytes(a, b) -> bool:
+    """Whether two outputs (arrays or None) hold the same dtype, shape and raw bytes."""
+    if a is None or b is None:
+        return a is b
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+#: (engine slab size, threads) runs: the module's slab at every thread
+#: setting, and slabs of 64 counters, one row per slab once rounds are 64 wide.
+_SLAB_RUNS = [(sp._SLAB, 1), (sp._SLAB, 2), (sp._SLAB, None), (64, 1), (64, 2)]
+
+
 def test_ratio_configuration_blocks_and_threads_do_not_change_output(monkeypatch):
     args = (tm.pareto_log(1.0, 1.5), 0.01, 1, 2, 0.1, 5_000, 61)
     whole = sp.ratio_configuration_batch(*args)
     monkeypatch.setattr(sp, "_ROW_BLOCK", 1_024)
-    for threads in (1, 2, None):
+    for slab, threads in _SLAB_RUNS:
+        monkeypatch.setattr(sp, "_SLAB", slab)
         blocked = sp.ratio_configuration_batch(*args, threads=threads)
         for a, b in zip(whole, blocked):
-            assert np.array_equal(a, b)
+            assert _same_bytes(a, b), (slab, threads)
 
 
 def test_dense_batches_blocks_and_threads_do_not_change_output(monkeypatch):
@@ -377,6 +390,31 @@ def test_dense_batch_peak_memory_stays_near_its_output(threads):
         tracemalloc.stop()
     assert w.shape == (n_trials,)
     assert peak < 1.5 * w.nbytes, peak / w.nbytes
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_engine_batch_peak_memory_is_its_output_and_a_few_slabs_per_thread(threads):
+    # each engine round runs in slabs of at most _SLAB counters, so a
+    # thread holds its block's per-row vectors and a few slab temporaries,
+    # however many rows a round has active
+    import tracemalloc
+
+    per_thread = 8 * (16 * sp._ROW_BLOCK + 4 * sp._SLAB)  # bytes
+    calls = {
+        "negbin_batch": lambda: sp.negbin_batch(3, 2.0, 0.3, sp.LIMIT_RATIOS, 1 << 20, 3,
+                                                threads=threads),
+        "ratio_configuration_batch": lambda: sp.ratio_configuration_batch(
+            tm.pareto(1.5), 0.01, 1, 2, 0.1, 1 << 18, 3, threads=threads),
+    }
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            out = call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = sum(col.nbytes for col in out if col is not None)
+        assert peak - size < threads * per_thread, (name, (peak - size) / per_thread)
 
 
 @pytest.mark.parametrize("name", sorted(_BATCHES))
@@ -649,12 +687,13 @@ def test_negbin_blocks_and_threads_do_not_change_output(monkeypatch):
     for method in sp.NB_METHODS:
         args = (2, 1.0, 0.05, method, 5_000, 61)
         whole = sp.negbin_batch(*args, probe=probe)
-        with monkeypatch.context() as m:
-            m.setattr(sp, "_ROW_BLOCK", 1_024)
-            for threads in (1, 2, None):
+        for slab, threads in _SLAB_RUNS:
+            with monkeypatch.context() as m:
+                m.setattr(sp, "_ROW_BLOCK", 1_024)
+                m.setattr(sp, "_SLAB", slab)
                 blocked = sp.negbin_batch(*args, probe=probe, threads=threads)
                 for a, b in zip(whole, blocked):
-                    assert np.array_equal(a, b)
+                    assert _same_bytes(a, b), (method, slab, threads)
 
 
 def test_mixed_poisson_probe_sums_do_not_depend_on_the_row_block(monkeypatch):
