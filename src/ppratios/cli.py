@@ -26,6 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _csvtext
 from . import limit_laws as ll
 from . import samplers as sp
 from . import tail_models as tm
@@ -198,28 +199,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _cell_texts(column, start: int, stop: int) -> list:
-    """Text of cells ``start:stop`` of a list or 1-D ndarray column, as ``_fmt``."""
-    part = column[start:stop]
-    if isinstance(part, np.ndarray):
-        kind = part.dtype.kind
-        if kind == "f":
-            return list(map(float.__repr__, part.astype(np.float64, copy=False).tolist()))
-        if kind in "iu":
-            return list(map(str, part.tolist()))
-        if kind == "b":
-            return ["true" if v else "false" for v in part.tolist()]
-        part = part.tolist()
-    return [_fmt(v) for v in part]
-
-
 def _write_csv(path: Path, meta: dict, header: list, columns: list) -> None:
     """Write one column per header name, ``_BLOCK`` rows at a time.
 
     A column is a scalar (its ``_fmt`` text on every row), a 1-D ndarray or
     a list; all non-scalar columns have one length, the row count.  Every
-    cell reads exactly as ``_fmt`` writes it.  The directory is created
-    if missing.
+    cell reads exactly as ``_fmt`` writes it: float and integer ndarrays are
+    formatted in bulk (``_csvtext``), every other cell by ``_fmt``.  The
+    directory is created if missing.
     """
     sized = [j for j, col in enumerate(columns) if isinstance(col, (list, np.ndarray))]
     lengths = {len(columns[j]) for j in sized}
@@ -228,22 +215,29 @@ def _write_csv(path: Path, meta: dict, header: list, columns: list) -> None:
         raise ValueError("CSV columns must match the header and hold at least one "
                          "1-D column, all of one length")
     rows = lengths.pop() if lengths else 0
-    # one row's cells, each followed by its separator; scalar cells filled once
-    template = []
-    for j, col in enumerate(columns):
-        template += [None if j in sized else _fmt(col),
-                     "," if j < len(columns) - 1 else "\n"]
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         for key in sorted(meta):
             fh.write(f"# {key}={_fmt(meta[key])}\n")
         fh.write(",".join(header) + "\n")
+        fh.flush()
+        texts = [None if j in sized else _fmt(col).encode(fh.encoding)
+                 for j, col in enumerate(columns)]
         for start in range(0, rows, _BLOCK):
             stop = min(start + _BLOCK, rows)
-            cells = template * (stop - start)
-            for j in sized:
-                cells[2 * j::len(template)] = _cell_texts(columns[j], start, stop)
-            fh.write("".join(cells))
+            parts = [_part(col[start:stop], fh.encoding) if text is None else text
+                     for col, text in zip(columns, texts)]
+            fh.buffer.write(_csvtext.rows(parts, stop - start))
+
+
+def _part(cells, encoding: str):
+    """A block of one column as ``_csvtext.rows`` takes it: a float or
+    integer ndarray as is, any other cells as their encoded ``_fmt`` texts."""
+    if isinstance(cells, np.ndarray):
+        if cells.dtype.kind in "fiu":
+            return cells
+        cells = cells.tolist()
+    return [_fmt(v).encode(encoding) for v in cells]
 
 
 def _write_json(path: Path, payload: dict) -> None:

@@ -569,22 +569,27 @@ def _assert_same_bytes(tmp_path, header, columns, rows):
 
 
 EDGE_FLOATS = [5e-324, 2.2250738585072014e-308, 1e16, 9.999999999999999e15, 1e-05,
-               -0.0, float("nan"), float("inf"), -float("inf"), 0.1, 1.0, 123456789.0]
+               -0.0, float("nan"), float("inf"), -float("inf"), 0.1, 1.0, 123456789.0,
+               1e-4, float(np.nextafter(1e-4, 0)), float(np.nextafter(1e-4, 1)), 0.5, 2.0,
+               1024.0, 1234567890123456.75, float(np.nextafter(1e16, 0))]
 
 
 def test_column_writer_edge_values_match_per_cell_writer(tmp_path):
     m = len(EDGE_FLOATS)
     f64 = np.array(EDGE_FLOATS)
+    uint64 = np.arange(m, dtype=np.uint64) * np.uint64(2**61)
+    uint64[-1] = 2**64 - 1
+    mixed = [None, "", 1, True, np.float64(2.5), np.int64(7), "x", False,
+             np.bool_(True), 3.0, -0.0, None]
     columns = [
-        np.arange(m),                                   # int64
+        np.r_[-2**63, 2**63 - 1, np.arange(m - 2)],     # int64
         f64,                                            # float64 edge values
         f64.astype(np.float32),                         # float32 widened exactly
         np.arange(m) % 3 == 0,                          # bool
-        np.arange(m, dtype=np.uint64) * np.uint64(2**61),
+        uint64,
         np.stack([f64, -f64], axis=1)[:, 1],            # strided view
         list(EDGE_FLOATS),                              # list of floats
-        [None, "", 1, True, np.float64(2.5), np.int64(7), "x", False,
-         np.bool_(True), 3.0, -0.0, None],             # mixed list cells
+        (mixed * 2)[:m],                                # mixed list cells
         1e16,                                           # scalar float
         "",                                             # empty scalar
         None,                                           # missing scalar
