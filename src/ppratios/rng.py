@@ -120,7 +120,3 @@ class RngStream:
                           self.cursor + np.arange(n, dtype=np.uint64))
         self.cursor += n
         return out
-
-    def exponentials(self, n: int) -> np.ndarray:
-        """Next ``n`` unit-mean exponentials, advancing the cursor."""
-        return -np.log(self.uniforms(n))

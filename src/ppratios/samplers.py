@@ -8,14 +8,19 @@ of every batch sampler replays stream ``stream_start + i``, so it is
 bit-identical to the single-trial form run on that stream.
 
 The open-ended samplers (ratio configurations and both constructions of the
-negative binomial limit process) draw arrivals until a row crosses its
-threshold.  One ragged engine, :func:`_extend`, does this for a set of rows:
-it extends every row that has not crossed yet by a number of counters that
-depends only on the round index -- 4 in the first round, doubling each round
-up to ``_CHUNK`` (4, 8, 16, 32, 64, 64, ...; see :func:`_round_widths`) --
-and a per-round hook collects the points (single-trial forms, which run the
-engine on one row) or reduces them into probe sums (batch forms, row-blocked
-by :func:`_map_row_blocks`).  A round runs in slabs of consecutive active
+negative binomial limit process) count the unit-rate arrivals below a
+per-row bound, fixed by the row's head: ``Gamma_n * (epsilon**-alpha - 1)``
+for the limit process, and ``t * tail(epsilon * X_p)`` for a ratio
+configuration with pivot point ``X_p``, since a later point's ratio to the
+pivot exceeds epsilon exactly when its arrival lies below it.  So the walk
+inverts no tail.  One ragged engine, :func:`_extend`, does this for a set of
+rows: it extends every row that has not crossed its bound yet by a number of
+counters that depends only on the round index -- 4 in the first round,
+doubling each round up to ``_CHUNK`` (4, 8, 16, 32, 64, 64, ...; see
+:func:`_round_widths`) -- and a per-round hook turns the kept arrivals into
+points and collects them (single-trial forms, which run the engine on one
+row) or reduces them into probe sums (batch forms, row-blocked by
+:func:`_map_row_blocks`).  A round runs in slabs of consecutive active
 rows, at most ``_SLAB`` counters each (2^17, 1 MiB of float64; see
 :func:`_slabs`), so a worker's round temporaries stay the same size however
 many rows are active; the ``mixed_poisson`` placement chunks take the same
@@ -212,22 +217,21 @@ def _log_lines(model, t, g, lines):
     return ordered_log_points(model, t, g[lines])
 
 
-def _extend(master_seed, streams, start, last, accept, cap, on_round=None):
-    """Extend each row's arrivals until the first one ``accept`` rejects.
+def _extend(master_seed, streams, start, last, bound, cap, on_round=None):
+    """Extend each row's arrivals until the first one at or above ``bound[row]``.
 
     Row ``i`` reads stream ``streams[i]`` from counter ``start`` on and
     continues from the arrival ``last[i]``.  Each round draws the next
     width of :func:`_round_widths` for every row still active (at most
     ``_CHUNK`` counters per row), one slab of consecutive active rows at a
     time (:func:`_slabs`: at most ``_SLAB`` counters), each as a line-major
-    ``(width, slab rows)`` array (:func:`_arrivals`).  ``accept(rows, arr)``
-    returns ``(kept, values)`` in that layout for those rows and their new
-    arrivals, where ``kept`` is a prefix of each column, and
-    ``on_round(rows, values, kept)`` sees every slab.  A row's draws, sums
-    and hook calls do not depend on the slab it falls in; the cap rule is
-    checked once per round and the survivors keep their order.  Returns the
-    per-row kept counts and the counter just after each row's crossing
-    arrival.
+    ``(width, slab rows)`` array of arrivals (:func:`_arrivals`).  The
+    arrivals below their row's bound are kept, a prefix of each column,
+    and ``on_round(rows, arr, kept)`` sees every slab's arrivals and mask.
+    A row's draws, sums and hook calls do not depend on the slab it falls
+    in; the cap rule is checked once per round and the survivors keep
+    their order.  Returns the per-row kept counts and the counter just
+    after each row's crossing arrival.
     """
     counts = np.zeros(streams.size, dtype=np.int64)
     finish = np.empty(streams.size, dtype=np.int64)
@@ -246,16 +250,16 @@ def _extend(master_seed, streams, start, last, accept, cap, on_round=None):
         for lo, rows in _slabs(act, width):
             arr = _arrivals(master_seed, streams[rows], offset, width)
             arr += last[rows]
-            kept, values = accept(rows, arr)
+            kept = arr < bound[rows]
             if on_round is not None:
-                on_round(rows, values, kept)
+                on_round(rows, arr, kept)
             k = np.count_nonzero(kept, axis=0)
             counts[rows] += k
             done = k < width
             finish[rows[done]] = offset + k[done] + 1
             last[rows] = arr[-1]
             live[lo:lo + rows.size] = ~done
-            del arr, kept, values  # freed before the next slab is drawn
+            del arr, kept  # freed before the next slab is drawn
         act = act[live]
         offset += width
     return counts, finish
@@ -274,17 +278,15 @@ def _ratio_head(model, t, r, n, master_seed, streams, start):
     return g[-1], pivot, above, w
 
 
-def _ratio_below(model, t, epsilon, master_seed, streams, start, last, pivot,
-                 cap, on_below=None):
-    """Below-1 log ratios above log(epsilon), via the engine; hook as in :func:`_extend`."""
-    log_eps = math.log(epsilon)
+def _ratio_bound(model, t, epsilon, pivot):
+    """Each row's arrival bound ``t * tail(epsilon * X_p)``, from its log pivot point.
 
-    def accept(rows, arr):
-        log_ratios = ordered_log_points(model, t, arr)
-        log_ratios -= pivot[rows]
-        return log_ratios > log_eps, log_ratios
-
-    return _extend(master_seed, streams, start, last, accept, cap, on_below)
+    A later point's ratio to the pivot X_p exceeds epsilon exactly when its
+    arrival lies below it.  Where it overflows it is inf: the row runs to
+    the cap.
+    """
+    with np.errstate(over="ignore"):
+        return t * tail_at_log(model, math.log(epsilon) + pivot)
 
 
 def _negbin_rows(n, alpha, epsilon, method, master_seed, streams, start, cap,
@@ -297,12 +299,7 @@ def _negbin_rows(n, alpha, epsilon, method, master_seed, streams, start, cap,
     """
     inv_alpha = 1.0 / alpha
     ea = epsilon**-alpha
-    u0 = uniforms_at(master_seed, streams[:, None], start + np.arange(n))
-    g = np.sum(-np.log(u0), axis=1)
-    bound = g * (ea - 1.0)
-
-    def accept(rows, arr):
-        return arr <= bound[rows], arr
+    g = _arrivals(master_seed, streams, start, n)[-1].copy()  # not a view holding all n lines
 
     def transform(rows, arr, kept):
         # row-major points, so a probe sums each row along a contiguous axis
@@ -314,17 +311,17 @@ def _negbin_rows(n, alpha, epsilon, method, master_seed, streams, start, cap,
     limit = method == LIMIT_RATIOS
     on_round = transform if limit and on_points is not None else None
     counts, finish = _extend(master_seed, streams, start + n, np.zeros(streams.size),
-                             accept, cap, on_round)
+                             g * (ea - 1.0), cap, on_round)
     if limit:
         return counts, finish
 
     # mixed_poisson: the count of arrivals below the gamma-scaled mean is
     # the mixed Poisson count; place that many i.i.d. points by inverse CDF
     # of the truncated base density, one counter each after the crossing.
-    # Only the masked cells are drawn; the others hold u = 1 (the point 1).
-    # Chunk widths follow the round schedule, and rows are taken in slabs as
-    # in the engine, so a row's chunks, and with them its probe sum, do not
-    # depend on the other rows of its block.
+    # Each slab is drawn whole; the cells past a row's count hold u = 1 (the
+    # point 1).  Chunk widths follow the round schedule, and rows are taken
+    # in slabs as in the engine, so a row's chunks, and with them its probe
+    # sum, do not depend on the other rows of its block.
     if on_points is not None:
         max_count = int(counts.max())
         col = 0
@@ -333,11 +330,9 @@ def _negbin_rows(n, alpha, epsilon, method, master_seed, streams, start, cap,
                 break
             cols = col + np.arange(width)
             for _, idx in _slabs(np.flatnonzero(counts > col), width):
-                mask = cols[None, :] < counts[idx, None]
-                rows, cs = np.nonzero(mask)
-                u = np.ones(mask.shape)
-                u[rows, cs] = uniforms_at(master_seed, streams[idx[rows]],
-                                          finish[idx[rows]] + cols[cs])
+                mask = cols < counts[idx, None]
+                u = uniforms_at(master_seed, streams[idx, None], finish[idx, None] + cols)
+                u[~mask] = 1.0
                 on_points(idx, (ea - u * (ea - 1.0)) ** -inv_alpha, mask)
             col += width
     return counts, finish + counts
@@ -351,7 +346,9 @@ def sample_gamma_arrivals(count: int, rng: RngStream) -> np.ndarray:
     """First ``count`` arrivals of a unit-rate Poisson process."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    return np.cumsum(rng.exponentials(count))
+    gammas = _arrivals(rng.master_seed, np.array([rng.stream_index]), rng.cursor, count)
+    rng.cursor += count
+    return gammas[:, 0]
 
 
 def sample_ordered_points(
@@ -380,8 +377,8 @@ def sample_ratio_configuration(
     """One ratio configuration, extending arrivals until the below ratios cross epsilon.
 
     Reads ``rng`` from its cursor and leaves the cursor just after the
-    crossing arrival.  On truncation the error's ``partial`` holds the
-    configuration drawn so far.
+    crossing arrival; only the kept arrivals are inverted.  On truncation the
+    error's ``partial`` holds the configuration drawn so far.
     """
     _validate_ratio_args(t, r, n, epsilon, cap)
     streams = np.array([rng.stream_index])
@@ -389,8 +386,8 @@ def sample_ratio_configuration(
                                         rng.cursor)
     below: list[np.ndarray] = []
 
-    def collect(rows, log_ratios, kept):
-        below.append(np.exp(log_ratios[kept[:, 0], 0]))
+    def collect(rows, arr, kept):
+        below.append(np.exp(ordered_log_points(model, t, arr[kept[:, 0], 0]) - pivot[0]))
 
     def configuration() -> RatioConfiguration:
         return RatioConfiguration(
@@ -399,8 +396,8 @@ def sample_ratio_configuration(
         )
 
     try:
-        _, finish = _ratio_below(model, t, epsilon, rng.master_seed, streams,
-                                 rng.cursor + r + n, last, pivot, cap, collect)
+        _, finish = _extend(rng.master_seed, streams, rng.cursor + r + n, last,
+                            _ratio_bound(model, t, epsilon, pivot), cap, collect)
     except TruncationError as err:
         err.partial = configuration()
         raise
@@ -729,8 +726,8 @@ def ratio_configuration_batch(
     def block(offset: int, rows: int):
         streams = _block_streams(stream_start + offset, rows)
         last, pivot, above, w = _ratio_head(model, t, r, n, master_seed, streams, 0)
-        counts, _ = _ratio_below(model, t, epsilon, master_seed, streams, r + n,
-                                 last, pivot, cap)
+        counts, _ = _extend(master_seed, streams, r + n, last,
+                            _ratio_bound(model, t, epsilon, pivot), cap)
         return above, w, counts
 
     return _map_row_blocks(block, n_trials, threads, stream_start)
@@ -765,7 +762,7 @@ def negbin_batch(
         sums = np.zeros(rows)
 
         def reduce(idx, x, mask):
-            sums[idx] += np.sum(probe(x) * mask, axis=1)
+            sums[idx] += np.sum(np.where(mask, probe(x), 0.0), axis=1)
 
         counts, _ = _negbin_rows(n, alpha, epsilon, method, master_seed, streams, 0, cap,
                                  reduce)

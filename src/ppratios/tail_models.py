@@ -155,6 +155,25 @@ def _validate_positive(values: np.ndarray, what: str):
         raise ValueError(f"{what} must be strictly positive")
 
 
+def _tail(model: TailModel, x: np.ndarray) -> np.ndarray:
+    """The tail function at an array ``x > 0``, unsaturated: ``rapid_zero`` may be inf."""
+    _validate_positive(x, "x")
+    if model.kind == RAPID_ZERO:
+        with np.errstate(over="ignore"):
+            return np.expm1(1.0 / x)
+    if model.kind == SLOW_ZERO:
+        return np.log1p(1.0 / x)
+    out = x ** -model.alpha
+    if model.kind == PARETO_LOG:
+        low = x < 1.0
+        out[low] *= (1.0 + np.log(1.0 / x[low])) ** model.beta
+    elif model.kind == PARETO_PERTURBED:
+        low = x <= 1.0
+        out[low] *= 1.0 + model.c * x[low] ** model.gamma
+        out[~low] *= 1.0 + model.c
+    return out
+
+
 def eval_tail(model: TailModel, x):
     """Evaluate the tail function at ``x`` (scalar or array), elementwise.
 
@@ -163,47 +182,37 @@ def eval_tail(model: TailModel, x):
     :class:`TailOverflowWarning` is issued.
     """
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    _validate_positive(arr, "x")
-    a = model.alpha
-    if model.kind == PARETO:
-        out = arr ** -a
-    elif model.kind == PARETO_LOG:
-        out = arr ** -a
-        low = arr < 1.0
-        if np.any(low):
-            out[low] *= (1.0 + np.log(1.0 / arr[low])) ** model.beta
-    elif model.kind == PARETO_PERTURBED:
-        out = arr ** -a
-        low = arr <= 1.0
-        out[low] *= 1.0 + model.c * arr[low] ** model.gamma
-        out[~low] *= 1.0 + model.c
-    elif model.kind == RAPID_ZERO:
-        with np.errstate(over="ignore"):
-            out = np.expm1(1.0 / arr)
+    out = _tail(model, np.atleast_1d(arr))
+    if model.kind == RAPID_ZERO:
         saturated = ~np.isfinite(out) | (out > TAIL_SATURATION)
         if np.any(saturated):
             out[saturated] = TAIL_SATURATION
-            warnings.warn(
-                "rapid_zero tail saturated at 1e300 near x=0", TailOverflowWarning
-            )
-    else:  # SLOW_ZERO
-        out = np.log1p(1.0 / arr)
-    return float(out[0]) if scalar else out
+            warnings.warn("rapid_zero tail saturated at 1e300 near x=0", TailOverflowWarning)
+    return float(out[0]) if arr.ndim == 0 else out
 
 
-def tail_at_log(model: TailModel, lx):
-    """``eval_tail(model, exp(lx))``, also where ``exp(lx)`` underflows.
+def tail_at_log(model: TailModel, lx) -> np.ndarray:
+    """The tail function at ``exp(lx)``; inf, without a warning, where it overflows.
 
-    Deep in the small-time regime the slowly varying family's points
-    underflow float64; there ``log1p(1/x) = -log x + log1p(x)`` is ``-lx``
-    to double precision, so it is taken from the log directly.
+    Unlike :func:`eval_tail` it does not saturate.  Deep in the small-time
+    regime the points underflow float64, so below ``lx = -700`` the power
+    families are taken from the log: ``x**-alpha`` as ``exp(-alpha*lx)``,
+    times ``(1 - lx)**beta`` or ``1 + c*exp(gamma*lx)``; ``log1p(1/x) = -lx
+    + log1p(x)`` is ``-lx`` to double precision.
     """
-    lx = np.asarray(lx, dtype=float)
-    if model.kind != SLOW_ZERO:
-        return eval_tail(model, np.exp(lx))
-    return np.where(lx < -700.0, -lx, eval_tail(model, np.exp(np.maximum(lx, -700.0))))
+    lx = np.atleast_1d(np.asarray(lx, dtype=float))
+    with np.errstate(over="ignore"):
+        out = _tail(model, np.exp(np.maximum(lx, -700.0)))
+        deep = lx < -700.0
+        if model.kind != RAPID_ZERO and np.any(deep):  # rapid_zero is inf there already
+            d = lx[deep]
+            far = -d if model.kind == SLOW_ZERO else np.exp(-model.alpha * d)
+            if model.kind == PARETO_LOG:
+                far *= (1.0 - d) ** model.beta
+            elif model.kind == PARETO_PERTURBED:
+                far *= 1.0 + model.c * np.exp(model.gamma * d)
+            out[deep] = far
+    return out
 
 
 def log_inverse_tail(model: TailModel, y):

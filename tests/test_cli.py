@@ -110,6 +110,21 @@ def test_subnormal_t_exits_2(tmp_path, capsys):
     assert not (tmp_path / "trials.csv").exists()
 
 
+def test_rapid_zero_past_the_cap_exits_2_without_a_warning(tmp_path, capsys):
+    # the rows' arrival bound t * tail(epsilon * pivot) overflows to inf, so
+    # every row runs to the cap; the tail is not saturated and does not warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("simulate", "--tail", "rapid_zero", "--t", "0.5", "--r", "1",
+                       "--n", "2", "--epsilon", "1e-3", "--cap", "1000", "--trials", "200",
+                       "--out-dir", str(tmp_path))
+    assert code == 2
+    doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert doc["error"] == "domain"
+    assert doc["reason"].startswith("cap=1000 arrivals drawn before the epsilon crossing")
+    assert not (tmp_path / "trials.csv").exists()
+
+
 def test_inversion_error_exits_2(tmp_path, capsys, monkeypatch):
     from ppratios import tail_models as tm
 

@@ -12,7 +12,9 @@ from ppratios import samplers as sp
 from ppratios import tail_models as tm
 from ppratios.rng import RngStream, uniform_grid
 from ppratios.verify import (
+    GAMMA_NC,
     EmpiricalDistribution,
+    convergence_sweep,
     ks_distance,
     two_sample_ks,
     two_sample_threshold,
@@ -105,6 +107,19 @@ def test_slow_zero_time_scales_are_the_arrivals(t):
     assert np.allclose(scales, g, rtol=1e-15, atol=0)
     _, z, a = sp.pivot_ratio_with_scales_batch(tm.slow_zero(), t, 1, 1, 1000, 1)
     assert np.allclose(np.column_stack([a, z]), g, rtol=1e-15, atol=0)
+
+
+def test_deep_regime_pareto_time_scales_are_the_arrivals():
+    # pareto(0.1) at t = 1e-33: the points' logs lie near -760, where exp
+    # underflows, so t * tail(k-th point) is taken from the log points
+    model, t = tm.pareto(0.1), 1e-33
+    g = sp.gamma_matrix(1, 1000, 3)
+    assert np.median(sp.ordered_log_points_batch(model, t, 3, 1000, 1)) < -745  # exp gives 0
+    assert np.allclose(sp.time_scale_batch(model, t, 3, 1000, 1), g, rtol=1e-12, atol=0)
+    _, z, a = sp.pivot_ratio_with_scales_batch(model, t, 1, 2, 1000, 1)
+    assert np.allclose(np.column_stack([a, z]), g[:, [0, 2]], rtol=1e-12, atol=0)
+    report = convergence_sweep(model, 1, 2, [1e-33], 10_000, GAMMA_NC, seed=1)
+    assert report.passed
 
 
 # --- ratio configurations ---------------------------------------------------
@@ -497,12 +512,12 @@ def test_round_schedule_doubles_to_the_widest_round():
     assert np.cumsum(widths)[:6].tolist() == [4, 12, 28, 60, 124, 188]
 
 
-def _row_major_extend(master_seed, streams, start, last, accept, cap, on_round=None):
+def _row_major_extend(master_seed, streams, start, last, bound, cap, on_round=None):
     """The engine's round in its earlier row-major order, kept as a reference.
 
     Each round draws an ``(active rows, width)`` array and sums it with
-    ``np.cumsum(axis=1)``.  The hooks take the engine's round-major layout,
-    so they see the transposes.
+    ``np.cumsum(axis=1)``.  The hook takes the engine's round-major layout,
+    so it sees the transposes.
     """
     counts = np.zeros(streams.size, dtype=np.int64)
     finish = np.empty(streams.size, dtype=np.int64)
@@ -516,9 +531,9 @@ def _row_major_extend(master_seed, streams, start, last, accept, cap, on_round=N
         width = next(widths)
         u = sp.uniforms_at(master_seed, streams[act, None], offset + np.arange(width))
         arr = last[act, None] + np.cumsum(-np.log(u), axis=1)
-        kept, values = accept(act, arr.T)
+        kept = arr.T < bound[act]
         if on_round is not None:
-            on_round(act, values, kept)
+            on_round(act, arr.T, kept)
         k = kept.T.sum(axis=1)
         counts[act] += k
         done = k < width
@@ -563,6 +578,115 @@ def test_round_major_engine_matches_the_row_major_reference(monkeypatch):
     assert len(engine) == len(reference)
     for i, (a, b) in enumerate(zip(engine, reference)):
         assert np.array_equal(a, b), i
+
+
+def _point_space_configurations(model, t, r, n, epsilon, master_seed, streams, cap):
+    """Ratio configurations by the earlier point-space walk, kept as a reference.
+
+    Each round inverts every arrival it draws and keeps the log ratios to
+    the pivot above ``log(epsilon)``, with the engine's round schedule and
+    cap rule, row-major.  Returns the above ratios, w_rn, the counts, the
+    counter after each row's crossing arrival and each row's below ratios;
+    on truncation the ``TruncationError`` carries the walk's message.
+    """
+    last, pivot, above, w = sp._ratio_head(model, t, r, n, master_seed, streams, 0)
+    log_eps = math.log(epsilon)
+    counts = np.zeros(streams.size, dtype=np.int64)
+    finish = np.empty(streams.size, dtype=np.int64)
+    below = [[] for _ in streams]
+    act = np.arange(streams.size)
+    offset = r + n
+    widths = sp._round_widths()
+    while act.size:
+        if offset - r - n >= cap:
+            raise sp.TruncationError(
+                f"cap={cap} arrivals drawn before the epsilon crossing in "
+                f"{act.size} of {streams.size} rows (epsilon or cap too small)"
+            )
+        width = next(widths)
+        u = sp.uniforms_at(master_seed, streams[act, None], offset + np.arange(width))
+        arr = last[act, None] + np.cumsum(-np.log(u), axis=1)
+        log_ratios = sp.ordered_log_points(model, t, arr) - pivot[act, None]
+        kept = log_ratios > log_eps
+        for i, row in enumerate(act):
+            below[row].append(np.exp(log_ratios[i, kept[i]]))
+        k = kept.sum(axis=1)
+        counts[act] += k
+        done = k < width
+        finish[act[done]] = offset + k[done] + 1
+        last[act] = arr[:, -1]
+        act = act[~done]
+        offset += width
+    return above, w, counts, finish, [np.concatenate(b) for b in below]
+
+
+def _compare_with_point_space(model, t, r, n, epsilon, rows, cap) -> bool:
+    """Assert both forms equal the reference; returns whether the batch truncated."""
+    seed = 17
+    try:
+        above, w, counts, _, _ = _point_space_configurations(
+            model, t, r, n, epsilon, seed, np.arange(rows), cap)
+    except sp.TruncationError as ref:
+        with pytest.raises(sp.TruncationError) as got:
+            sp.ratio_configuration_batch(model, t, r, n, epsilon, rows, seed, cap=cap)
+        assert str(got.value) == str(ref)
+        truncated, picks = True, (0, rows - 1)
+    else:
+        got = sp.ratio_configuration_batch(model, t, r, n, epsilon, rows, seed, cap=cap)
+        _assert_same_columns((above, w, counts), got, (model, t))
+        truncated, picks = False, (0, 1, rows // 2, rows - 1, int(np.argmax(counts)))
+    for i in picks:
+        rng = RngStream(seed, i)
+        try:
+            above, w, _, finish, below = _point_space_configurations(
+                model, t, r, n, epsilon, seed, np.array([i]), cap)
+        except sp.TruncationError as ref:
+            with pytest.raises(sp.TruncationError) as got:
+                sp.sample_ratio_configuration(model, t, r, n, epsilon, rng, cap=cap)
+            assert str(got.value) == str(ref)
+            continue
+        cfg = sp.sample_ratio_configuration(model, t, r, n, epsilon, rng, cap=cap)
+        assert _same_bytes(cfg.above, above[0]) and _same_bytes(cfg.below, below[0])
+        assert cfg.w_rn == (None if w is None else w[0]) and rng.cursor == finish[0]
+    return truncated
+
+
+_FAMILIES = [tm.pareto(1.3), tm.pareto_log(1.0, 1.5), tm.pareto_log(2.0, -0.5),
+             tm.pareto_perturbed(1, 1, 1), tm.rapid_zero(), tm.slow_zero()]
+
+
+@pytest.mark.parametrize("t", [0.5, 0.05, 1e-3])
+@pytest.mark.parametrize("model", _FAMILIES,
+                         ids=lambda m: f"{m.kind}-{m.beta}" if m.beta is not None else m.kind)
+def test_arrival_bound_walk_matches_the_point_space_reference(model, t):
+    # a later point's ratio to the pivot X_p exceeds epsilon exactly when its
+    # arrival lies below t * tail(epsilon * X_p): counts, cursors and every
+    # point equal the walk that inverts each arrival, bit for bit
+    epsilon = 0.9 if model.kind == tm.RAPID_ZERO else 0.3  # rapid_zero: short rows
+    # slow_zero's above ratios exp((gamma_p - gamma_k) / t) overflow at small t
+    r, n = (2, 1) if model.kind == tm.SLOW_ZERO else (1, 2)
+    assert not _compare_with_point_space(model, t, r, n, epsilon, 10_000, 10**6)
+
+
+@pytest.mark.parametrize("model,t", [(tm.pareto(0.1), 1e-33), (tm.pareto_log(0.1, 0.5), 1e-40),
+                                     (tm.pareto_perturbed(0.2, 0.1, 1), 1e-40)],
+                         ids=["pareto", "pareto_log", "pareto_perturbed"])
+def test_arrival_bound_walk_matches_the_point_space_reference_deep(model, t):
+    # the pivot's log lies below -700, so its bound is taken from the log
+    assert not _compare_with_point_space(model, t, 1, 2, 0.3, 10_000, 10**6)
+    assert not _compare_with_point_space(model, t, 0, 1, 0.05, 10_000, 10**6)
+
+
+@pytest.mark.parametrize("model,t,epsilon,cap", [(tm.rapid_zero(), 0.3, 0.2, 100),
+                                                 (tm.rapid_zero(), 0.5, 1e-3, 100),
+                                                 (tm.pareto(1.0), 1.0, 0.3, 12),
+                                                 (tm.pareto(1.0), 1.0, 0.3, 28)],
+                         ids=["rapid_zero", "rapid_zero_inf_bound", "pareto_226_of_500",
+                              "pareto_3_of_500"])
+def test_arrival_bound_walk_truncates_as_the_point_space_reference(model, t, epsilon, cap):
+    # rapid_zero's bounds lie far past the cap, or overflow to inf at
+    # epsilon 1e-3; pareto truncates only some rows, so its message counts them
+    assert _compare_with_point_space(model, t, 2, 3, epsilon, 500, cap)
 
 
 def test_engine_draws_at_most_twice_what_it_consumes(monkeypatch):
@@ -710,6 +834,17 @@ def test_mixed_poisson_probe_sums_do_not_depend_on_the_row_block(monkeypatch):
             counts, sums = sp.negbin_batch(*args, probe=probe, threads=threads)
             outputs.append(counts.tobytes() + sums.tobytes())  # raw, unrounded bits
     assert len(set(outputs)) == 1
+
+
+def test_probe_sums_read_only_kept_cells():
+    # walked-past cells lie inside the probe's support: an infinite
+    # amplitude there must not turn a sum into nan (inf * 0)
+    from ppratios.limit_laws import LaplaceProbe
+
+    probe = LaplaceProbe(math.inf, 0.1, 1.0)
+    for method in sorted(sp.NB_METHODS):
+        counts, sums = sp.negbin_batch(1, 1.0, 0.5, method, 2000, 1, probe=probe, threads=1)
+        assert np.array_equal(sums, np.where(counts > 0, math.inf, 0.0)), method
 
 
 def test_nb_consecutive_draws_continue_the_stream():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,35 @@ def test_rapid_zero_saturates_with_warning():
     with pytest.warns(tm.TailOverflowWarning):
         v = tm.eval_tail(tm.rapid_zero(), 1e-6)
     assert v == tm.TAIL_SATURATION
+
+
+def test_tail_at_log_overflows_to_inf_without_a_warning():
+    # unlike eval_tail, no saturation: rapid_zero and a steep power are inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(tm.tail_at_log(tm.rapid_zero(), np.log([1e-6, 1e-310])) == math.inf)
+        assert tm.tail_at_log(tm.pareto(2.0), [-400.0])[0] == math.inf
+        assert tm.tail_at_log(tm.pareto(2.0), [-800.0])[0] == math.inf
+
+
+@pytest.mark.parametrize("model", [tm.pareto(0.5), tm.pareto_log(0.5, 2.0),
+                                   tm.pareto_log(0.5, -0.5), tm.pareto_perturbed(0.5, 1.0, 1.0),
+                                   tm.pareto_perturbed(0.5, 1.0, 0.01), tm.slow_zero()],
+                         ids=lambda m: "-".join(str(v) for v in m.to_record().values()))
+def test_tail_at_log_below_700_continues_the_formulas(model):
+    # the log branch below lx = -700 meets the formula at x = exp(lx), which
+    # is still a normal float at -705, and goes on where exp(lx) is 0
+    lx = np.array([-699.0, -705.0])
+    assert np.allclose(tm.tail_at_log(model, lx), tm.eval_tail(model, np.exp(lx)),
+                       rtol=1e-12, atol=0)
+    lx = np.array([[-800.0], [-1300.0]])
+    if model.kind == "slow_zero":
+        want = -lx
+    elif model.kind == "pareto_perturbed":
+        want = np.exp(_log_tail_below_one(model, lx))
+    else:
+        want = np.exp(-model.alpha * lx + (model.beta or 0.0) * np.log1p(-lx))
+    assert np.allclose(tm.tail_at_log(model, lx), want, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: f"{m.kind}-{m.alpha}")
