@@ -187,7 +187,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value) -> str:
-    """Full round-trip text for one CSV cell."""
+    """Full round-trip text for one CSV cell; a list's items are joined by a space."""
+    if isinstance(value, (list, tuple)):
+        return " ".join(_fmt(v) for v in value)
     if value is None or value == "":
         return ""
     if isinstance(value, (bool, np.bool_)):
@@ -416,7 +418,7 @@ def _run_estimate(cfg: dict) -> int:
     model = _tail_from(cfg)
     t, r, trials, seed = (cfg[k] for k in ("t", "r", "trials", "seed"))
     ly = sp.log_trim_ratio_batch(model, t, r, trials, seed, threads=cfg.get("threads"))
-    alpha_hat, stderr = vf.estimate_alpha(np.exp(ly, out=ly), r)
+    alpha_hat, stderr = vf.estimate_alpha(ly, r)
     _write_json(Path(cfg["out_dir"]) / "estimate.json", {
         "alpha_hat": alpha_hat, "stderr": stderr, "r": r, "t": t,
         "trials": trials, "seed": seed, "tail": model.to_record(),

@@ -32,9 +32,9 @@ negative binomial points reach ``on_points`` row-major again, so a probe
 sum adds each row's cells along a contiguous axis.  Both forms therefore
 share
 
-* one cap rule: before each round, :class:`TruncationError` is raised once
-  ``cap`` arrivals past the head have been drawn (rounds end 4, 12, 28, 60,
-  124, 188, ... arrivals past the head), and
+* one cap rule: ``cap >= 1`` before any draw, then :class:`TruncationError`
+  before the round once ``cap`` arrivals past the head have been drawn
+  (rounds end 4, 12, 28, 60, 124, 188, ... arrivals past the head), and
 * one cursor rule: a single-trial draw leaves its stream's cursor just after
   the last counter it consumed -- the crossing arrival, or for
   ``mixed_poisson`` the last placed point.
@@ -132,13 +132,13 @@ def _validate_ratio_args(t: float, r: int, n: int, epsilon: float, cap: int):
         raise ValueError("require r >= 0 and n >= 1")
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie strictly inside (0, 1)")
-    if cap < r + n + 1:
-        raise ValueError("cap must be at least r + n + 1")
+    if cap < 1:  # cap counts arrivals past the head
+        raise ValueError("cap must be at least 1")
     if not t > 0:
         raise ValueError("t must be positive")
 
 
-def _validate_nb_args(n: int, alpha: float, epsilon: float, method: str):
+def _validate_nb_args(n: int, alpha: float, epsilon: float, method: str, cap: int):
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0 < alpha < math.inf:  # alpha = inf puts every point at 1: no finite count
@@ -152,6 +152,8 @@ def _validate_nb_args(n: int, alpha: float, epsilon: float, method: str):
                          f"alpha={alpha!r}") from None
     if method not in NB_METHODS:
         raise ValueError(f"unknown sampler method: {method!r}")
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +275,10 @@ def _ratio_head(model, t, r, n, master_seed, streams, start):
     g = _arrivals(master_seed, streams, start, r + n)
     lp = _log_lines(model, t, g, slice(max(r - 1, 0), None))
     pivot = lp[-1]
-    above = _rows(np.exp(lp[-n:-1] - pivot))
+    with np.errstate(over="ignore"):
+        above = _rows(np.exp(lp[-n:-1] - pivot))
+    if not np.all(np.isfinite(above)):
+        raise ValueError(f"above-1 ratios exceed float64 at t={t!r}; take a larger t")
     w = np.exp(pivot - lp[0]) if r >= 1 else None
     return g[-1], pivot, above, w
 
@@ -421,7 +426,7 @@ def sample_negbin_process(
     target the identical law.  The draw reads ``rng`` from its cursor and
     leaves the cursor just after the last counter consumed.
     """
-    _validate_nb_args(n, alpha, epsilon, method)
+    _validate_nb_args(n, alpha, epsilon, method, cap)
     points: list[np.ndarray] = []
 
     def collect(rows, x, mask):
@@ -752,7 +757,7 @@ def negbin_batch(
     fresh stream ``stream_start + i``.  ``probe`` is called from worker
     threads, concurrently, unless ``threads=1``: it must be thread-safe.
     """
-    _validate_nb_args(n, alpha, epsilon, method)
+    _validate_nb_args(n, alpha, epsilon, method, cap)
 
     def block(offset: int, rows: int):
         streams = _block_streams(stream_start + offset, rows)

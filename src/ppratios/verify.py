@@ -286,11 +286,6 @@ def default_threshold(model: TailModel, trials: int) -> float:
 # verification operations
 
 
-def _trim_ratios(model, t, r, n, *run):
-    y = sp.log_trim_ratio_batch(model, t, r, *run)
-    return [np.exp(y, out=y)]
-
-
 #: Sweep target -> (its samples at one t as 1-D lines, from
 #: ``(model, t, r, n, trials, seed, stream_start, threads)``; the limit CDF
 #: of each line, from ``(r, n, alpha)``; the report key of the per-line KS
@@ -301,10 +296,11 @@ _SWEEPS = {
     # pivot ratio vs its Beta-power CDF
     WLAW: (lambda model, t, r, n, *run: [sp.pivot_ratio_batch(model, t, r, n, *run)],
            lambda r, n, alpha: [partial(ll.w_cdf, r, n, alpha)], None, True),
-    # above-1 ratio vs the power tail
-    RATIO_TAIL_N1: (_trim_ratios,
-                    lambda r, n, alpha: [lambda y: 1.0 - ll.ratio_tail_n1(r, alpha, y)],
-                    None, True),
+    # above-1 ratio, its log sorted as drawn (exp is monotone), vs the power tail
+    RATIO_TAIL_N1: (
+        lambda model, t, r, n, *run: [sp.log_trim_ratio_batch(model, t, r, *run)],
+        lambda r, n, alpha: [lambda ly: 1.0 - ll.ratio_tail_n1(r, alpha, np.exp(ly))],
+        None, True),
     # successive ratios R_k, k = max(r, 1) .. max(r, 1) + n - 1
     SUCCESSIVE_RATIOS: (
         lambda model, t, r, n, *run: sp.successive_ratio_batch(model, t, max(r, 1), n, *run).T,
@@ -581,28 +577,24 @@ def nb_functional_check(
     )
 
 
-def estimate_alpha(samples, r: int) -> tuple[float, float]:
-    """Maximum-likelihood tail index from above-1 ratio samples.
+def estimate_alpha(log_ratios, r: int) -> tuple[float, float]:
+    """Maximum-likelihood tail index from the log-ratio sample LY = log(X_r / X_{r+1}).
 
-    The limiting tail ``x**(-r*alpha)`` makes log-ratios exponential with
-    rate ``r*alpha``; the MLE is ``1 / (r * mean(log samples))`` with
-    standard error ``alpha_hat / sqrt(n)``.
+    The limiting tail ``x**(-r*alpha)`` makes LY exponential with rate ``r*alpha``:
+    the MLE is ``1 / (r * mean(LY))`` with standard error ``alpha_hat / sqrt(n)``.
     """
-    if isinstance(samples, EmpiricalDistribution):
-        values = samples.sorted_values
-    else:
-        values = np.asarray(samples, dtype=float)
-    if values.size < 100:
+    ly = np.asarray(log_ratios, dtype=float)
+    if ly.size < 100:
         raise ValueError("need at least 100 samples")
-    if np.any(values < 1.0):
-        raise ValueError("ratio samples must all be >= 1")
+    if not ly.min() >= 0.0:
+        raise ValueError("log-ratio samples must all be >= 0")
     if r < 1:
         raise ValueError("r must be >= 1")
-    mean_log = float(np.mean(np.log(values)))
+    mean_log = float(np.mean(ly))
     if mean_log <= 0.0:
         raise ValueError("degenerate sample: all ratios equal 1")
     alpha_hat = 1.0 / (r * mean_log)
-    return alpha_hat, alpha_hat / math.sqrt(values.size)
+    return alpha_hat, alpha_hat / math.sqrt(ly.size)
 
 
 def _rapid_median_allowance(t: float) -> float:
@@ -656,7 +648,7 @@ def classify_tail(
             "not consistently heavy; t not small enough", evidence)
     if p_low > 1.0 - CLASSIFY_ETA or median_ratio < boundary:
         return TailClassification(RAPIDLY_VARYING, None, evidence)
-    alpha_hat, stderr = estimate_alpha(np.exp(ly, out=ly), r)
+    alpha_hat, stderr = estimate_alpha(ly, r)
     evidence["alpha_stderr"] = stderr
     return TailClassification(REGULARLY_VARYING, alpha_hat, evidence)
 

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import io
 import json
 import tempfile
@@ -175,6 +176,58 @@ def test_estimate_and_classify_outputs(tmp_path):
     assert code == 0
     doc = json.loads((tmp_path / "cls" / "classification.json").read_text())
     assert doc["verdict"] == "slowly_varying"
+
+
+def test_estimate_takes_the_log_sample_of_a_slowly_varying_tail(tmp_path):
+    # the above-1 ratios of slow_zero at t = 1e-4 exceed float64; their logs
+    # do not, so the index estimate is finite (near 0) and nothing warns
+    code, err, caught = _run_captured(["estimate", "--tail", "slow_zero", "--t", "1e-4",
+                                       "--r", "1", "--trials", "1000",
+                                       "--out-dir", str(tmp_path)])
+    assert code == 0 and err == "" and not caught
+    doc = json.loads((tmp_path / "estimate.json").read_text())
+    assert 0.0 < doc["alpha_hat"] < 1e-3 and np.isfinite(doc["stderr"])
+
+
+def test_classify_conflicting_evidence_exits_1(tmp_path):
+    # alpha 0.05 at t = 1e-4: the median ratio lies beyond CLASSIFY_BIG_M,
+    # but too little mass does for a slowly varying verdict
+    code, err, caught = _run_captured(["classify", "--tail", "pareto", "--alpha", "0.05",
+                                       "--t", "1e-4", "--r", "1", "--trials", "1000",
+                                       "--out-dir", str(tmp_path)])
+    assert code == 1 and not caught
+    assert json.loads(err.splitlines()[-1])["error"] == "classification"
+    doc = json.loads((tmp_path / "classification.json").read_text())
+    assert sorted(doc) == ["alpha_hat", "error", "evidence", "r", "seed", "t", "tail",
+                           "trials", "verdict"]
+    assert doc["verdict"] is None and doc["alpha_hat"] is None
+    assert doc["evidence"]["median_ratio"] > 1e3 and "t not small enough" in doc["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--target", "gamma_nc", "--tail", "pareto", "--alpha", "1", "--r", "1", "--n", "3",
+     "--t-grid", "0.1,0.01", "--trials", "10000"],
+    ["--target", "successive_ratios", "--tail", "pareto", "--alpha", "1", "--r", "1",
+     "--n", "3", "--t", "0.1", "--trials", "10000"],
+    ["--target", "independence", "--tail", "pareto", "--alpha", "1", "--r", "1",
+     "--n", "3", "--t", "0.1", "--trials", "10000"],
+    ["--target", "identities", "--alpha", "1", "--r", "1", "--n", "3",
+     "--trials", "100000"],
+], ids=["gamma_nc", "successive_ratios", "independence", "identities"])
+def test_sweep_csv_rows_have_the_header_width(tmp_path, argv):
+    # list-valued statistics (ks_per_k, ks_per_coordinate, pair, bin) are
+    # one cell, their items separated by a space; report.json keeps the lists
+    assert run_cli("verify", *argv, "--out-dir", str(tmp_path)) in (0, 1)
+    lines = [l for l in (tmp_path / "sweep.csv").read_text().splitlines()
+             if not l.startswith("#")]
+    header, *rows = csv.reader(lines)
+    assert rows and all(len(row) == len(header) for row in rows)
+    report = json.loads((tmp_path / "report.json").read_text())
+    listed = [(i, k, v) for i, rec in enumerate(report["statistics"])
+              for k, v in rec.items() if isinstance(v, list)]
+    assert listed
+    for i, key, items in listed:
+        assert [float(v) for v in rows[i][header.index(key)].split(" ")] == items
 
 
 def test_verify_failure_exit_code(tmp_path):
@@ -808,10 +861,15 @@ def test_huge_trial_counts_exit_2(tmp_path, argv, trials):
      "--r", "1", "--n", "2", "--trials", "20000"],
     ["verify", "--target", "conditional_gamma", "--tail", "rapid_zero", "--t", "0.01",
      "--r", "1", "--n", "2", "--w", "0.5", "--trials", "20000"],
+    # slow_zero's above ratios exp((gamma_p - gamma_k) / t) exceed float64:
+    # exp warned and inf cells were written
+    ["simulate", "--tail", "slow_zero", "--t", "1e-3", "--r", "1", "--n", "3",
+     "--epsilon", "0.5", "--trials", "1000"],
 ], ids=["nb_small_epsilon", "nb_large_alpha", "conditional_gamma_large_alpha",
         "k_orderstat_large_n", "phi_infinite_alpha", "wlaw_negative_n",
         "z_insensitivity_zero_n", "gamma_nc_negative_n", "classify_zero_t",
-        "z_insensitivity_rapid_zero", "conditional_gamma_rapid_zero"])
+        "z_insensitivity_rapid_zero", "conditional_gamma_rapid_zero",
+        "simulate_slow_zero_overflow"])
 def test_overflowing_or_empty_inputs_exit_2(tmp_path, argv):
     out = tmp_path / "out"
     code, err, caught = _run_captured(argv + ["--out-dir", str(out)])

@@ -160,6 +160,55 @@ def test_ratio_configuration_truncation_error():
     assert err.value.partial.below.size > 0
 
 
+def test_above_ratios_beyond_float64_are_a_domain_error():
+    # slow_zero's above ratios exp((gamma_p - gamma_k) / t) exceed float64 at
+    # t = 1e-3 in most rows (stream 0 of seed 7 stays finite, stream 1 does not)
+    model = tm.slow_zero()
+    with pytest.raises(ValueError, match="t=0.001"):
+        sp.ratio_configuration_batch(model, 1e-3, 1, 3, 0.5, 1000, 7)
+    rng = RngStream(7, 1)
+    with pytest.raises(ValueError, match="t=0.001"):
+        sp.sample_ratio_configuration(model, 1e-3, 1, 3, 0.5, rng)
+    assert rng.cursor == 0
+    cfg = sp.sample_ratio_configuration(model, 1e-3, 1, 3, 0.5, RngStream(7, 0))
+    assert np.all(np.isfinite(cfg.above))
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_cap_below_one_is_a_domain_error_before_any_draw(cap):
+    # cap counts arrivals past the head, in both open-ended families
+    model = tm.pareto(1.0)
+    rng = RngStream(1, 0)
+    with pytest.raises(ValueError, match="cap must be at least 1"):
+        sp.sample_ratio_configuration(model, 0.5, 1, 2, 0.3, rng, cap=cap)
+    with pytest.raises(ValueError, match="cap must be at least 1"):
+        sp.ratio_configuration_batch(model, 0.5, 1, 2, 0.3, 10, 1, cap=cap)
+    for method in sorted(sp.NB_METHODS):
+        with pytest.raises(ValueError, match="cap must be at least 1"):
+            sp.sample_negbin_process(1, 1.0, 0.5, method, rng, cap=cap)
+        with pytest.raises(ValueError, match="cap must be at least 1"):
+            sp.negbin_batch(1, 1.0, 0.5, method, 10, 1, cap=cap)
+    assert rng.cursor == 0
+
+
+def test_cap_one_lets_the_first_round_run():
+    # a row that crosses in the first round (fewer than 4 kept arrivals)
+    # completes under cap=1, even where cap < r + n
+    model = tm.pareto(1.0)
+    _, _, counts = sp.ratio_configuration_batch(model, 0.5, 1, 2, 0.3, 20, 1)
+    i = int(np.flatnonzero(counts < 4)[0])
+    cfg = sp.sample_ratio_configuration(model, 0.5, 1, 2, 0.3, RngStream(1, i), cap=1)
+    _, _, one = sp.ratio_configuration_batch(model, 0.5, 1, 2, 0.3, 1, 1, stream_start=i,
+                                             cap=1)
+    assert cfg.below.size == one[0] == counts[i]
+    for method in sorted(sp.NB_METHODS):
+        c, _ = sp.negbin_batch(1, 1.0, 0.5, method, 20, 1)
+        i = int(np.flatnonzero(c < 4)[0])
+        single = sp.sample_negbin_process(1, 1.0, 0.5, method, RngStream(1, i), cap=1)
+        one, _ = sp.negbin_batch(1, 1.0, 0.5, method, 1, 1, stream_start=i, cap=1)
+        assert single.points.size == one[0] == c[i]
+
+
 @pytest.mark.parametrize("model", [tm.pareto(1.3), tm.pareto_log(1.0, 1.5),
                                    tm.pareto_perturbed(1, 1, 1),
                                    tm.rapid_zero(), tm.slow_zero()], ids=lambda m: m.kind)

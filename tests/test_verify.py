@@ -283,27 +283,31 @@ def test_nb_functional_rejects_probe_outside_interval():
 
 
 def test_estimate_alpha_exact_mean_log():
-    samples = np.full(1000, math.e)  # log = 1, r = 1 -> alpha = 1
-    alpha_hat, stderr = vf.estimate_alpha(samples, 1)
+    log_ratios = np.full(1000, 1.0)  # mean log = 1, r = 1 -> alpha = 1
+    alpha_hat, stderr = vf.estimate_alpha(log_ratios, 1)
     assert alpha_hat == pytest.approx(1.0)
     assert stderr == pytest.approx(1.0 / math.sqrt(1000))
-    samples = np.full(1000, math.exp(1.0 / 3.0))
-    alpha_hat, _ = vf.estimate_alpha(samples, 3)
+    log_ratios = np.full(1000, 1.0 / 3.0)
+    alpha_hat, _ = vf.estimate_alpha(log_ratios, 3)
     assert alpha_hat == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("alpha,r", [(2.0, 1), (0.5, 3)])
 def test_estimate_alpha_monte_carlo(alpha, r):
-    y = np.exp(sp.log_trim_ratio_batch(tm.pareto(alpha), 1.0, r, 1_000_000, 55))
-    alpha_hat, stderr = vf.estimate_alpha(y, r)
+    ly = sp.log_trim_ratio_batch(tm.pareto(alpha), 1.0, r, 1_000_000, 55)
+    alpha_hat, stderr = vf.estimate_alpha(ly, r)
     assert abs(alpha_hat - alpha) < 3 * stderr
 
 
 def test_estimate_alpha_domain_errors():
-    with pytest.raises(ValueError):
-        vf.estimate_alpha(np.array([0.5] * 200), 1)  # sample below 1
+    with pytest.raises(ValueError, match=">= 0"):
+        vf.estimate_alpha(np.array([-0.5] * 200), 1)  # a ratio below 1
+    with pytest.raises(ValueError, match=">= 0"):
+        vf.estimate_alpha(np.array([1.0] * 199 + [math.nan]), 1)
     with pytest.raises(ValueError):
         vf.estimate_alpha(np.array([2.0] * 50), 1)  # too few
+    with pytest.raises(ValueError, match="degenerate"):
+        vf.estimate_alpha(np.zeros(200), 1)  # every ratio equals 1
 
 
 # --- classifier --------------------------------------------------------------
