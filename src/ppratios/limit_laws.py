@@ -6,16 +6,20 @@ throughout:
 
 * ``alpha`` is the tail index; where a law degenerates at ``alpha = 0`` or
   ``alpha = inf`` the corresponding point-mass convention is applied.
-* ``r`` counts deleted top points, ``n`` the rank of the normalizing point.
+* ``r`` counts deleted top points, ``n`` the rank of the normalizing point;
+  both are integers.
 * The pivot ratio ``W = (r+n-th largest)/(r-th largest)`` has the
-  Beta(r, n)**(1/alpha) law; below-1 ratio points follow a negative binomial
-  point process with ``alpha*x**(-alpha-1)`` base density on (0, 1); above-1
-  ratios follow truncated Pareto laws on (1, 1/u).
+  Beta(r, n)**(1/alpha) law, whose CDF at integer r and n is a finite
+  binomial tail (:func:`w_cdf` sums it for n <= 32 and r + n - 1 <= 1023,
+  and keeps scipy's ``betainc`` elsewhere); below-1 ratio points follow a
+  negative binomial point process with ``alpha*x**(-alpha-1)`` base density
+  on (0, 1); above-1 ratios follow truncated Pareto laws on (1, 1/u).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,25 +103,74 @@ def incomplete_beta(a: float, b: float, x):
 
 
 def _check_pivot(r: int, n: int, alpha: float) -> None:
-    """The pivot-ratio parameters: r >= 1 deleted points, rank n >= 1, alpha > 0."""
+    """The pivot-ratio parameters: integral r >= 1 deleted points, rank n >= 1, alpha > 0."""
+    try:
+        r, n = operator.index(r), operator.index(n)
+    except TypeError:
+        raise ValueError("r and n must be integers") from None
     if r < 1 or n < 1:
         raise ValueError("require r >= 1 and n >= 1")
     if not alpha > 0:
         raise ValueError("alpha must be positive")
 
 
+# w_cdf sums the binomial tail for n <= _MAX_SUM_N and r + n - 1 <= _MAX_SUM_M,
+# and takes scipy's betainc elsewhere.  At 2^14 uniform values a call on one
+# thread the sum costs about 0.75 ns a value per unit of n (2.5 ns at r = n = 1,
+# 25.9 at (1, 32), 31.7 at (1, 40), 76 at (1, 100)); betainc costs 29-132 ns
+# at n in 16..40 and r in 1..1000, least at r = 1, where the sum is the
+# slower past n = 32.  The m bound
+# keeps r <= 992, so the split power f**r >= 2**-992 below stays normal.
+_MAX_SUM_N = 32
+_MAX_SUM_M = 1023
+# y**r below this may have lost bits to subnormals: w_cdf splits off y's power
+# of two and applies it to the product last
+_TINY_POWER = 1e-290
+
+
 def w_cdf(r: int, n: int, alpha: float, w):
     """CDF ``B(r, n; w**alpha)`` of the limiting pivot ratio W, with w clipped to [0, 1].
 
-    One array is allocated: the clipped copy of ``w``, on which the power
-    and the incomplete beta are taken in place.
+    r and n must be integers (``ValueError`` otherwise).  With
+    ``y = w**alpha`` and ``m = r + n - 1`` the law is the binomial tail
+    ``P(Bin(m, y) >= r)``.  For ``n <= _MAX_SUM_N`` (32) and
+    ``m <= _MAX_SUM_M`` (1023) it is evaluated as the positive-term sum
+    ``y**r * sum_{j<n} C(m, r+j) y**j (1-y)**(n-1-j)`` in Horner form: n - 1
+    steps of four ufunc calls over the whole array, with exact integer
+    coefficients each rounded once, so its cost grows linearly with n.
+    Elsewhere scipy's ``betainc`` evaluates the law.  Where ``y**r`` is below
+    ``_TINY_POWER`` it is taken as ``f**r * 2**(e*r)`` for ``y = f * 2**e``,
+    the power of two applied last, so the product keeps its bits down to
+    the subnormals.  The sum is clamped to at most 1, so it is exactly 0
+    at w <= 0 and exactly 1 at w >= 1.
     """
     _check_pivot(r, n, alpha)
-    x = np.array(w, dtype=float)
-    np.clip(x, 0.0, 1.0, out=x)
-    x **= alpha
-    betainc(r, n, x, out=x)
-    return float(x) if x.ndim == 0 else x
+    scalar = np.ndim(w) == 0
+    y = np.array(w, dtype=float, ndmin=1)
+    np.clip(y, 0.0, 1.0, out=y)
+    y **= alpha
+    m = r + n - 1
+    if n > _MAX_SUM_N or m > _MAX_SUM_M:
+        out = betainc(r, n, y, out=y)
+    else:
+        q = 1.0 - y
+        qpow = np.ones_like(y)
+        acc = np.ones_like(y)  # C(m, m), the coefficient of y**(n-1)
+        term = np.empty_like(y)
+        for j in range(n - 2, -1, -1):
+            qpow *= q
+            np.multiply(qpow, float(math.comb(m, r + j)), out=term)
+            acc *= y
+            acc += term
+        out = np.power(y, r, out=q)  # q is spent
+        tiny = out < _TINY_POWER
+        out *= acc
+        if tiny.any():
+            # y = f * 2**e with f in [0.5, 1), so f**r >= 2**-992 stays normal
+            f, e = np.frexp(y[tiny])
+            out[tiny] = np.ldexp(f**r * acc[tiny], e * r)
+        np.minimum(out, 1.0, out=out)
+    return float(out[0]) if scalar else out
 
 
 def w_law(r: int, n: int, alpha: float, w):

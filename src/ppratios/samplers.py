@@ -617,12 +617,30 @@ def pivot_ratio_batch(
     threads: Optional[int] = None,
 ) -> np.ndarray:
     """Per-trial pivot ratios (r+n-th over r-th largest point); requires r, n >= 1."""
+    w = log_pivot_ratio_batch(model, t, r, n, n_trials, master_seed, stream_start, threads)
+    return np.exp(w, out=w)
+
+
+def log_pivot_ratio_batch(
+    model: TailModel,
+    t: float,
+    r: int,
+    n: int,
+    n_trials: int,
+    master_seed: int,
+    stream_start: int = 0,
+    threads: Optional[int] = None,
+) -> np.ndarray:
+    """Per-trial log pivot ratios, log(r+n-th / r-th largest point); requires r, n >= 1.
+
+    The log stays finite where the ratio itself underflows to 0.
+    """
     if r < 1 or n < 1:
         raise ValueError("the pivot ratio requires r >= 1 and n >= 1")
     # columns r-1 and r+n-1 only
     return _map_log_points(model, t, r + n, slice(r - 1, None, n),
-                           lambda lp: np.exp(lp[1] - lp[0]), n_trials,
-                           master_seed, stream_start, threads)
+                           lambda lp: lp[1] - lp[0], n_trials, master_seed,
+                           stream_start, threads)
 
 
 def successive_ratio_batch(

@@ -293,13 +293,17 @@ def default_threshold(model: TailModel, trials: int) -> float:
 #: chi-square of its CDF values; whether the laws read the tail index,
 #: which then must be finite and positive).
 _SWEEPS = {
+    # the two one-line sweeps sort log samples as drawn (exp is monotone) and
+    # fold alpha into the argument: W**alpha = exp(alpha * log W) stays in
+    # range where W underflows or the above-1 ratio overflows
     # pivot ratio vs its Beta-power CDF
-    WLAW: (lambda model, t, r, n, *run: [sp.pivot_ratio_batch(model, t, r, n, *run)],
-           lambda r, n, alpha: [partial(ll.w_cdf, r, n, alpha)], None, True),
-    # above-1 ratio, its log sorted as drawn (exp is monotone), vs the power tail
+    WLAW: (lambda model, t, r, n, *run: [sp.log_pivot_ratio_batch(model, t, r, n, *run)],
+           lambda r, n, alpha: [lambda lw: ll.w_cdf(r, n, 1.0, np.exp(alpha * lw))],
+           None, True),
+    # above-1 ratio vs the power tail
     RATIO_TAIL_N1: (
         lambda model, t, r, n, *run: [sp.log_trim_ratio_batch(model, t, r, *run)],
-        lambda r, n, alpha: [lambda ly: 1.0 - ll.ratio_tail_n1(r, alpha, np.exp(ly))],
+        lambda r, n, alpha: [lambda ly: 1.0 - ll.ratio_tail_n1(r, 1.0, np.exp(alpha * ly))],
         None, True),
     # successive ratios R_k, k = max(r, 1) .. max(r, 1) + n - 1
     SUCCESSIVE_RATIOS: (

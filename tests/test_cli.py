@@ -36,6 +36,21 @@ def test_verify_wlaw_example(tmp_path):
     assert (tmp_path / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--target", "ratio_tail_n1", "--r", "1", "--n", "1", "--t", "0.1"],
+    ["--target", "wlaw", "--r", "2", "--n", "3", "--t-grid", "1e-1:1e-3:2"],
+], ids=["ratio_tail_n1", "wlaw"])
+def test_one_line_sweeps_pass_at_small_alpha(tmp_path, capsys, argv):
+    # at alpha = 0.001 about half the above-1 ratios exceed float64 and about
+    # 64% of the pivot ratios underflow to 0; the sweeps score their logs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run_cli("verify", "--tail", "pareto", "--alpha", "0.001", *argv,
+                       "--trials", "10000", "--out-dir", str(tmp_path))
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_missing_field_exits_2(tmp_path, capsys):
     code = run_cli("verify", "--tail", "pareto", "--alpha", "1", "--r", "1",
                    "--target", "wlaw", "--trials", "100000",

@@ -53,6 +53,68 @@ def test_w_cdf_is_w_law_cdf_on_the_closed_support(alpha, r, n):
     assert w.tolist() == np.linspace(0.001, 0.999, 999).tolist()  # input untouched
 
 
+# the binomial-sum kernel against scipy's betainc, on uniform draws, 300
+# decades down to 1e-300, 1e-17 to 0.1 below 1, and both ends
+_KERNEL_X = np.concatenate([np.random.default_rng(24).random(2000), np.logspace(-300, 0, 301),
+                            1.0 - np.logspace(-17, -1, 161), [0.0, 1.0]])
+_KERNEL_RN = (1, 2, 3, 5, 8, 13, 40, 100)
+
+
+@pytest.mark.parametrize("r", _KERNEL_RN)
+def test_w_cdf_binomial_sum_matches_betainc(r):
+    from scipy.special import betainc
+
+    for n in _KERNEL_RN:
+        got = ll.w_cdf(r, n, 1.0, _KERNEL_X)
+        ref = betainc(r, n, _KERNEL_X)
+        assert 0.0 <= got.min() and got.max() <= 1.0, (r, n)
+        assert np.max(np.abs(got - ref)) <= 2e-14, (r, n)
+        big = ref >= 1e-280
+        assert np.max(np.abs(got[big] - ref[big]) / ref[big]) <= 2e-13, (r, n)
+
+
+@pytest.mark.parametrize("r,n,x,expected", [
+    # y**r is subnormal (0.4824...**1000 is about 3e-317) or 0 (0.4648**992)
+    (1000, 24, 0.4824806603866676, 4.1310375852006039e-277),
+    (992, 32, 0.4648, 5.1956554750659505e-280),
+], ids=["1000_24", "992_32"])
+def test_w_cdf_keeps_its_bits_where_the_power_underflows(r, n, x, expected):
+    # expected: B(r, n; x) from mpmath at 80 digits (scipy's betainc gives
+    # 2.755e-277 for the first and 0 for the second)
+    assert ll.w_cdf(r, n, 1.0, x) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("r,n", [(1, 32), (1, 33), (600, 32), (600, 33),
+                                 (992, 32), (993, 32), (1023, 1), (1024, 1)])
+def test_w_cdf_agrees_with_betainc_on_both_sides_of_the_sum_bound(r, n):
+    # n <= 32 with m = r + n - 1 <= 1023 sums; n = 33 or m = 1024 is betainc
+    # itself.  The sum's rounding grows like m ulps, hence the looser bound
+    # than at r, n <= 100.  Relative error is taken against the tail summed
+    # from logs, since betainc reads B(600, 32; 0.295) = 5.7e-271 23% low
+    from scipy.special import betainc, logsumexp
+
+    x = np.linspace(0.0, 1.0, 2001)
+    got, ref = ll.w_cdf(r, n, 1.0, x), betainc(r, n, x)
+    assert 0.0 <= got.min() and got.max() <= 1.0
+    if n > 32 or r + n - 1 > 1023:
+        assert got.tobytes() == ref.tobytes()
+        return
+    assert np.max(np.abs(got - ref)) <= 1e-12
+    m, k, inner = r + n - 1, np.arange(r, r + n)[:, None], x[1:-1]
+    log_c = np.array([[math.log(math.comb(m, i))] for i in range(r, r + n)])
+    exact = np.exp(logsumexp(log_c + k * np.log(inner) + (m - k) * np.log1p(-inner), axis=0))
+    big = exact >= 1e-280
+    assert np.max(np.abs(got[1:-1][big] - exact[big]) / exact[big]) <= 1e-12
+
+
+@pytest.mark.parametrize("r,n", [(1.5, 2), (2, 2.5), (2.0, 3), (2, 3.0)])
+def test_w_cdf_requires_integral_r_and_n(r, n):
+    with pytest.raises(ValueError, match="integers"):
+        ll.w_cdf(r, n, 1.0, 0.5)
+    with pytest.raises(ValueError, match="integers"):
+        ll.w_law(r, n, 1.0, 0.5)
+
+
 @pytest.mark.parametrize("alpha,r,n", [(1, 1, 1), (2, 1, 2), (0.5, 2, 3), (1.5, 3, 1)])
 def test_w_law_density_integrates_to_one(alpha, r, n):
     total, err = quad(lambda w: ll.w_law(r, n, alpha, w)[0], 0, 1, epsabs=1e-10, epsrel=1e-10)

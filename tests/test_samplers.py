@@ -289,6 +289,7 @@ def _row_major_dense(model, t, stream_start, rows):
         "gamma_matrix": arrivals(4),
         "ordered_log_points_batch": log_points(4),
         "pivot_ratio_batch": np.exp(lp5[:, 4] - lp5[:, 1]),
+        "log_pivot_ratio_batch": lp5[:, 4] - lp5[:, 1],
         "successive_ratio_batch": np.exp(lp5[:, 2:] - lp5[:, 1:-1]),
         "log_trim_ratio_batch": lp3[:, 1] - lp3[:, 2],
         "time_scale_batch": scale(log_points(4)),
@@ -306,6 +307,7 @@ def _line_major_dense(model, t, stream_start, rows, threads):
         "gamma_matrix": sp.gamma_matrix(5, rows, 4, stream_start, threads),
         "ordered_log_points_batch": sp.ordered_log_points_batch(model, t, 4, *run),
         "pivot_ratio_batch": sp.pivot_ratio_batch(model, t, 2, 3, *run),
+        "log_pivot_ratio_batch": sp.log_pivot_ratio_batch(model, t, 2, 3, *run),
         "successive_ratio_batch": sp.successive_ratio_batch(model, t, 2, 3, *run),
         "log_trim_ratio_batch": sp.log_trim_ratio_batch(model, t, 2, *run),
         "time_scale_batch": sp.time_scale_batch(model, t, 4, *run),

@@ -170,6 +170,19 @@ def test_sweep_perturbed_bias_shrinks():
     assert rep.threshold == 0.01
 
 
+@pytest.mark.parametrize("target", ["wlaw", "ratio_tail_n1"])
+def test_pareto_one_line_sweeps_do_not_depend_on_alpha(target):
+    # a pareto(alpha) log ratio is an alpha-free log of Gamma arrivals over
+    # alpha, and the sweeps score alpha * log ratio, so at alpha = 0.001 (W
+    # underflows, the above-1 ratio overflows) the KS path is alpha = 1's
+    paths = []
+    for alpha in (0.001, 1.0):
+        rep = vf.convergence_sweep(tm.pareto(alpha), 2, 3, [1e-1, 1e-3], 10_000, target, seed=11)
+        assert rep.passed
+        paths.append([rec["ks"] for rec in rep.statistics])
+    assert np.max(np.abs(np.subtract(*paths))) <= 1e-12
+
+
 def test_sweep_null_calibration_across_seeds():
     # exact target: exceedances of the 1% critical value at the nominal rate
     exceed = 0
