@@ -10,34 +10,46 @@ bit-identical to the single-trial form run on that stream.
 The open-ended samplers (ratio configurations and both constructions of the
 negative binomial limit process) count the unit-rate arrivals below a
 per-row bound, fixed by the row's head: ``Gamma_n * (epsilon**-alpha - 1)``
-for the limit process, and ``t * tail(epsilon * X_p)`` for a ratio
-configuration with pivot point ``X_p``, since a later point's ratio to the
-pivot exceeds epsilon exactly when its arrival lies below it.  So the walk
-inverts no tail.  One ragged engine, :func:`_extend`, does this for a set of
-rows: it extends every row that has not crossed its bound yet by a number of
-counters that depends only on the round index -- 4 in the first round,
-doubling each round up to ``_CHUNK`` (4, 8, 16, 32, 64, 64, ...; see
-:func:`_round_widths`) -- and a per-round hook turns the kept arrivals into
-points and collects them (single-trial forms, which run the engine on one
-row) or reduces them into probe sums (batch forms, row-blocked by
-:func:`_map_row_blocks`).  A round runs in slabs of consecutive active
-rows, at most ``_SLAB`` counters each (2^17, 1 MiB of float64; see
-:func:`_slabs`), so a worker's round temporaries stay the same size however
-many rows are active; the ``mixed_poisson`` placement chunks take the same
-slabs.  Every block of arrivals, a round's slab or a dense sampler's, is
-drawn line-major by :func:`_arrivals`: one contiguous line of rows per
-counter, so the running sum is a loop of whole-line adds in the same order
-as ``np.cumsum`` along a row, and every arrival keeps its bits.  The
-negative binomial points reach ``on_points`` row-major again, so a probe
-sum adds each row's cells along a contiguous axis.  Both forms therefore
-share
+past the head for the limit process, and ``t * tail(epsilon * X_p)`` for a
+ratio configuration with pivot point ``X_p``, since a later point's ratio
+to the pivot exceeds epsilon exactly when its arrival lies below it.  Given
+the head, the later arrivals are a unit-rate Poisson process past its last
+arrival ``g``, so that count is Poisson(``mu``), ``mu = bound - g``.
 
-* one cap rule: ``cap >= 1`` before any draw, then :class:`TruncationError`
-  before the round once ``cap`` arrivals past the head have been drawn
-  (rounds end 4, 12, 28, 60, 124, 188, ... arrivals past the head), and
+Ratio configurations and ``mixed_poisson`` draw the count first: one
+uniform per row, from the counter right after the head, inverted by
+:func:`_poisson_quantile` (exact to the integer).  Given the count, the
+arrivals below the bound are i.i.d. uniform on ``(g, bound)``, so a
+single-trial ratio configuration places its below ratios from the next
+``count`` counters, sorted; ``mixed_poisson`` places its i.i.d. points from
+the truncated base density the same way, in chunks of the round schedule
+below taken in slabs (:func:`_slabs`), so a row's probe sum does not depend
+on the other rows of its block.
+
+``limit_ratios`` keeps its points as transformed arrival ratios, so it
+walks the arrivals.  One ragged engine, :func:`_extend`, does this for a
+set of rows: it extends every row that has not crossed its bound yet by a
+number of counters that depends only on the round index -- 4 in the first
+round, doubling each round up to ``_CHUNK`` (4, 8, 16, 32, 64, 64, ...; see
+:func:`_round_widths`) -- and a per-round hook turns the kept arrivals into
+points (row-major again, so a probe sum adds each row's cells along a
+contiguous axis).  A round runs in slabs of consecutive active rows, at
+most ``_SLAB`` counters each (2^17, 1 MiB of float64), so a worker's round
+temporaries stay the same size however many rows are active.  Every block
+of arrivals, a round's slab or a dense sampler's, is drawn line-major by
+:func:`_arrivals`: one contiguous line of rows per counter, so the running
+sum is a loop of whole-line adds in the same order as ``np.cumsum`` along a
+row, and every arrival keeps its bits.  Single-trial and batch forms share
+
+* one cap rule: ``cap >= 1`` before any draw; then, drawing the count
+  first, :class:`TruncationError` for a count above ``cap`` (``mu = inf``
+  among them) before any point is placed, or, walking, before the round
+  once ``cap`` arrivals past the head have been drawn (rounds end 4, 12,
+  28, 60, 124, 188, ... arrivals past the head), and
 * one cursor rule: a single-trial draw leaves its stream's cursor just after
-  the last counter it consumed -- the crossing arrival, or for
-  ``mixed_poisson`` the last placed point.
+  the last counter it consumed -- the head, the count's counter and one
+  per point (``r + n + 1 + count`` or ``n + 1 + count``), or for
+  ``limit_ratios`` the crossing arrival (``n + count + 1``).
 
 Batch samplers run in blocks of ``_ROW_BLOCK`` rows (2^14) on ``threads``
 worker threads; ``threads=None`` (the default) uses the CPUs the process
@@ -68,6 +80,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.special import gammaln, ndtri, pdtr, pdtrc
 
 from .rng import RngStream, uniforms_at
 from .tail_models import TailModel, log_inverse_tail, tail_at_log
@@ -80,14 +93,16 @@ _CHUNK = 64  # widest engine round and placement chunk, in counters per row
 _ROW_BLOCK = 1 << 14  # rows per thread task in batch samplers
 _SLAB = 1 << 17  # counters per engine slab: 1 MiB per float64 temporary
 
+# the inverse Poisson CDF (:func:`_poisson_quantile`)
+_CHOP_MU = 6.0  # rows with a smaller mean try the chop-down sum first
+_CHOP_STEPS = 12  # chop-down terms summed before a row moves on
+_ANCHOR_STEPS = 16  # pmf steps from the anchor before a row is bisected
+_MU_MAX = 2.0**52  # past it a count is not a float64 unit step from the next
+_TOL = 1e-12  # margin for the error of pdtr, pdtrc and the sums compared with u
+
 
 class TruncationError(RuntimeError):
-    """Open-ended sampling hit the point cap before crossing epsilon.
-
-    A single-trial ratio configuration sets ``partial`` to what it drew.
-    """
-
-    partial = None
+    """Open-ended sampling found more than ``cap`` points before crossing epsilon."""
 
 
 @dataclass
@@ -157,7 +172,7 @@ def _validate_nb_args(n: int, alpha: float, epsilon: float, method: str, cap: in
 
 
 # ---------------------------------------------------------------------------
-# the ragged engine and the open-ended constructions built on it
+# the ragged engine, the count-first draw and the open-ended constructions
 
 
 def _round_widths():
@@ -219,11 +234,11 @@ def _log_lines(model, t, g, lines):
     return ordered_log_points(model, t, g[lines])
 
 
-def _extend(master_seed, streams, start, last, bound, cap, on_round=None):
+def _extend(master_seed, streams, start, bound, cap, on_round=None):
     """Extend each row's arrivals until the first one at or above ``bound[row]``.
 
-    Row ``i`` reads stream ``streams[i]`` from counter ``start`` on and
-    continues from the arrival ``last[i]``.  Each round draws the next
+    Row ``i`` reads stream ``streams[i]`` from counter ``start`` on, its
+    arrivals counted from 0 at that counter.  Each round draws the next
     width of :func:`_round_widths` for every row still active (at most
     ``_CHUNK`` counters per row), one slab of consecutive active rows at a
     time (:func:`_slabs`: at most ``_SLAB`` counters), each as a line-major
@@ -237,7 +252,7 @@ def _extend(master_seed, streams, start, last, bound, cap, on_round=None):
     """
     counts = np.zeros(streams.size, dtype=np.int64)
     finish = np.empty(streams.size, dtype=np.int64)
-    last = np.array(last, dtype=float)
+    last = np.zeros(streams.size)
     act = np.arange(streams.size)
     offset = start
     widths = _round_widths()
@@ -267,6 +282,164 @@ def _extend(master_seed, streams, start, last, bound, cap, on_round=None):
     return counts, finish
 
 
+def _poisson_quantile(mu, u):
+    """Smallest ``k >= 0`` with ``pdtr(k, mu) >= u``, row by row, as float64.
+
+    Rows with ``u > 1/2`` test ``pdtrc(k, mu) <= 1 - u`` instead (``1 - u``
+    is exact there), so the upper tail keeps its relative precision.  A row
+    with ``mu <= 0`` (or nan) counts 0, as a walk whose bound lies at its
+    start keeps no arrival; ``mu = inf``, or above ``2**52``, where counts
+    are no longer a float64 unit step apart, counts inf.
+
+    Each row takes the first of three searches that certifies its count,
+    chosen from its own ``(mu, u)``: a chop-down sum from 0 (``mu <
+    _CHOP_MU``), pmf steps from a Cornish-Fisher start anchored by one
+    ``pdtr`` or ``pdtrc``, and bisection on the test itself.  The first two
+    certify ``k`` only where their sums clear ``u`` at ``k`` and ``k - 1``
+    by more than their error bound and the special functions' (``_TOL``),
+    so every row gets the count of the exact test: the inverse is exact to
+    the integer (Giles, ACM TOMS 42(1), 2016).
+    """
+    k = np.where(mu > _MU_MAX, math.inf, -1.0)  # -1: not counted yet
+    k[~(mu > 0)] = 0.0
+    small = np.flatnonzero((mu > 0) & (mu < _CHOP_MU))
+    k[small] = _chop_down(mu[small], u[small])
+    for search in (_anchored, _bisect):
+        rows = np.flatnonzero(k < 0)
+        if rows.size:
+            k[rows] = search(mu[rows], u[rows])
+    return k
+
+
+def _chop_down(mu, u):
+    """Each row's count from the sums ``F(j) = pmf(0) + ... + pmf(j)``, j < ``_CHOP_STEPS``.
+
+    A row is counted ``j`` where ``F(j - 1) < u - _TOL`` and ``F(j) >= u +
+    _TOL``, else -1; a sum of at most 12 positive terms is good to 1e-14.
+    """
+    k = np.full(mu.size, -1.0)
+    act = np.arange(mu.size)
+    lo, hi = u - _TOL, u + _TOL
+    p = np.exp(-mu)  # pmf(j)
+    f = p.copy()  # F(j)
+    for j in range(_CHOP_STEPS):
+        k[act[f >= hi]] = j
+        go = np.flatnonzero(f < lo)
+        if not go.size:
+            break
+        act, mu, lo, hi, p, f = act[go], mu[go], lo[go], hi[go], p[go], f[go]
+        p *= mu / (j + 1)
+        f += p
+    return k
+
+
+def _anchored(mu, u):
+    """Each row's count by pmf steps from an exact CDF value at a Cornish-Fisher start.
+
+    The start is exact for about 99% of uniforms once ``mu >= 6`` and
+    seldom off by more than one, so most rows take one step.  A row steps
+    at most ``_ANCHOR_STEPS`` times; rows not certified as in
+    :func:`_poisson_quantile` are counted -1.
+    """
+    upper = u > 0.5
+    s = np.where(upper, -1.0, 1.0)  # the test holds where s * (a - q) >= 0
+    q = np.minimum(u, 1.0 - u)
+    z = ndtri(np.maximum(q, 1e-300))
+    z *= s
+    # k = ceil(mu + sd z + (z^2 - 1) / 6 + z (1 - z^2) / (72 sd) - 1/2), at least 0
+    sd = np.sqrt(mu)
+    k = z * z
+    term = 1.0 - k
+    term *= z
+    term /= 72.0 * sd
+    k -= 1.0
+    k /= 6.0
+    k += term
+    sd *= z
+    k += sd
+    k += mu
+    k -= 0.5
+    np.ceil(k, out=k)
+    np.maximum(k, 0.0, out=k)
+    del z, sd, term
+    a = np.empty(mu.size)  # pdtr(k, mu), or pdtrc(k, mu) in the upper tail
+    lo, hi = np.flatnonzero(~upper), np.flatnonzero(upper)
+    a[lo] = pdtr(k[lo], mu[lo])
+    a[hi] = pdtrc(k[hi], mu[hi])
+    del upper, lo, hi
+    lg = gammaln(k + 1.0)
+    err = np.log(mu)
+    err *= k
+    p = err - mu
+    p -= lg
+    np.exp(p, out=p)  # pmf(k)
+    # the relative error of p and of its steps
+    np.abs(err, out=err)
+    err += mu
+    err += lg
+    err *= 1e-15
+    err += 1e-14
+    del lg
+    d = a - q
+    d *= s
+    # -1: the test holds at k, so try k - 1; +1: it fails, so try k + 1; 0: unsure
+    step = np.where(np.abs(d) >= _TOL * a, -np.sign(d), 0.0)
+    del d
+    s *= step  # a moves by s * pmf per step
+    out = np.full(mu.size, -1.0)
+    idx = np.arange(mu.size)
+    a0, moved = a, np.zeros(mu.size)  # moved: the pmf summed into a since the anchor
+    for _ in range(_ANCHOR_STEPS):
+        k_next = k + step
+        p_up = p * mu / (k + 1.0)  # pmf(k + 1)
+        dp = np.where(step < 0, p, p_up)  # F(k - 1) = F(k) - pmf(k), F(k + 1) = F(k) + pmf(k + 1)
+        a = a + s * dp
+        moved += dp
+        e = s * (q - a)  # > 0 where the test at k_next agrees with the one at k
+        tol = _TOL * (a0 + np.abs(a)) + err * moved
+        done = np.flatnonzero((e < -tol) | (k_next < 0))
+        out[idx[done]] = np.maximum(k, k_next)[done]
+        go = np.flatnonzero((e > tol) & (k_next >= 0))
+        if not go.size:
+            break
+        idx, k, k_next, a, p, p_up, mu, q, s, step, a0, err, moved = (
+            v[go] for v in (idx, k, k_next, a, p, p_up, mu, q, s, step, a0, err, moved))
+        p = np.where(step < 0, p * k / mu, p_up)
+        k = k_next
+    return out
+
+
+def _bisect(mu, u):
+    """The count by bisection on the exact test itself; for rows no sum certifies."""
+    upper = u > 0.5
+    q = np.minimum(u, 1.0 - u)
+    lo = np.full(mu.size, -1.0)  # the test fails at lo and holds at hi:
+    hi = np.full(mu.size, 2.0**53)  # pdtr is 1 and pdtrc 0 there for mu <= 2**52
+    while np.any(hi - lo > 1):
+        mid = np.floor((lo + hi) / 2)
+        holds = np.where(upper, pdtrc(mid, mu) <= q, pdtr(mid, mu) >= q)
+        hi = np.where(holds, mid, hi)
+        lo = np.where(holds, lo, mid)
+    return hi
+
+
+def _draw_counts(master_seed, streams, counter, mu, cap):
+    """Each row's Poisson(``mu``) count, inverted from its uniform at ``counter``.
+
+    Raises :class:`TruncationError` if any count exceeds ``cap`` (``mu =
+    inf`` among them), before a caller places a point.
+    """
+    counts = _poisson_quantile(mu, uniforms_at(master_seed, streams, counter))
+    # finite counts stay below 2**53, so a larger cap lets them all through
+    over = np.count_nonzero(~(counts <= min(cap, 2**53)))
+    if over:
+        raise TruncationError(
+            f"more than cap={cap} arrivals before the epsilon crossing in {over} of "
+            f"{streams.size} rows (epsilon or cap too small)"
+        )
+    return counts.astype(np.int64)
+
+
 def _ratio_head(model, t, r, n, master_seed, streams, start):
     """Last head arrival, log pivot, above ratios and w_rn (or None) per row.
 
@@ -287,8 +460,8 @@ def _ratio_bound(model, t, epsilon, pivot):
     """Each row's arrival bound ``t * tail(epsilon * X_p)``, from its log pivot point.
 
     A later point's ratio to the pivot X_p exceeds epsilon exactly when its
-    arrival lies below it.  Where it overflows it is inf: the row runs to
-    the cap.
+    arrival lies below it.  Where it overflows it is inf, and so is the
+    row's count: the row truncates.
     """
     with np.errstate(over="ignore"):
         return t * tail_at_log(model, math.log(epsilon) + pivot)
@@ -305,28 +478,27 @@ def _negbin_rows(n, alpha, epsilon, method, master_seed, streams, start, cap,
     inv_alpha = 1.0 / alpha
     ea = epsilon**-alpha
     g = _arrivals(master_seed, streams, start, n)[-1].copy()  # not a view holding all n lines
+    if method == LIMIT_RATIOS:
+        def transform(rows, arr, kept):
+            # row-major points, so a probe sums each row along a contiguous axis
+            x = np.divide(arr.T, g[rows, None], order="C")
+            x += 1.0
+            x **= -inv_alpha
+            on_points(rows, x, np.ascontiguousarray(kept.T))
 
-    def transform(rows, arr, kept):
-        # row-major points, so a probe sums each row along a contiguous axis
-        x = np.divide(arr.T, g[rows, None], order="C")
-        x += 1.0
-        x **= -inv_alpha
-        on_points(rows, x, np.ascontiguousarray(kept.T))
+        return _extend(master_seed, streams, start + n, g * (ea - 1.0), cap,
+                       transform if on_points is not None else None)
 
-    limit = method == LIMIT_RATIOS
-    on_round = transform if limit and on_points is not None else None
-    counts, finish = _extend(master_seed, streams, start + n, np.zeros(streams.size),
-                             g * (ea - 1.0), cap, on_round)
-    if limit:
-        return counts, finish
-
-    # mixed_poisson: the count of arrivals below the gamma-scaled mean is
-    # the mixed Poisson count; place that many i.i.d. points by inverse CDF
-    # of the truncated base density, one counter each after the crossing.
-    # Each slab is drawn whole; the cells past a row's count hold u = 1 (the
-    # point 1).  Chunk widths follow the round schedule, and rows are taken
-    # in slabs as in the engine, so a row's chunks, and with them its probe
+    # mixed_poisson: the arrivals past the head below g * (ea - 1) number
+    # Poisson(g * (ea - 1)), the gamma-mixed Poisson count, drawn from the
+    # counter after the head; then place that many i.i.d. points by inverse
+    # CDF of the truncated base density, one counter each.  Each slab is
+    # drawn whole; the cells past a row's count hold u = 1 (the point 1).
+    # Chunk widths follow the engine's round schedule, and rows are taken in
+    # slabs as in the engine, so a row's chunks, and with them its probe
     # sum, do not depend on the other rows of its block.
+    counts = _draw_counts(master_seed, streams, start + n, g * (ea - 1.0), cap)
+    first = start + n + 1
     if on_points is not None:
         max_count = int(counts.max())
         col = 0
@@ -336,11 +508,11 @@ def _negbin_rows(n, alpha, epsilon, method, master_seed, streams, start, cap,
             cols = col + np.arange(width)
             for _, idx in _slabs(np.flatnonzero(counts > col), width):
                 mask = cols < counts[idx, None]
-                u = uniforms_at(master_seed, streams[idx, None], finish[idx, None] + cols)
+                u = uniforms_at(master_seed, streams[idx, None], first + cols)
                 u[~mask] = 1.0
                 on_points(idx, (ea - u * (ea - 1.0)) ** -inv_alpha, mask)
             col += width
-    return counts, finish + counts
+    return counts, first + counts
 
 
 # ---------------------------------------------------------------------------
@@ -379,35 +551,29 @@ def sample_ratio_configuration(
     rng: RngStream,
     cap: int = 1_000_000,
 ) -> RatioConfiguration:
-    """One ratio configuration, extending arrivals until the below ratios cross epsilon.
+    """One ratio configuration: the head, then the below ratios down to epsilon.
 
-    Reads ``rng`` from its cursor and leaves the cursor just after the
-    crossing arrival; only the kept arrivals are inverted.  On truncation the
-    error's ``partial`` holds the configuration drawn so far.
+    Given the head, the arrivals past the pivot's are a unit-rate Poisson
+    process, so those below the row's bound number Poisson(bound - pivot
+    arrival) and, given their count, are i.i.d. uniform between the two.
+    Reads ``rng`` from its cursor: the head's ``r + n`` counters, one for
+    the count, then one per below ratio, where it leaves the cursor.
     """
     _validate_ratio_args(t, r, n, epsilon, cap)
     streams = np.array([rng.stream_index])
     last, pivot, above, w = _ratio_head(model, t, r, n, rng.master_seed, streams,
                                         rng.cursor)
-    below: list[np.ndarray] = []
-
-    def collect(rows, arr, kept):
-        below.append(np.exp(ordered_log_points(model, t, arr[kept[:, 0], 0]) - pivot[0]))
-
-    def configuration() -> RatioConfiguration:
-        return RatioConfiguration(
-            r=r, n=n, above=above[0], below=np.concatenate(below), epsilon=epsilon,
-            w_rn=float(w[0]) if w is not None else None,
-        )
-
-    try:
-        _, finish = _extend(rng.master_seed, streams, rng.cursor + r + n, last,
-                            _ratio_bound(model, t, epsilon, pivot), cap, collect)
-    except TruncationError as err:
-        err.partial = configuration()
-        raise
-    rng.cursor = int(finish[0])
-    return configuration()
+    mu = _ratio_bound(model, t, epsilon, pivot) - last
+    at = rng.cursor + r + n  # the count's counter
+    count = int(_draw_counts(rng.master_seed, streams, at, mu, cap)[0])
+    u = uniforms_at(rng.master_seed, rng.stream_index, at + 1 + np.arange(count))
+    arrivals = np.sort(last[0] + mu[0] * u)
+    rng.cursor = at + 1 + count
+    return RatioConfiguration(
+        r=r, n=n, above=above[0],
+        below=np.exp(ordered_log_points(model, t, arrivals) - pivot[0]),
+        epsilon=epsilon, w_rn=float(w[0]) if w is not None else None,
+    )
 
 
 def sample_negbin_process(
@@ -749,9 +915,8 @@ def ratio_configuration_batch(
     def block(offset: int, rows: int):
         streams = _block_streams(stream_start + offset, rows)
         last, pivot, above, w = _ratio_head(model, t, r, n, master_seed, streams, 0)
-        counts, _ = _extend(master_seed, streams, r + n, last,
-                            _ratio_bound(model, t, epsilon, pivot), cap)
-        return above, w, counts
+        mu = _ratio_bound(model, t, epsilon, pivot) - last
+        return above, w, _draw_counts(master_seed, streams, r + n, mu, cap)
 
     return _map_row_blocks(block, n_trials, threads, stream_start)
 

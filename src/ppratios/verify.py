@@ -671,14 +671,15 @@ def z_insensitivity_check(
     The limit law of the pivot ratio does not depend on the conditioning
     level z; binning trials by z = t*tail(r+n-th point) into quantile bins,
     the per-bin KS statistics against the closed-form law must agree within
-    twice the per-bin KS noise level.
+    twice the per-bin KS noise level.  Each W is scored as ``W**alpha =
+    exp(alpha * log W)`` against the law at index 1, as the ``wlaw`` sweep
+    does, so small alpha does not underflow W to 0.
     """
     alpha = _finite_index(model)
-    w, z, _ = sp.pivot_ratio_with_scales_batch(
-        model, t, r, n, trials, seed, 0, threads
-    )
+    _, z, _ = sp.pivot_ratio_with_scales_batch(model, t, r, n, trials, seed, 0, threads)
+    w = np.exp(alpha * sp.log_pivot_ratio_batch(model, t, r, n, trials, seed, 0, threads))
     edges = np.quantile(z, np.linspace(0, 1, Z_BINS + 1))
-    cdf = partial(ll.w_cdf, r, n, alpha)
+    cdf = partial(ll.w_cdf, r, n, 1.0)
     per_bin = []
     for b in range(Z_BINS):
         lo, hi = edges[b], edges[b + 1]

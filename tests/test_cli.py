@@ -51,6 +51,22 @@ def test_one_line_sweeps_pass_at_small_alpha(tmp_path, capsys, argv):
     assert capsys.readouterr().err == ""
 
 
+def test_z_insensitivity_scores_small_alpha_from_the_log_ratio(tmp_path, capsys):
+    # at alpha = 0.001 most pivot ratios underflow to 0: scored as W itself,
+    # every bin read KS 0.64-0.66 and the spread between them still passed;
+    # scored as exp(alpha * log W), each bin is within its noise level
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run_cli("verify", "--target", "z_insensitivity", "--tail", "pareto",
+                       "--alpha", "0.001", "--r", "2", "--n", "3", "--t", "0.01",
+                       "--trials", "40000", "--seed", "5", "--out-dir", str(tmp_path))
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert max(rec["ks"] for rec in doc["statistics"]) < doc["details"]["per_bin_noise"]
+    assert doc["details"]["pooled_ks"] < 1.63 / 200  # the 1% KS level at 40000 trials
+
+
 def test_missing_field_exits_2(tmp_path, capsys):
     code = run_cli("verify", "--tail", "pareto", "--alpha", "1", "--r", "1",
                    "--target", "wlaw", "--trials", "100000",
@@ -128,7 +144,8 @@ def test_subnormal_t_exits_2(tmp_path, capsys):
 
 def test_rapid_zero_past_the_cap_exits_2_without_a_warning(tmp_path, capsys):
     # the rows' arrival bound t * tail(epsilon * pivot) overflows to inf, so
-    # every row runs to the cap; the tail is not saturated and does not warn
+    # every row's count is inf, past the cap; the tail is not saturated and
+    # does not warn
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = run_cli("simulate", "--tail", "rapid_zero", "--t", "0.5", "--r", "1",
@@ -137,7 +154,8 @@ def test_rapid_zero_past_the_cap_exits_2_without_a_warning(tmp_path, capsys):
     assert code == 2
     doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert doc["error"] == "domain"
-    assert doc["reason"].startswith("cap=1000 arrivals drawn before the epsilon crossing")
+    assert doc["reason"] == ("more than cap=1000 arrivals before the epsilon crossing in "
+                             "200 of 200 rows (epsilon or cap too small)")
     assert not (tmp_path / "trials.csv").exists()
 
 

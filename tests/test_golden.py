@@ -1,7 +1,8 @@
 """Pinned digests of small outputs: the determinism contract as a tier-1 check.
 
 Every output is a pure function of its seed, so a change to the draws (the
-SplitMix64 constants, the round schedule, the order of a running sum)
+SplitMix64 constants, the round schedule, the order of a running sum, the
+counter a count is drawn from)
 fails here, while a change to the row blocks or the thread count does not.
 A change that alters draws must update these pins and say why.
 
@@ -85,14 +86,18 @@ def test_uniforms_at_pinned_digest(case):
 
 _PINNED_NEGBIN = {
     sp.LIMIT_RATIOS: "b4c017013f6f450ab54daa35d64f2438f5dc0e92090d14743d5c5e9c7621506e",
-    sp.MIXED_POISSON: "1c7009d309d1880aaf74cb45c224e16072b5d6c1cee3918de26d7c3dfab6d3e3",
+    sp.MIXED_POISSON: "cf94ad9ffb80ce4c423fb51ccd29f2950b40b0a5750c4f8fd7b11ec4fb891b6e",
 }
-_PINNED_RATIO_COUNTS = "5267bffe4e20f48296bcc633e4f68e29e9f05bbb92d672615c8a7d265825dcf8"
+_PINNED_RATIO_COUNTS = "d24bde0e08d4e7ef3705e8e9980044644e0b9bad716ecb682443a11bc0795790"
 
-_NEGBIN_COUNTS = "0cc883f9670143dd5eb5ceb6483c43b3f9ed6b7501531cca803b7166c512473a"
+# the walk's counts (limit_ratios) and the counts drawn by inversion
+_NEGBIN_COUNTS = {
+    sp.LIMIT_RATIOS: "0cc883f9670143dd5eb5ceb6483c43b3f9ed6b7501531cca803b7166c512473a",
+    sp.MIXED_POISSON: "1392b3ed55beb9c2490e0adfcd2bc2e72db76e95525dc26126b3c09e504ef0b0",
+}
 _PINNED_FLOAT_PROBE_SUMS = {
     sp.LIMIT_RATIOS: "d19721d10f5123587af6317c6c634a213c3421d930d498cf58a8d1a5fd267ce4",
-    sp.MIXED_POISSON: "1aca199b901213efa09679dd14ca4586f11e61d873efaddbb5051034048c9fdf",
+    sp.MIXED_POISSON: "e3a0eebde48133ec349ad3cbd81d9ff30ba72eab0853acbc96825acff6121629",
 }
 
 
@@ -109,7 +114,7 @@ def test_negbin_batch_float_probe_pinned_digest(method):
     # a ramp probe: each sum depends on the order its terms are added in
     probe = LaplaceProbe(0.9, 0.1, 0.8, LINEAR_RAMP)
     counts, sums = sp.negbin_batch(2, 1.0, 0.05, method, 4_000, 2024, probe=probe)
-    assert _raw_digest(counts) == _NEGBIN_COUNTS
+    assert _raw_digest(counts) == _NEGBIN_COUNTS[method]
     assert _rounded_digest(sums) == _PINNED_FLOAT_PROBE_SUMS[method]
 
 
@@ -150,11 +155,11 @@ _PINNED_DENSE = {
 
 _PINNED_FAMILY_RATIO_COUNTS = {
     tm.pareto_log(1.0, 1.5):
-        "901b7cc9865b9583a2259d266b5c1779213516663ecc4f50b6a580eb89ddca87",
+        "b608a3375996e6729497a064568f6ca37467f131945b7f6059a90a7e28aabf48",
     tm.pareto_perturbed(1.0, 1.0, 1.0):
-        "2f39940413732fe6b40c8d357e6916267ad6db229bb670d9fcdc4116819dfd67",
-    tm.rapid_zero(): "770e2f451f8590d21239555f58bf3174905698dec218472eb8d255b4cdf33e8c",
-    tm.slow_zero(): "9878b55fdc03cc0d0eeee69170492550a1e72a2184e56345faba0ff91abf00b4",
+        "6679e95a36c4c8a1055de72b7b5dabdfc3f1cbc85c41154bc87ce0efbb52e10e",
+    tm.rapid_zero(): "e75cec5d0585f3b73249457fbd507ac7eaab25849a8baec4ac13588fd3f94614",
+    tm.slow_zero(): "8312db86e15afcac31ad71a5e661380f871b673fa9f3cb9243a86d17d69a4f11",
 }
 
 _BLOCKS_AND_THREADS = pytest.mark.parametrize(

@@ -6,13 +6,14 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import gammainc
+from scipy.special import gammainc, pdtr, pdtrc
 
 from ppratios import samplers as sp
 from ppratios import tail_models as tm
 from ppratios.rng import RngStream, uniform_grid
 from ppratios.verify import (
     GAMMA_NC,
+    KS_COEFF_1PCT,
     EmpiricalDistribution,
     convergence_sweep,
     ks_distance,
@@ -148,16 +149,19 @@ def test_ratio_configuration_above_exact_for_pareto():
     g = sp.sample_gamma_arrivals(r + n, RngStream(41, 2))
     expected = (g[r : r + n - 1] / g[r + n - 1]) ** (-1.0 / alpha)
     assert np.allclose(cfg.above, expected, rtol=1e-12)
-    # the cursor sits just after the crossing arrival
-    assert rng.cursor == r + n + cfg.below.size + 1
+    # the cursor sits after the head, the count's counter and one counter
+    # per below ratio
+    assert rng.cursor == r + n + 1 + cfg.below.size
 
 
 def test_ratio_configuration_truncation_error():
-    with pytest.raises(sp.TruncationError) as err:
-        sp.sample_ratio_configuration(
-            tm.pareto(1.0), 1.0, 1, 1, 1e-6, RngStream(1, 0), cap=50)
-    assert err.value.partial is not None
-    assert err.value.partial.below.size > 0
+    # the count (mean about 1e6) exceeds the cap: the error comes before any
+    # below ratio is placed, and the stream's cursor stays where it was
+    rng = RngStream(1, 0)
+    with pytest.raises(sp.TruncationError, match=r"^more than cap=50 arrivals before the "
+                       r"epsilon crossing in 1 of 1 rows \(epsilon or cap too small\)$"):
+        sp.sample_ratio_configuration(tm.pareto(1.0), 1.0, 1, 1, 1e-6, rng, cap=50)
+    assert rng.cursor == 0
 
 
 def test_above_ratios_beyond_float64_are_a_domain_error():
@@ -191,22 +195,38 @@ def test_cap_below_one_is_a_domain_error_before_any_draw(cap):
     assert rng.cursor == 0
 
 
-def test_cap_one_lets_the_first_round_run():
-    # a row that crosses in the first round (fewer than 4 kept arrivals)
-    # completes under cap=1, even where cap < r + n
+def test_cap_one_lets_a_count_of_one_through():
+    # a row with one point completes under cap=1, even where cap < r + n (the
+    # limit_ratios walk lets its whole first round of 4 arrivals through)
     model = tm.pareto(1.0)
-    _, _, counts = sp.ratio_configuration_batch(model, 0.5, 1, 2, 0.3, 20, 1)
-    i = int(np.flatnonzero(counts < 4)[0])
+    _, _, counts = sp.ratio_configuration_batch(model, 0.5, 1, 2, 0.3, 100, 1)
+    i = int(np.flatnonzero(counts == 1)[0])
     cfg = sp.sample_ratio_configuration(model, 0.5, 1, 2, 0.3, RngStream(1, i), cap=1)
     _, _, one = sp.ratio_configuration_batch(model, 0.5, 1, 2, 0.3, 1, 1, stream_start=i,
                                              cap=1)
     assert cfg.below.size == one[0] == counts[i]
     for method in sorted(sp.NB_METHODS):
-        c, _ = sp.negbin_batch(1, 1.0, 0.5, method, 20, 1)
-        i = int(np.flatnonzero(c < 4)[0])
+        c, _ = sp.negbin_batch(1, 1.0, 0.5, method, 100, 1)
+        i = int(np.flatnonzero(c == 1)[0])
         single = sp.sample_negbin_process(1, 1.0, 0.5, method, RngStream(1, i), cap=1)
         one, _ = sp.negbin_batch(1, 1.0, 0.5, method, 1, 1, stream_start=i, cap=1)
         assert single.points.size == one[0] == c[i]
+
+
+def test_a_cap_past_float64_lets_every_count_through():
+    # counts are compared with the cap as floats: a cap past the float64
+    # range must not overflow that comparison
+    model, huge = tm.pareto(1.0), 10**400
+    _, _, counts = sp.ratio_configuration_batch(model, 0.5, 1, 2, 0.3, 50, 1)
+    _, _, got = sp.ratio_configuration_batch(model, 0.5, 1, 2, 0.3, 50, 1, cap=huge)
+    assert np.array_equal(got, counts)
+    cfg = sp.sample_ratio_configuration(model, 0.5, 1, 2, 0.3, RngStream(1, 0), cap=huge)
+    assert cfg.below.size == counts[0]
+    for method in sorted(sp.NB_METHODS):
+        c, _ = sp.negbin_batch(1, 1.0, 0.5, method, 50, 1)
+        assert np.array_equal(sp.negbin_batch(1, 1.0, 0.5, method, 50, 1, cap=huge)[0], c)
+        single = sp.sample_negbin_process(1, 1.0, 0.5, method, RngStream(1, 0), cap=huge)
+        assert single.points.size == c[0]
 
 
 @pytest.mark.parametrize("model", [tm.pareto(1.3), tm.pareto_log(1.0, 1.5),
@@ -528,32 +548,36 @@ def test_batch_rejects_nonpositive_trials(n_trials):
 
 
 def test_single_and_batch_share_the_cap_rule():
-    # a row whose crossing comes in the round after the boundary b (the
-    # arrivals past the head that the first four rounds draw) truncates
-    # under cap=b and completes under cap=b+1, in both forms
-    b, b_next = np.cumsum(list(itertools.islice(sp._round_widths(), 5)))[3:]
+    # a count-first row whose count is c truncates under cap=c-1 and completes
+    # under cap=c, in both forms; the limit_ratios walk truncates a row
+    # crossing in the round after the boundary b (the arrivals past the head
+    # that the first four rounds draw) under cap=b and completes under cap=b+1
     model, t, eps = tm.pareto(1.0), 1.0, 0.01
     _, _, counts = sp.ratio_configuration_batch(model, t, 0, 1, eps, 50, 5)
-    i = int(np.flatnonzero((counts >= b) & (counts < b_next))[0])
-    with pytest.raises(sp.TruncationError) as err:
-        sp.sample_ratio_configuration(model, t, 0, 1, eps, RngStream(5, i), cap=b)
-    assert err.value.partial.below.size == b
+    i = int(np.argmax(counts))
+    c = int(counts[i])
     with pytest.raises(sp.TruncationError):
-        sp.ratio_configuration_batch(model, t, 0, 1, eps, 1, 5, stream_start=i, cap=b)
-    cfg = sp.sample_ratio_configuration(model, t, 0, 1, eps, RngStream(5, i), cap=b + 1)
-    _, _, one = sp.ratio_configuration_batch(model, t, 0, 1, eps, 1, 5, stream_start=i,
-                                             cap=b + 1)
-    assert cfg.below.size == one[0] == counts[i]
+        sp.sample_ratio_configuration(model, t, 0, 1, eps, RngStream(5, i), cap=c - 1)
+    with pytest.raises(sp.TruncationError):
+        sp.ratio_configuration_batch(model, t, 0, 1, eps, 1, 5, stream_start=i, cap=c - 1)
+    cfg = sp.sample_ratio_configuration(model, t, 0, 1, eps, RngStream(5, i), cap=c)
+    _, _, one = sp.ratio_configuration_batch(model, t, 0, 1, eps, 1, 5, stream_start=i, cap=c)
+    assert cfg.below.size == one[0] == c
+    b, b_next = np.cumsum(list(itertools.islice(sp._round_widths(), 5)))[3:]
     for method in sp.NB_METHODS:
         c, _ = sp.negbin_batch(1, 1.0, 1 / 101, method, 50, 5)
-        i = int(np.flatnonzero((c >= b) & (c < b_next))[0])
+        if method == sp.LIMIT_RATIOS:
+            i = int(np.flatnonzero((c >= b) & (c < b_next))[0])
+            lo, hi = b, b + 1
+        else:
+            i = int(np.argmax(c))
+            lo, hi = c[i] - 1, c[i]
         with pytest.raises(sp.TruncationError):
-            sp.sample_negbin_process(1, 1.0, 1 / 101, method, RngStream(5, i), cap=b)
+            sp.sample_negbin_process(1, 1.0, 1 / 101, method, RngStream(5, i), cap=lo)
         with pytest.raises(sp.TruncationError):
-            sp.negbin_batch(1, 1.0, 1 / 101, method, 1, 5, stream_start=i, cap=b)
-        single = sp.sample_negbin_process(1, 1.0, 1 / 101, method, RngStream(5, i),
-                                          cap=b + 1)
-        one, _ = sp.negbin_batch(1, 1.0, 1 / 101, method, 1, 5, stream_start=i, cap=b + 1)
+            sp.negbin_batch(1, 1.0, 1 / 101, method, 1, 5, stream_start=i, cap=lo)
+        single = sp.sample_negbin_process(1, 1.0, 1 / 101, method, RngStream(5, i), cap=hi)
+        one, _ = sp.negbin_batch(1, 1.0, 1 / 101, method, 1, 5, stream_start=i, cap=hi)
         assert single.points.size == one[0] == c[i]
 
 
@@ -563,22 +587,26 @@ def test_round_schedule_doubles_to_the_widest_round():
     assert np.cumsum(widths)[:6].tolist() == [4, 12, 28, 60, 124, 188]
 
 
-def _row_major_extend(master_seed, streams, start, last, bound, cap, on_round=None):
+def _row_major_extend(master_seed, streams, start, bound, cap, on_round=None, last=None):
     """The engine's round in its earlier row-major order, kept as a reference.
 
     Each round draws an ``(active rows, width)`` array and sums it with
-    ``np.cumsum(axis=1)``.  The hook takes the engine's round-major layout,
-    so it sees the transposes.
+    ``np.cumsum(axis=1)``, continuing from the arrivals ``last`` (0 when
+    None, as the engine counts them).  The hook takes the engine's
+    round-major layout, so it sees the transposes.
     """
     counts = np.zeros(streams.size, dtype=np.int64)
     finish = np.empty(streams.size, dtype=np.int64)
-    last = np.array(last, dtype=float)
+    last = np.zeros(streams.size) if last is None else np.array(last, dtype=float)
     act = np.arange(streams.size)
     offset = start
     widths = sp._round_widths()
     while act.size:
         if offset - start >= cap:
-            raise sp.TruncationError(f"cap={cap}")
+            raise sp.TruncationError(
+                f"cap={cap} arrivals drawn before the epsilon crossing in "
+                f"{act.size} of {streams.size} rows (epsilon or cap too small)"
+            )
         width = next(widths)
         u = sp.uniforms_at(master_seed, streams[act, None], offset + np.arange(width))
         arr = last[act, None] + np.cumsum(-np.log(u), axis=1)
@@ -596,26 +624,19 @@ def _row_major_extend(master_seed, streams, start, last, bound, cap, on_round=No
 
 
 def _engine_outputs():
-    """Every kind of output the engine feeds: counts, finish counters, float
-    probe sums, single-trial points and cursors, ratio configurations."""
+    """Every kind of output the engine feeds, all from ``limit_ratios``: counts,
+    finish counters, float probe sums, single-trial points and cursors."""
     from ppratios.limit_laws import LINEAR_RAMP, LaplaceProbe
 
     probe = LaplaceProbe(0.9, 0.1, 0.8, LINEAR_RAMP)
     rows = 3_000
     out = []
-    for method in sorted(sp.NB_METHODS):
-        out += sp.negbin_batch(2, 1.0, 0.05, method, rows, 61, probe=probe)
-        out += sp._negbin_rows(2, 1.0, 0.05, method, 61, np.arange(rows), 0, 10**6)
-        for i in (0, 1_500, rows - 1):
-            rng = RngStream(61, i)
-            out += [sp.sample_negbin_process(2, 1.0, 0.05, method, rng).points, rng.cursor]
-    for model in (tm.pareto(1.3), tm.pareto_log(1.0, 1.5), tm.pareto_perturbed(1, 1, 1),
-                  tm.rapid_zero(), tm.slow_zero()):
-        out += sp.ratio_configuration_batch(model, 0.05, 1, 3, 0.5, rows, 61)
-        for i in (0, rows - 1):
-            rng = RngStream(61, i)
-            cfg = sp.sample_ratio_configuration(model, 0.05, 1, 3, 0.5, rng)
-            out += [cfg.above, cfg.below, cfg.w_rn, rng.cursor]
+    out += sp.negbin_batch(2, 1.0, 0.05, sp.LIMIT_RATIOS, rows, 61, probe=probe)
+    out += sp._negbin_rows(2, 1.0, 0.05, sp.LIMIT_RATIOS, 61, np.arange(rows), 0, 10**6)
+    for i in (0, 1_500, rows - 1):
+        rng = RngStream(61, i)
+        out += [sp.sample_negbin_process(2, 1.0, 0.05, sp.LIMIT_RATIOS, rng).points,
+                rng.cursor]
     return out
 
 
@@ -631,14 +652,36 @@ def test_round_major_engine_matches_the_row_major_reference(monkeypatch):
         assert np.array_equal(a, b), i
 
 
+def _walk_configurations(model, t, r, n, epsilon, master_seed, streams, cap):
+    """Ratio configurations by walking the arrivals past the pivot's, kept as a reference.
+
+    The walk keeps each arrival below the row's bound ``t * tail(epsilon *
+    X_p)`` (:func:`_row_major_extend` from the pivot arrival), the way the
+    samplers counted before they drew the count by inversion.  Returns the
+    above ratios, w_rn, the counts, the counter after each row's crossing
+    arrival and each row's below ratios.
+    """
+    last, pivot, above, w = sp._ratio_head(model, t, r, n, master_seed, streams, 0)
+    below = [[] for _ in streams]
+
+    def collect(rows, arr, kept):
+        log_ratios = sp.ordered_log_points(model, t, arr.T) - pivot[rows, None]
+        for j, row in enumerate(rows):
+            below[row].append(np.exp(log_ratios[j, kept[:, j]]))
+
+    counts, finish = _row_major_extend(master_seed, streams, r + n,
+                                       sp._ratio_bound(model, t, epsilon, pivot), cap,
+                                       collect, last=last)
+    return above, w, counts, finish, [np.concatenate(b) for b in below]
+
+
 def _point_space_configurations(model, t, r, n, epsilon, master_seed, streams, cap):
     """Ratio configurations by the earlier point-space walk, kept as a reference.
 
     Each round inverts every arrival it draws and keeps the log ratios to
     the pivot above ``log(epsilon)``, with the engine's round schedule and
-    cap rule, row-major.  Returns the above ratios, w_rn, the counts, the
-    counter after each row's crossing arrival and each row's below ratios;
-    on truncation the ``TruncationError`` carries the walk's message.
+    cap rule, row-major.  Returns what :func:`_walk_configurations` does; on
+    truncation the ``TruncationError`` carries the walk's message.
     """
     last, pivot, above, w = sp._ratio_head(model, t, r, n, master_seed, streams, 0)
     log_eps = math.log(epsilon)
@@ -672,33 +715,39 @@ def _point_space_configurations(model, t, r, n, epsilon, master_seed, streams, c
 
 
 def _compare_with_point_space(model, t, r, n, epsilon, rows, cap) -> bool:
-    """Assert both forms equal the reference; returns whether the batch truncated."""
+    """Assert the arrival-bound walk equals the point-space walk; returns whether it truncated.
+
+    Both walks run on all ``rows`` and on single rows; where they do not
+    truncate, the batch sampler's above ratios and w_rn equal theirs.
+    """
     seed = 17
+    streams = np.arange(rows)
     try:
-        above, w, counts, _, _ = _point_space_configurations(
-            model, t, r, n, epsilon, seed, np.arange(rows), cap)
-    except sp.TruncationError as ref:
+        ref = _point_space_configurations(model, t, r, n, epsilon, seed, streams, cap)
+    except sp.TruncationError as err:
         with pytest.raises(sp.TruncationError) as got:
-            sp.ratio_configuration_batch(model, t, r, n, epsilon, rows, seed, cap=cap)
-        assert str(got.value) == str(ref)
+            _walk_configurations(model, t, r, n, epsilon, seed, streams, cap)
+        assert str(got.value) == str(err)
         truncated, picks = True, (0, rows - 1)
     else:
-        got = sp.ratio_configuration_batch(model, t, r, n, epsilon, rows, seed, cap=cap)
-        _assert_same_columns((above, w, counts), got, (model, t))
-        truncated, picks = False, (0, 1, rows // 2, rows - 1, int(np.argmax(counts)))
+        walk = _walk_configurations(model, t, r, n, epsilon, seed, streams, cap)
+        _assert_same_columns(ref[:4], walk[:4], (model, t))
+        assert all(_same_bytes(a, b) for a, b in zip(ref[4], walk[4]))
+        truncated, picks = False, (0, 1, rows // 2, rows - 1, int(np.argmax(ref[2])))
+        above, w, _ = sp.ratio_configuration_batch(model, t, r, n, epsilon, rows, seed,
+                                                   cap=10**15)
+        _assert_same_columns(ref[:2], (above, w), (model, t))
     for i in picks:
-        rng = RngStream(seed, i)
         try:
-            above, w, _, finish, below = _point_space_configurations(
-                model, t, r, n, epsilon, seed, np.array([i]), cap)
-        except sp.TruncationError as ref:
+            ref = _point_space_configurations(model, t, r, n, epsilon, seed, np.array([i]), cap)
+        except sp.TruncationError as err:
             with pytest.raises(sp.TruncationError) as got:
-                sp.sample_ratio_configuration(model, t, r, n, epsilon, rng, cap=cap)
-            assert str(got.value) == str(ref)
+                _walk_configurations(model, t, r, n, epsilon, seed, np.array([i]), cap)
+            assert str(got.value) == str(err)
             continue
-        cfg = sp.sample_ratio_configuration(model, t, r, n, epsilon, rng, cap=cap)
-        assert _same_bytes(cfg.above, above[0]) and _same_bytes(cfg.below, below[0])
-        assert cfg.w_rn == (None if w is None else w[0]) and rng.cursor == finish[0]
+        walk = _walk_configurations(model, t, r, n, epsilon, seed, np.array([i]), cap)
+        _assert_same_columns(ref[:4], walk[:4], (model, t, i))
+        assert _same_bytes(ref[4][0], walk[4][0])
     return truncated
 
 
@@ -711,8 +760,8 @@ _FAMILIES = [tm.pareto(1.3), tm.pareto_log(1.0, 1.5), tm.pareto_log(2.0, -0.5),
                          ids=lambda m: f"{m.kind}-{m.beta}" if m.beta is not None else m.kind)
 def test_arrival_bound_walk_matches_the_point_space_reference(model, t):
     # a later point's ratio to the pivot X_p exceeds epsilon exactly when its
-    # arrival lies below t * tail(epsilon * X_p): counts, cursors and every
-    # point equal the walk that inverts each arrival, bit for bit
+    # arrival lies below t * tail(epsilon * X_p) (the samplers' bound): counts,
+    # cursors and every point of the two walks agree, bit for bit
     epsilon = 0.9 if model.kind == tm.RAPID_ZERO else 0.3  # rapid_zero: short rows
     # slow_zero's above ratios exp((gamma_p - gamma_k) / t) overflow at small t
     r, n = (2, 1) if model.kind == tm.SLOW_ZERO else (1, 2)
@@ -738,6 +787,19 @@ def test_arrival_bound_walk_truncates_as_the_point_space_reference(model, t, eps
     # rapid_zero's bounds lie far past the cap, or overflow to inf at
     # epsilon 1e-3; pareto truncates only some rows, so its message counts them
     assert _compare_with_point_space(model, t, 2, 3, epsilon, 500, cap)
+    # the sampler truncates exactly where some count exceeds the cap, and
+    # says in how many rows
+    streams = np.arange(500)
+    last, pivot, _, _ = sp._ratio_head(model, t, 2, 3, 17, streams, 0)
+    mu = sp._ratio_bound(model, t, epsilon, pivot) - last
+    over = int(np.count_nonzero(sp._poisson_quantile(mu, sp.uniforms_at(17, streams, 5)) > cap))
+    assert over > 0 or cap == 28
+    if over:
+        with pytest.raises(sp.TruncationError, match=rf"^more than cap={cap} arrivals "
+                           rf"before the epsilon crossing in {over} of 500 rows"):
+            sp.ratio_configuration_batch(model, t, 2, 3, epsilon, 500, 17, cap=cap)
+    else:
+        sp.ratio_configuration_batch(model, t, 2, 3, epsilon, 500, 17, cap=cap)
 
 
 def test_engine_draws_at_most_twice_what_it_consumes(monkeypatch):
@@ -755,10 +817,108 @@ def test_engine_draws_at_most_twice_what_it_consumes(monkeypatch):
     for method, probe in itertools.product(sp.NB_METHODS, (None, np.sqrt)):
         drawn.clear()
         counts, _ = sp.negbin_batch(n, 1.0, 0.5, method, rows, 9, probe=probe)
-        # consumed as in the cursor rule: n + count + 1, or n + 2*count + 1
-        per_point = 2 if method == sp.MIXED_POISSON else 1
-        consumed = int(np.sum(n + per_point * counts + 1))
+        # consumed as in the cursor rule: n + count + 1
+        consumed = int(np.sum(n + counts + 1))
         assert sum(drawn) <= 2 * consumed + 4 * rows
+
+
+def test_ratio_configuration_past_the_cap_draws_only_head_and_count(monkeypatch):
+    # rapid_zero at epsilon 0.2: about a third of the rows count past the
+    # default cap; the batch raises having drawn each row's head and count
+    # counter, where a walk drew up to the cap in every unfinished row
+    drawn = []
+    real = sp.uniforms_at
+
+    def counting(*args):
+        u = real(*args)
+        drawn.append(u.size)
+        return u
+
+    monkeypatch.setattr(sp, "uniforms_at", counting)
+    r, n, rows = 2, 3, 1000
+    with pytest.raises(sp.TruncationError, match=r"^more than cap=1000000 arrivals before "
+                       r"the epsilon crossing in \d+ of 1000 rows"):
+        sp.ratio_configuration_batch(tm.rapid_zero(), 0.3, r, n, 0.2, rows, 5)
+    assert 0 < sum(drawn) <= (r + n + 1) * rows
+
+
+def _scalar_poisson_quantile(mu: float, u: float) -> float:
+    """Smallest k with pdtr(k, mu) >= u (pdtrc(k, mu) <= 1 - u for u > 1/2), by bisection."""
+    if not mu > 0:
+        return 0.0
+    if mu > 2.0**52:
+        return math.inf
+
+    def holds(k):
+        return pdtrc(k, mu) <= 1.0 - u if u > 0.5 else pdtr(k, mu) >= u
+
+    lo, hi = -1, 2**53
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    assert holds(hi) and (hi == 0 or not holds(hi - 1))
+    return float(hi)
+
+
+def test_poisson_quantile_is_exact_to_the_integer():
+    # every (mu, u) gets the count of the exact test, in either tail and at
+    # the extreme uniforms: 2**-54 and 1 - 2**-54, which rounds to 1.0 (the
+    # generator's largest value)
+    mus = np.concatenate([[0.0, -1.0, -math.inf, math.nan, math.inf, 2.0**53, 2.0**52, 1e-300,
+                           5.9999, 6.0, 1e12],
+                          10.0 ** np.linspace(-12, 7, 96)])
+    us = np.concatenate([[2.0**-54, 1e-300, 1e-12, 0.25, 0.5, 0.5 + 2.0**-53, 0.75,
+                          1 - 1e-12, 1 - 2.0**-53, 1 - 2.0**-54],
+                         np.random.default_rng(3).random(10)])
+    mu, u = (a.ravel() for a in np.meshgrid(mus, us))
+    got = sp._poisson_quantile(mu, u)
+    want = np.array([_scalar_poisson_quantile(m, v) for m, v in zip(mu, u)])
+    assert np.array_equal(got, want)
+    assert np.isinf(got[mu == math.inf]).all() and not got[~(mu > 0)].any()
+
+
+_LAW_CASES = {
+    # (model, t, r, n, epsilon, rows) of a ratio-configuration batch
+    "pareto_1.5_eps_1e-3": (tm.pareto(1.5), 0.01, 0, 1, 1e-3, 1_000),
+    "pareto_perturbed_eps_0.1": (tm.pareto_perturbed(1, 1, 1), 0.01, 1, 2, 0.1, 20_000),
+}
+
+
+def _ratio_counts(model, t, r, n, epsilon, rows, seed):
+    """Each row's count by the walk and by inversion, and the Poisson mean both share."""
+    streams = np.arange(rows)
+    last, pivot, _, _ = sp._ratio_head(model, t, r, n, seed, streams, 0)
+    mu = sp._ratio_bound(model, t, epsilon, pivot) - last
+    walked, _ = sp._extend(seed, streams, r + n, mu, 10**9)
+    _, _, drawn = sp.ratio_configuration_batch(model, t, r, n, epsilon, rows, seed, cap=10**9)
+    return walked, drawn, mu
+
+
+def _mixed_poisson_counts(n, alpha, epsilon, rows, seed):
+    streams = np.arange(rows)
+    mu = sp._arrivals(seed, streams, 0, n)[-1] * (epsilon**-alpha - 1.0)
+    walked, _ = sp._negbin_rows(n, alpha, epsilon, sp.LIMIT_RATIOS, seed, streams, 0, 10**9)
+    drawn, _ = sp._negbin_rows(n, alpha, epsilon, sp.MIXED_POISSON, seed, streams, 0, 10**9)
+    return walked, drawn, mu
+
+
+@pytest.mark.parametrize("case", ["pareto_1.5_eps_1e-3", "pareto_perturbed_eps_0.1",
+                                  "mixed_poisson_n3_a2_eps_0.3"])
+def test_walked_and_drawn_counts_are_poisson(case):
+    # the randomized PIT F(K - 1) + v * pmf(K), v uniform, is Uniform(0, 1)
+    # exactly when K is Poisson(mu): both the walk's counts and the counts
+    # drawn by inversion pass its KS at the battery's 1% level
+    if case.startswith("mixed_poisson"):
+        walked, drawn, mu = _mixed_poisson_counts(3, 2.0, 0.3, 100_000, 23)
+    else:
+        walked, drawn, mu = _ratio_counts(*_LAW_CASES[case], 23)
+    v = uniform_grid(24, 0, mu.size, 1)[:, 0]
+    crit = KS_COEFF_1PCT / math.sqrt(mu.size)
+    for counts in (walked, drawn):
+        below = np.where(counts > 0, pdtr(counts - 1, mu), 0.0)
+        pit = below + v * (pdtr(counts, mu) - below)
+        assert ks_distance(EmpiricalDistribution.from_samples(pit), lambda x: x) < crit
+    assert not np.array_equal(walked, drawn)
 
 
 def test_ratio_configuration_mean_below_count():
@@ -849,9 +1009,9 @@ def test_nb_batch_matches_single_trials():
             rng = RngStream(12, i)
             single = sp.sample_negbin_process(n, alpha, eps, method, rng)
             assert single.points.size == counts[i]
-            # the cursor sits just after the last counter consumed
-            placed = counts[i] if method == sp.MIXED_POISSON else 0
-            assert rng.cursor == n + counts[i] + 1 + placed
+            # the cursor sits just after the last counter consumed: the
+            # crossing arrival, or the count's counter and one per point
+            assert rng.cursor == n + counts[i] + 1
 
 
 def test_negbin_blocks_and_threads_do_not_change_output(monkeypatch):
@@ -906,9 +1066,8 @@ def test_nb_consecutive_draws_continue_the_stream():
         first = sp.sample_negbin_process(n, 1.0, 0.3, method, rng)
         after_first = rng.cursor
         second = sp.sample_negbin_process(n, 1.0, 0.3, method, rng)
-        per_point = 2 if method == sp.MIXED_POISSON else 1
-        assert after_first == n + per_point * first.points.size + 1
-        assert rng.cursor == after_first + n + per_point * second.points.size + 1
+        assert after_first == n + first.points.size + 1
+        assert rng.cursor == after_first + n + second.points.size + 1
         assert not np.array_equal(first.points, second.points)
 
 
