@@ -66,8 +66,11 @@ batch samplers (pivot, log-trim and successive ratios, time scales) reduce
 each row block to their statistic and invert only the arrival lines it
 reads (:func:`_map_log_points`), so no trials-by-columns matrix of log
 points is built; the ratio configurations' head does the same
-(:func:`_ratio_head`).  Matrix outputs are returned row-major, one row per
-trial.
+(:func:`_ratio_head`).  The dense ratio samplers return log ratios, finite
+where a ratio underflows or overflows; every ratio limit reads the tail
+index alpha only through ``R**alpha = exp(alpha * log R)``, so a check
+scores that against the law at index 1.  :func:`pivot_ratio_batch` alone
+returns W itself.  Matrix outputs are returned row-major, one row per trial.
 """
 
 from __future__ import annotations
@@ -756,22 +759,6 @@ def _map_log_points(model, t, n_cols, cols, statistic, n_trials, master_seed,
     return _map_row_blocks(block, n_trials, threads, stream_start)
 
 
-def ordered_log_points_batch(
-    model: TailModel,
-    t: float,
-    n_cols: int,
-    n_trials: int,
-    master_seed: int,
-    stream_start: int = 0,
-    threads: Optional[int] = None,
-) -> np.ndarray:
-    """(n_trials, n_cols) matrix of log ordered points at time t."""
-    if n_cols < 1:
-        raise ValueError("n_cols must be >= 1")
-    return _map_log_points(model, t, n_cols, slice(None), _rows, n_trials,
-                           master_seed, stream_start, threads)
-
-
 def pivot_ratio_batch(
     model: TailModel,
     t: float,
@@ -809,7 +796,7 @@ def log_pivot_ratio_batch(
                            stream_start, threads)
 
 
-def successive_ratio_batch(
+def log_successive_ratio_batch(
     model: TailModel,
     t: float,
     r: int,
@@ -819,11 +806,11 @@ def successive_ratio_batch(
     stream_start: int = 0,
     threads: Optional[int] = None,
 ) -> np.ndarray:
-    """Matrix of successive below-1 ratios R_k, k = r .. r+count-1 (columns)."""
+    """Matrix of log successive below-1 ratios, log R_k, k = r .. r+count-1 (columns)."""
     if r < 1 or count < 1:
         raise ValueError("require r >= 1 and count >= 1")
     return _map_log_points(model, t, r + count, slice(r - 1, None),
-                           lambda lp: _rows(np.exp(lp[1:] - lp[:-1])), n_trials,
+                           lambda lp: _rows(lp[1:] - lp[:-1]), n_trials,
                            master_seed, stream_start, threads)
 
 
@@ -864,7 +851,7 @@ def time_scale_batch(
                            stream_start, threads)
 
 
-def pivot_ratio_with_scales_batch(
+def log_pivot_ratio_with_scales_batch(
     model: TailModel,
     t: float,
     r: int,
@@ -874,7 +861,7 @@ def pivot_ratio_with_scales_batch(
     stream_start: int = 0,
     threads: Optional[int] = None,
 ):
-    """Per-trial (W, Z, A): pivot ratio, pivot time scale, top time scale.
+    """Per-trial (log W, Z, A): log pivot ratio, pivot time scale, top time scale.
 
     Z = t*tail(r+n-th largest), A = t*tail(r-th largest); used by the
     conditional-law checks.  Requires r >= 1 and n >= 1.
@@ -883,10 +870,7 @@ def pivot_ratio_with_scales_batch(
         raise ValueError("require r >= 1 and n >= 1")
 
     def scales(lp):  # columns r-1 and r+n-1 only
-        w = np.exp(lp[1] - lp[0])
-        z = t * tail_at_log(model, lp[1])
-        a = t * tail_at_log(model, lp[0])
-        return w, z, a
+        return lp[1] - lp[0], t * tail_at_log(model, lp[1]), t * tail_at_log(model, lp[0])
 
     return _map_log_points(model, t, r + n, slice(r - 1, None, n), scales, n_trials,
                            master_seed, stream_start, threads)

@@ -293,9 +293,9 @@ def default_threshold(model: TailModel, trials: int) -> float:
 #: chi-square of its CDF values; whether the laws read the tail index,
 #: which then must be finite and positive).
 _SWEEPS = {
-    # the two one-line sweeps sort log samples as drawn (exp is monotone) and
-    # fold alpha into the argument: W**alpha = exp(alpha * log W) stays in
-    # range where W underflows or the above-1 ratio overflows
+    # the ratio sweeps sort log samples as drawn (exp is monotone) and fold
+    # alpha into the argument: R**alpha = exp(alpha * log R) stays in range
+    # where a ratio underflows or overflows
     # pivot ratio vs its Beta-power CDF
     WLAW: (lambda model, t, r, n, *run: [sp.log_pivot_ratio_batch(model, t, r, n, *run)],
            lambda r, n, alpha: [lambda lw: ll.w_cdf(r, n, 1.0, np.exp(alpha * lw))],
@@ -307,8 +307,8 @@ _SWEEPS = {
         None, True),
     # successive ratios R_k, k = max(r, 1) .. max(r, 1) + n - 1
     SUCCESSIVE_RATIOS: (
-        lambda model, t, r, n, *run: sp.successive_ratio_batch(model, t, max(r, 1), n, *run).T,
-        lambda r, n, alpha: [partial(ll.successive_ratio_cdf, k, alpha)
+        lambda model, t, r, n, *run: sp.log_successive_ratio_batch(model, t, max(r, 1), n, *run).T,
+        lambda r, n, alpha: [lambda lr, k=k: ll.successive_ratio_cdf(k, 1.0, np.exp(alpha * lr))
                              for k in range(max(r, 1), max(r, 1) + n)],
         "ks_per_coordinate", True),
     # time scales t*tail(k-th point) vs Gamma(k, 1), k = max(r, 1) .. r + n
@@ -398,20 +398,22 @@ def independence_check(
 ) -> VerifyReport:
     """Pairwise chi-square independence of successive ratios after their PIT.
 
-    Each ratio R_k is mapped through its limit CDF y**(k*alpha) to a
-    near-uniform; adjacent pairs are tested on an occupancy grid.  For the
-    rapidly/slowly varying families the ratios collapse to a point mass and
-    the check reports that verdict instead of a chi-square.
+    Each ratio R_k is mapped to a near-uniform through its limit CDF
+    y**(k*alpha), evaluated as the law at index 1 of ``exp(alpha * log
+    R_k)``, which does not underflow at small alpha; adjacent pairs are
+    tested on an occupancy grid.  For the rapidly/slowly varying families
+    the ratios collapse to a point mass and the check reports that verdict
+    instead of a chi-square.
     """
     if n < 2:
         raise ValueError("independence check needs n >= 2")
     if r < 1:
         raise ValueError("r must be >= 1")
     alpha = model.rv_index
-    ratios = sp.successive_ratio_batch(model, t, r, n, trials, seed, 0, threads)
+    log_ratios = sp.log_successive_ratio_batch(model, t, r, n, trials, seed, 0, threads)
 
     if model.kind in (RAPID_ZERO, SLOW_ZERO):
-        med = float(np.median(ratios))
+        med = float(np.median(np.exp(log_ratios)))
         limit = 1.0 if model.kind == RAPID_ZERO else 0.0
         boundary = (1.0 - _rapid_median_allowance(t) if model.kind == RAPID_ZERO
                     else SLOW_COLLAPSE_BOUNDARY)
@@ -424,7 +426,7 @@ def independence_check(
             details={"verdict": f"point_mass_at_{limit:g}"},
         )
 
-    pit = ll.successive_ratio_cdf(np.arange(r, r + n), alpha, ratios)
+    pit = ll.successive_ratio_cdf(np.arange(r, r + n), 1.0, np.exp(alpha * log_ratios))
     stats = []
     worst = None
     for j in range(n - 1):
@@ -676,8 +678,8 @@ def z_insensitivity_check(
     does, so small alpha does not underflow W to 0.
     """
     alpha = _finite_index(model)
-    _, z, _ = sp.pivot_ratio_with_scales_batch(model, t, r, n, trials, seed, 0, threads)
-    w = np.exp(alpha * sp.log_pivot_ratio_batch(model, t, r, n, trials, seed, 0, threads))
+    lw, z, _ = sp.log_pivot_ratio_with_scales_batch(model, t, r, n, trials, seed, 0, threads)
+    w = np.exp(alpha * lw)
     edges = np.quantile(z, np.linspace(0, 1, Z_BINS + 1))
     cdf = partial(ll.w_cdf, r, n, 1.0)
     per_bin = []
@@ -725,9 +727,10 @@ def conditional_gamma_check(
     if not (0 < w_center < 1) or not (0 < half_width < min(w_center, 1 - w_center)):
         raise ValueError("conditioning window must sit strictly inside (0, 1)")
     alpha = _finite_index(model)
-    w, _, a_scale = sp.pivot_ratio_with_scales_batch(
+    lw, _, a_scale = sp.log_pivot_ratio_with_scales_batch(
         model, t, r, n, trials, seed, 0, threads
     )
+    w = np.exp(lw)
     mask = np.abs(w - w_center) <= half_width
     idx = np.flatnonzero(mask)
     if idx.size < 1_000:

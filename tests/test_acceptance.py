@@ -175,8 +175,8 @@ def test_c6_successive_ratio_independence():
     worst_p = 1.0
     crit = KS1 / math.sqrt(trials)
     for i, alpha in enumerate((0.5, 1.0, 2.0)):
-        ratios = sp.successive_ratio_batch(
-            tm.pareto(alpha), 1.0, 1, 4, trials, SEED + 500 + i)
+        ratios = np.exp(sp.log_successive_ratio_batch(
+            tm.pareto(alpha), 1.0, 1, 4, trials, SEED + 500 + i))
         pit = ratios ** (np.arange(1, 5) * alpha)[None, :]
         for k in range(4):
             emp = vf.EmpiricalDistribution.from_samples(ratios[:, k])

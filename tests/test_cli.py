@@ -67,6 +67,24 @@ def test_z_insensitivity_scores_small_alpha_from_the_log_ratio(tmp_path, capsys)
     assert doc["details"]["pooled_ks"] < 1.63 / 200  # the 1% KS level at 40000 trials
 
 
+@pytest.mark.parametrize("argv", [
+    ["--target", "successive_ratios", "--r", "1", "--n", "2", "--trials", "10000"],
+    ["--target", "independence", "--r", "1", "--n", "3", "--trials", "20000"],
+], ids=["successive_ratios", "independence"])
+def test_successive_ratio_targets_pass_at_small_alpha(tmp_path, capsys, argv):
+    # at alpha = 0.001 about 47% of R_1 and 23% of R_2 underflow to 0: scored
+    # as R_k itself, the sweep failed (per-coordinate KS 0.46 and 0.23) and
+    # independence divided 0 by 0; scored as exp(alpha * log R_k) both pass
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run_cli("verify", "--tail", "pareto", "--alpha", "0.001", "--t", "0.1",
+                       *argv, "--seed", "3", "--out-dir", str(tmp_path))
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert all(v is not None for v in doc["details"].values())
+
+
 def test_missing_field_exits_2(tmp_path, capsys):
     code = run_cli("verify", "--tail", "pareto", "--alpha", "1", "--r", "1",
                    "--target", "wlaw", "--trials", "100000",

@@ -129,6 +129,12 @@ def test_ratio_configuration_batch_pinned_digest():
 _ROWS = 20_000  # more than one row block at every block size below
 _PERTURBED = tm.pareto_perturbed(1.0, 1.0, 1.0)
 
+
+def _exp_first(columns):
+    """``columns`` with its first column, a log ratio, exponentiated."""
+    return (np.exp(columns[0]),) + columns[1:]
+
+
 _PINNED_DENSE = {
     "gamma_matrix": (
         lambda threads: sp.gamma_matrix(2024, _ROWS, 5, threads=threads),
@@ -142,14 +148,15 @@ _PINNED_DENSE = {
         lambda threads: sp.log_trim_ratio_batch(tm.pareto_log(1.0, 1.5), 0.01, 2, _ROWS,
                                                 2024, threads=threads),
         "c12d7498faea89c35067a818a18c7337071cbafab4065139d778301f67b67df8"),
-    "successive_ratio_batch": (
-        lambda threads: sp.successive_ratio_batch(tm.slow_zero(), 0.01, 2, 3, _ROWS, 2024,
-                                                  threads=threads),
+    # the ratios, exponentiated from their logs
+    "log_successive_ratio_batch": (
+        lambda threads: np.exp(sp.log_successive_ratio_batch(tm.slow_zero(), 0.01, 2, 3, _ROWS,
+                                                             2024, threads=threads)),
         "d34156d40f0ec15b53d965fa7f80a7a17de79d8fcb129826c96c80c1b2fcce55"),
-    # W, Z and A
-    "pivot_ratio_with_scales_batch": (
-        lambda threads: sp.pivot_ratio_with_scales_batch(_PERTURBED, 0.1, 2, 3, _ROWS,
-                                                         2024, threads=threads),
+    # W (exponentiated from its log), Z and A
+    "log_pivot_ratio_with_scales_batch": (
+        lambda threads: _exp_first(sp.log_pivot_ratio_with_scales_batch(
+            _PERTURBED, 0.1, 2, 3, _ROWS, 2024, threads=threads)),
         "29125b39d489e9965525773e36ad55b7dd6ae27dd1b0d7de0f3a6013599b5a87"),
 }
 

@@ -71,7 +71,7 @@ def test_ordered_points_nonincreasing_many_trials():
                                    tm.rapid_zero(), tm.slow_zero()])
 def test_log_points_nonincreasing_at_scale(model):
     # every realization keeps the ordering, 10^5 trials per family
-    lp = sp.ordered_log_points_batch(model, 0.2, 5, 100_000, 23)
+    lp = sp.ordered_log_points(model, 0.2, sp.gamma_matrix(23, 100_000, 5))
     assert np.all(np.diff(lp, axis=1) <= 0)
 
 
@@ -106,7 +106,7 @@ def test_slow_zero_time_scales_are_the_arrivals(t):
     g = sp.gamma_matrix(1, 1000, 2)
     scales = sp.time_scale_batch(tm.slow_zero(), t, 2, 1000, 1)
     assert np.allclose(scales, g, rtol=1e-15, atol=0)
-    _, z, a = sp.pivot_ratio_with_scales_batch(tm.slow_zero(), t, 1, 1, 1000, 1)
+    _, z, a = sp.log_pivot_ratio_with_scales_batch(tm.slow_zero(), t, 1, 1, 1000, 1)
     assert np.allclose(np.column_stack([a, z]), g, rtol=1e-15, atol=0)
 
 
@@ -115,9 +115,9 @@ def test_deep_regime_pareto_time_scales_are_the_arrivals():
     # underflows, so t * tail(k-th point) is taken from the log points
     model, t = tm.pareto(0.1), 1e-33
     g = sp.gamma_matrix(1, 1000, 3)
-    assert np.median(sp.ordered_log_points_batch(model, t, 3, 1000, 1)) < -745  # exp gives 0
+    assert np.median(sp.ordered_log_points(model, t, g)) < -745  # exp gives 0
     assert np.allclose(sp.time_scale_batch(model, t, 3, 1000, 1), g, rtol=1e-12, atol=0)
-    _, z, a = sp.pivot_ratio_with_scales_batch(model, t, 1, 2, 1000, 1)
+    _, z, a = sp.log_pivot_ratio_with_scales_batch(model, t, 1, 2, 1000, 1)
     assert np.allclose(np.column_stack([a, z]), g[:, [0, 2]], rtol=1e-12, atol=0)
     report = convergence_sweep(model, 1, 2, [1e-33], 10_000, GAMMA_NC, seed=1)
     assert report.passed
@@ -270,11 +270,9 @@ def test_dense_batches_blocks_and_threads_do_not_change_output(monkeypatch):
     rows = sp._ROW_BLOCK + 1_000  # two blocks at the module's block size
     calls = {
         "gamma_matrix": lambda threads: sp.gamma_matrix(5, rows, 3, 9, threads),
-        "ordered_log_points_batch": lambda threads: sp.ordered_log_points_batch(
-            model, 0.1, 3, rows, 5, 9, threads),
         "time_scale_batch": lambda threads: sp.time_scale_batch(
             model, 0.1, 3, rows, 5, 9, threads),
-        "pivot_ratio_with_scales_batch": lambda threads: sp.pivot_ratio_with_scales_batch(
+        "log_pivot_ratio_with_scales_batch": lambda threads: sp.log_pivot_ratio_with_scales_batch(
             model, 0.1, 1, 2, rows, 5, 9, threads),
     }
     for name, call in calls.items():
@@ -307,14 +305,13 @@ def _row_major_dense(model, t, stream_start, rows):
     head = log_points(4)  # r = 1, n = 3
     return {
         "gamma_matrix": arrivals(4),
-        "ordered_log_points_batch": log_points(4),
         "pivot_ratio_batch": np.exp(lp5[:, 4] - lp5[:, 1]),
         "log_pivot_ratio_batch": lp5[:, 4] - lp5[:, 1],
-        "successive_ratio_batch": np.exp(lp5[:, 2:] - lp5[:, 1:-1]),
+        "log_successive_ratio_batch": lp5[:, 2:] - lp5[:, 1:-1],
         "log_trim_ratio_batch": lp3[:, 1] - lp3[:, 2],
         "time_scale_batch": scale(log_points(4)),
-        "pivot_ratio_with_scales_batch": (np.exp(lp5[:, 4] - lp5[:, 1]), scale(lp5[:, 4]),
-                                          scale(lp5[:, 1])),
+        "log_pivot_ratio_with_scales_batch": (lp5[:, 4] - lp5[:, 1], scale(lp5[:, 4]),
+                                              scale(lp5[:, 1])),
         "ratio_head": (arrivals(4)[:, -1], head[:, 3], np.exp(head[:, 1:3] - head[:, 3:]),
                        np.exp(head[:, 3] - head[:, 0])),
     }
@@ -325,13 +322,13 @@ def _line_major_dense(model, t, stream_start, rows, threads):
     run = (rows, 5, stream_start, threads)
     return {
         "gamma_matrix": sp.gamma_matrix(5, rows, 4, stream_start, threads),
-        "ordered_log_points_batch": sp.ordered_log_points_batch(model, t, 4, *run),
         "pivot_ratio_batch": sp.pivot_ratio_batch(model, t, 2, 3, *run),
         "log_pivot_ratio_batch": sp.log_pivot_ratio_batch(model, t, 2, 3, *run),
-        "successive_ratio_batch": sp.successive_ratio_batch(model, t, 2, 3, *run),
+        "log_successive_ratio_batch": sp.log_successive_ratio_batch(model, t, 2, 3, *run),
         "log_trim_ratio_batch": sp.log_trim_ratio_batch(model, t, 2, *run),
         "time_scale_batch": sp.time_scale_batch(model, t, 4, *run),
-        "pivot_ratio_with_scales_batch": sp.pivot_ratio_with_scales_batch(model, t, 2, 3, *run),
+        "log_pivot_ratio_with_scales_batch": sp.log_pivot_ratio_with_scales_batch(
+            model, t, 2, 3, *run),
         "ratio_head": sp._ratio_head(model, t, 1, 3, 5, streams, 0),
     }
 
@@ -363,17 +360,15 @@ _MODEL = tm.pareto_perturbed(1.0, 1.0, 1.0)
 # every batch sampler as (n_trials, stream_start, threads) -> output
 _BATCHES = {
     "gamma_matrix": lambda m, s, th: sp.gamma_matrix(5, m, 3, s, th),
-    "ordered_log_points_batch": lambda m, s, th: sp.ordered_log_points_batch(
-        _MODEL, 0.1, 3, m, 5, s, th),
     "pivot_ratio_batch": lambda m, s, th: sp.pivot_ratio_batch(
         _MODEL, 0.1, 1, 2, m, 5, s, th),
-    "successive_ratio_batch": lambda m, s, th: sp.successive_ratio_batch(
+    "log_successive_ratio_batch": lambda m, s, th: sp.log_successive_ratio_batch(
         _MODEL, 0.1, 1, 2, m, 5, s, th),
     "log_trim_ratio_batch": lambda m, s, th: sp.log_trim_ratio_batch(
         _MODEL, 0.1, 1, m, 5, s, th),
     "time_scale_batch": lambda m, s, th: sp.time_scale_batch(
         _MODEL, 0.1, 3, m, 5, s, th),
-    "pivot_ratio_with_scales_batch": lambda m, s, th: sp.pivot_ratio_with_scales_batch(
+    "log_pivot_ratio_with_scales_batch": lambda m, s, th: sp.log_pivot_ratio_with_scales_batch(
         _MODEL, 0.1, 1, 2, m, 5, s, th),
     # r = 0: the w_rn column is None
     "ratio_configuration_batch": lambda m, s, th: sp.ratio_configuration_batch(
@@ -953,12 +948,10 @@ def test_batch_threads_do_not_change_output():
 _DENSE_SAMPLERS = {
     "pivot_ratio_batch": lambda t: sp.pivot_ratio_batch(tm.pareto(1.0), t, 2, 3, 200, 4),
     "log_trim_ratio_batch": lambda t: sp.log_trim_ratio_batch(tm.pareto(1.0), t, 2, 200, 4),
-    "successive_ratio_batch": lambda t: sp.successive_ratio_batch(
+    "log_successive_ratio_batch": lambda t: sp.log_successive_ratio_batch(
         tm.pareto(1.0), t, 2, 3, 200, 4),
-    "pivot_ratio_with_scales_batch": lambda t: sp.pivot_ratio_with_scales_batch(
+    "log_pivot_ratio_with_scales_batch": lambda t: sp.log_pivot_ratio_with_scales_batch(
         tm.pareto(1.0), t, 2, 3, 200, 4),
-    "ordered_log_points_batch": lambda t: sp.ordered_log_points_batch(
-        tm.pareto(1.0), t, 5, 200, 4),
     "time_scale_batch": lambda t: sp.time_scale_batch(tm.pareto(1.0), t, 5, 200, 4),
 }
 

@@ -183,6 +183,32 @@ def test_pareto_one_line_sweeps_do_not_depend_on_alpha(target):
     assert np.max(np.abs(np.subtract(*paths))) <= 1e-12
 
 
+def test_pareto_successive_ratios_sweep_does_not_depend_on_alpha():
+    # R_k**alpha of pareto(alpha) is an alpha-free ratio of Gamma arrivals,
+    # and the sweep scores exp(alpha * log R_k), so at alpha = 0.001 (about
+    # 47% of R_1 and 23% of R_2 underflow to 0) every coordinate's KS path
+    # is alpha = 1's
+    paths = []
+    for alpha in (0.001, 1.0):
+        rep = vf.convergence_sweep(tm.pareto(alpha), 1, 2, [1e-1, 1e-3], 10_000,
+                                   vf.SUCCESSIVE_RATIOS, seed=3)
+        assert rep.passed
+        paths.append([rec["ks_per_coordinate"] for rec in rep.statistics])
+    assert np.max(np.abs(np.subtract(*paths))) <= 1e-12
+
+
+def test_pareto_independence_does_not_depend_on_alpha():
+    # as for the sweep: the PIT takes exp(alpha * log R_k), so at alpha =
+    # 0.001 every pair's chi-square and every marginal KS is alpha = 1's
+    reports = [vf.independence_check(tm.pareto(alpha), 0.1, 1, 3, 20_000, seed=3)
+               for alpha in (0.001, 1.0)]
+    assert all(rep.passed for rep in reports)
+    chi2 = [[rec["chi2"] for rec in rep.statistics] for rep in reports]
+    assert np.max(np.abs(np.subtract(*chi2))) <= 1e-9
+    ks = [rep.details["marginal_pit_ks"] for rep in reports]
+    assert np.max(np.abs(np.subtract(*ks))) <= 1e-12
+
+
 def test_sweep_null_calibration_across_seeds():
     # exact target: exceedances of the 1% critical value at the nominal rate
     exceed = 0
@@ -369,6 +395,29 @@ def test_z_insensitivity_pareto():
     assert rep.passed
     assert len(rep.statistics) == 4
     assert rep.details["ks_spread"] < rep.threshold
+
+
+@pytest.mark.parametrize("check", [
+    vf.z_insensitivity_check,
+    lambda model, t, r, n, trials, seed: vf.conditional_gamma_check(model, t, r, n, 0.5, 0.1,
+                                                                    trials, seed=seed),
+    vf.independence_check,
+], ids=["z_insensitivity", "conditional_gamma", "independence"])
+def test_dense_checks_draw_each_counter_once(monkeypatch, check):
+    # each check takes all it scores (log W with Z or A, or every log R_k)
+    # from one draw of the r + n arrivals of each trial
+    drawn = []
+    real = sp.uniforms_at
+
+    def counting(*args):
+        u = real(*args)
+        drawn.append(u.size)
+        return u
+
+    monkeypatch.setattr(sp, "uniforms_at", counting)
+    r, n, trials = 2, 3, 20_000
+    check(tm.pareto(1.0), 1e-2, r, n, trials, seed=10)
+    assert sum(drawn) == trials * (r + n)
 
 
 def test_conditional_gamma_pareto():
