@@ -39,7 +39,6 @@ from .samplers import (
 from .limit_laws import (
     LaplaceProbe,
     conditional_gamma_cdf,
-    incomplete_beta,
     j_law,
     k_orderstat_cdf,
     l_law,
@@ -78,7 +77,7 @@ __all__ = [
     "sample_gamma_arrivals", "sample_negbin_process", "sample_ordered_points",
     "sample_ratio_configuration",
     "LaplaceProbe", "conditional_gamma_cdf",
-    "incomplete_beta", "j_law", "k_orderstat_cdf", "l_law",
+    "j_law", "k_orderstat_cdf", "l_law",
     "limit_laplace_full", "nb_count_pmf", "nb_laplace", "phi_conditional",
     "ratio_tail_n1", "successive_ratio_cdf", "time_scale_cdf", "w_cdf", "w_law",
     "ClassificationError", "EmpiricalDistribution", "TailClassification",

@@ -91,17 +91,6 @@ def _quad(fn, lo, hi, breakpoints=None) -> float:
     return value
 
 
-def incomplete_beta(a: float, b: float, x):
-    """Regularized incomplete beta B(a, b; x) for a, b > 0 and x in [0, 1]."""
-    if not (a > 0 and b > 0):
-        raise ValueError("incomplete beta requires a > 0 and b > 0")
-    arr = np.asarray(x, dtype=float)
-    if np.any((arr < 0) | (arr > 1)):
-        raise ValueError("incomplete beta argument must lie in [0, 1]")
-    out = betainc(a, b, arr)
-    return float(out) if out.ndim == 0 else out
-
-
 def _check_pivot(r: int, n: int, alpha: float) -> None:
     """The pivot-ratio parameters: integral r >= 1 deleted points, rank n >= 1, alpha > 0."""
     try:

@@ -41,15 +41,13 @@ of arrivals, a round's slab or a dense sampler's, is drawn line-major by
 sum is a loop of whole-line adds in the same order as ``np.cumsum`` along a
 row, and every arrival keeps its bits.  Single-trial and batch forms share
 
-* one cap rule: ``cap >= 1`` before any draw; then, drawing the count
-  first, :class:`TruncationError` for a count above ``cap`` (``mu = inf``
-  among them) before any point is placed, or, walking, before the round
-  once ``cap`` arrivals past the head have been drawn (rounds end 4, 12,
-  28, 60, 124, 188, ... arrivals past the head), and
-* one cursor rule: a single-trial draw leaves its stream's cursor just after
-  the last counter it consumed -- the head, the count's counter and one
-  per point (``r + n + 1 + count`` or ``n + 1 + count``), or for
-  ``limit_ratios`` the crossing arrival (``n + count + 1``).
+* one cap rule: ``cap >= 1`` before any draw, then :class:`TruncationError`
+  for a count above ``cap`` (``mu = inf`` among them): before any point is
+  placed where the count is drawn first, within one round past ``cap``
+  where it is walked, and
+* one cursor rule: a single-trial draw leaves its stream's cursor after the
+  head, one counter for the count (for ``limit_ratios``, the crossing
+  arrival) and one per point: ``r + n + 1 + count`` or ``n + 1 + count``.
 
 Batch samplers run in blocks of ``_ROW_BLOCK`` rows (2^14) on ``threads``
 worker threads; ``threads=None`` (the default) uses the CPUs the process
@@ -145,13 +143,17 @@ class NBSample:
     method: str
 
 
-def _validate_ratio_args(t: float, r: int, n: int, epsilon: float, cap: int):
-    if r < 0 or n < 1:
-        raise ValueError("require r >= 0 and n >= 1")
+def _validate_epsilon_cap(epsilon: float, cap: int):
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie strictly inside (0, 1)")
     if cap < 1:  # cap counts arrivals past the head
         raise ValueError("cap must be at least 1")
+
+
+def _validate_ratio_args(t: float, r: int, n: int, epsilon: float, cap: int):
+    if r < 0 or n < 1:
+        raise ValueError("require r >= 0 and n >= 1")
+    _validate_epsilon_cap(epsilon, cap)
     if not t > 0:
         raise ValueError("t must be positive")
 
@@ -161,8 +163,7 @@ def _validate_nb_args(n: int, alpha: float, epsilon: float, method: str, cap: in
         raise ValueError("n must be >= 1")
     if not 0 < alpha < math.inf:  # alpha = inf puts every point at 1: no finite count
         raise ValueError("alpha must be positive and finite")
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError("epsilon must lie strictly inside (0, 1)")
+    _validate_epsilon_cap(epsilon, cap)
     try:
         epsilon**-alpha  # the points' scale, computed as the samplers do
     except OverflowError:
@@ -170,8 +171,6 @@ def _validate_nb_args(n: int, alpha: float, epsilon: float, method: str, cap: in
                          f"alpha={alpha!r}") from None
     if method not in NB_METHODS:
         raise ValueError(f"unknown sampler method: {method!r}")
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +237,7 @@ def _log_lines(model, t, g, lines):
 
 
 def _extend(master_seed, streams, start, bound, cap, on_round=None):
-    """Extend each row's arrivals until the first one at or above ``bound[row]``.
+    """Each row's count of arrivals below ``bound[row]``, walked from counter ``start``.
 
     Row ``i`` reads stream ``streams[i]`` from counter ``start`` on, its
     arrivals counted from 0 at that counter.  Each round draws the next
@@ -249,22 +248,15 @@ def _extend(master_seed, streams, start, bound, cap, on_round=None):
     arrivals below their row's bound are kept, a prefix of each column,
     and ``on_round(rows, arr, kept)`` sees every slab's arrivals and mask.
     A row's draws, sums and hook calls do not depend on the slab it falls
-    in; the cap rule is checked once per round and the survivors keep
-    their order.  Returns the per-row kept counts and the counter just
-    after each row's crossing arrival.
+    in.  An active row has kept every arrival it drew, so the walk stops
+    once those exceed ``cap``, and the counts go through :func:`_capped`.
     """
     counts = np.zeros(streams.size, dtype=np.int64)
-    finish = np.empty(streams.size, dtype=np.int64)
     last = np.zeros(streams.size)
     act = np.arange(streams.size)
     offset = start
     widths = _round_widths()
-    while act.size:
-        if offset - start >= cap:
-            raise TruncationError(
-                f"cap={cap} arrivals drawn before the epsilon crossing in "
-                f"{act.size} of {streams.size} rows (epsilon or cap too small)"
-            )
+    while act.size and offset - start <= cap:
         width = next(widths)
         live = np.empty(act.size, dtype=bool)
         for lo, rows in _slabs(act, width):
@@ -275,14 +267,12 @@ def _extend(master_seed, streams, start, bound, cap, on_round=None):
                 on_round(rows, arr, kept)
             k = np.count_nonzero(kept, axis=0)
             counts[rows] += k
-            done = k < width
-            finish[rows[done]] = offset + k[done] + 1
             last[rows] = arr[-1]
-            live[lo:lo + rows.size] = ~done
+            live[lo:lo + rows.size] = k == width
             del arr, kept  # freed before the next slab is drawn
         act = act[live]
         offset += width
-    return counts, finish
+    return _capped(counts, cap)
 
 
 def _poisson_quantile(mu, u):
@@ -432,15 +422,19 @@ def _draw_counts(master_seed, streams, counter, mu, cap):
     Raises :class:`TruncationError` if any count exceeds ``cap`` (``mu =
     inf`` among them), before a caller places a point.
     """
-    counts = _poisson_quantile(mu, uniforms_at(master_seed, streams, counter))
+    return _capped(_poisson_quantile(mu, uniforms_at(master_seed, streams, counter)), cap)
+
+
+def _capped(counts, cap):
+    """``counts`` as int64; :class:`TruncationError` if any exceeds ``cap`` (or is inf)."""
     # finite counts stay below 2**53, so a larger cap lets them all through
     over = np.count_nonzero(~(counts <= min(cap, 2**53)))
     if over:
         raise TruncationError(
             f"more than cap={cap} arrivals before the epsilon crossing in {over} of "
-            f"{streams.size} rows (epsilon or cap too small)"
+            f"{counts.size} rows (epsilon or cap too small)"
         )
-    return counts.astype(np.int64)
+    return counts.astype(np.int64, copy=False)
 
 
 def _ratio_head(model, t, r, n, master_seed, streams, start):
@@ -474,9 +468,8 @@ def _negbin_rows(n, alpha, epsilon, method, master_seed, streams, start, cap,
                  on_points=None):
     """Counts of the limiting process on (epsilon, 1), each row read from ``start`` on.
 
-    Returns the counts and the counter just after the last one each row
-    consumes.  ``on_points(rows, x, mask)`` receives the points in chunks;
-    without it no ``mixed_poisson`` point is placed.
+    ``on_points(rows, x, mask)`` receives the points in chunks; without it
+    no ``mixed_poisson`` point is placed.
     """
     inv_alpha = 1.0 / alpha
     ea = epsilon**-alpha
@@ -501,7 +494,6 @@ def _negbin_rows(n, alpha, epsilon, method, master_seed, streams, start, cap,
     # slabs as in the engine, so a row's chunks, and with them its probe
     # sum, do not depend on the other rows of its block.
     counts = _draw_counts(master_seed, streams, start + n, g * (ea - 1.0), cap)
-    first = start + n + 1
     if on_points is not None:
         max_count = int(counts.max())
         col = 0
@@ -511,11 +503,11 @@ def _negbin_rows(n, alpha, epsilon, method, master_seed, streams, start, cap,
             cols = col + np.arange(width)
             for _, idx in _slabs(np.flatnonzero(counts > col), width):
                 mask = cols < counts[idx, None]
-                u = uniforms_at(master_seed, streams[idx, None], first + cols)
+                u = uniforms_at(master_seed, streams[idx, None], start + n + 1 + cols)
                 u[~mask] = 1.0
                 on_points(idx, (ea - u * (ea - 1.0)) ** -inv_alpha, mask)
             col += width
-    return counts, first + counts
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -601,9 +593,9 @@ def sample_negbin_process(
     def collect(rows, x, mask):
         points.append(x[0, mask[0]])
 
-    _, after = _negbin_rows(n, alpha, epsilon, method, rng.master_seed,
-                            np.array([rng.stream_index]), rng.cursor, cap, collect)
-    rng.cursor = int(after[0])
+    counts = _negbin_rows(n, alpha, epsilon, method, rng.master_seed,
+                          np.array([rng.stream_index]), rng.cursor, cap, collect)
+    rng.cursor += n + 1 + int(counts[0])
     pts = np.concatenate(points) if points else np.empty(0)
     return NBSample(n=n, alpha=alpha, points=pts, epsilon=epsilon, method=method)
 
@@ -929,15 +921,12 @@ def negbin_batch(
     def block(offset: int, rows: int):
         streams = _block_streams(stream_start + offset, rows)
         if probe is None:
-            counts, _ = _negbin_rows(n, alpha, epsilon, method, master_seed, streams, 0, cap)
-            return counts, None
+            return _negbin_rows(n, alpha, epsilon, method, master_seed, streams, 0, cap), None
         sums = np.zeros(rows)
 
         def reduce(idx, x, mask):
             sums[idx] += np.sum(np.where(mask, probe(x), 0.0), axis=1)
 
-        counts, _ = _negbin_rows(n, alpha, epsilon, method, master_seed, streams, 0, cap,
-                                 reduce)
-        return counts, sums
+        return _negbin_rows(n, alpha, epsilon, method, master_seed, streams, 0, cap, reduce), sums
 
     return _map_row_blocks(block, n_trials, threads, stream_start)

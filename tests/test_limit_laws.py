@@ -10,17 +10,6 @@ from ppratios.rng import uniform_grid
 from ppratios.verify import EmpiricalDistribution, ks_distance, two_sample_ks
 
 
-# --- incomplete beta -------------------------------------------------------
-
-
-def test_incomplete_beta_examples():
-    x = np.linspace(0, 1, 11)
-    assert np.allclose(ll.incomplete_beta(1, 1, x), x)
-    assert ll.incomplete_beta(1, 2, 0.5) == pytest.approx(0.75)  # 2*int_0^.5 (1-y) dy
-    assert ll.incomplete_beta(2.5, 3.5, 0.0) == 0.0
-    assert ll.incomplete_beta(2.5, 3.5, 1.0) == 1.0
-
-
 # --- pivot ratio law -------------------------------------------------------
 
 
@@ -58,6 +47,8 @@ def test_w_cdf_is_w_law_cdf_on_the_closed_support(alpha, r, n):
 _KERNEL_X = np.concatenate([np.random.default_rng(24).random(2000), np.logspace(-300, 0, 301),
                             1.0 - np.logspace(-17, -1, 161), [0.0, 1.0]])
 _KERNEL_RN = (1, 2, 3, 5, 8, 13, 40, 100)
+_CLOSED_FORMS = {(1, 1): lambda x: x, (1, 2): lambda x: 1 - (1 - x) ** 2,
+                 (2, 1): lambda x: x**2}
 
 
 @pytest.mark.parametrize("r", _KERNEL_RN)
@@ -71,6 +62,8 @@ def test_w_cdf_binomial_sum_matches_betainc(r):
         assert np.max(np.abs(got - ref)) <= 2e-14, (r, n)
         big = ref >= 1e-280
         assert np.max(np.abs(got[big] - ref[big]) / ref[big]) <= 2e-13, (r, n)
+        if (r, n) in _CLOSED_FORMS:
+            assert np.allclose(got, _CLOSED_FORMS[r, n](_KERNEL_X), rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("r,n,x,expected", [

@@ -543,10 +543,10 @@ def test_batch_rejects_nonpositive_trials(n_trials):
 
 
 def test_single_and_batch_share_the_cap_rule():
-    # a count-first row whose count is c truncates under cap=c-1 and completes
-    # under cap=c, in both forms; the limit_ratios walk truncates a row
-    # crossing in the round after the boundary b (the arrivals past the head
-    # that the first four rounds draw) under cap=b and completes under cap=b+1
+    # a row whose count is c truncates under cap=c-1 and completes under
+    # cap=c, in both forms and for every open-ended sampler; the walked
+    # limit_ratios count lies strictly inside a round, so a rule checked only
+    # at round boundaries would let it through under cap=c-1
     model, t, eps = tm.pareto(1.0), 1.0, 0.01
     _, _, counts = sp.ratio_configuration_batch(model, t, 0, 1, eps, 50, 5)
     i = int(np.argmax(counts))
@@ -558,22 +558,28 @@ def test_single_and_batch_share_the_cap_rule():
     cfg = sp.sample_ratio_configuration(model, t, 0, 1, eps, RngStream(5, i), cap=c)
     _, _, one = sp.ratio_configuration_batch(model, t, 0, 1, eps, 1, 5, stream_start=i, cap=c)
     assert cfg.below.size == one[0] == c
-    b, b_next = np.cumsum(list(itertools.islice(sp._round_widths(), 5)))[3:]
+    ends = np.cumsum(list(itertools.islice(sp._round_widths(), 8)))
     for method in sp.NB_METHODS:
         c, _ = sp.negbin_batch(1, 1.0, 1 / 101, method, 50, 5)
-        if method == sp.LIMIT_RATIOS:
-            i = int(np.flatnonzero((c >= b) & (c < b_next))[0])
-            lo, hi = b, b + 1
-        else:
-            i = int(np.argmax(c))
-            lo, hi = c[i] - 1, c[i]
+        i = int(np.flatnonzero(c == 98)[0]) if method == sp.LIMIT_RATIOS else int(np.argmax(c))
+        assert c[i] - 1 not in ends
+        rng = RngStream(5, i)
+        with pytest.raises(sp.TruncationError, match=rf"^more than cap={c[i] - 1} arrivals "
+                           r"before the epsilon crossing in 1 of 1 rows"):
+            sp.sample_negbin_process(1, 1.0, 1 / 101, method, rng, cap=c[i] - 1)
+        assert rng.cursor == 0
         with pytest.raises(sp.TruncationError):
-            sp.sample_negbin_process(1, 1.0, 1 / 101, method, RngStream(5, i), cap=lo)
-        with pytest.raises(sp.TruncationError):
-            sp.negbin_batch(1, 1.0, 1 / 101, method, 1, 5, stream_start=i, cap=lo)
-        single = sp.sample_negbin_process(1, 1.0, 1 / 101, method, RngStream(5, i), cap=hi)
-        one, _ = sp.negbin_batch(1, 1.0, 1 / 101, method, 1, 5, stream_start=i, cap=hi)
+            sp.negbin_batch(1, 1.0, 1 / 101, method, 1, 5, stream_start=i, cap=c[i] - 1)
+        single = sp.sample_negbin_process(1, 1.0, 1 / 101, method, rng, cap=c[i])
+        one, _ = sp.negbin_batch(1, 1.0, 1 / 101, method, 1, 5, stream_start=i, cap=c[i])
         assert single.points.size == one[0] == c[i]
+        assert rng.cursor == 1 + 1 + c[i]
+        # a batch counts exactly the rows whose count exceeds the cap
+        over = np.count_nonzero(c > 100)
+        with pytest.raises(sp.TruncationError, match=r"^more than cap=100 arrivals before "
+                           rf"the epsilon crossing in {over} of 50 rows \(epsilon or cap "
+                           r"too small\)$"):
+            sp.negbin_batch(1, 1.0, 1 / 101, method, 50, 5, cap=100)
 
 
 def test_round_schedule_doubles_to_the_widest_round():
@@ -582,26 +588,33 @@ def test_round_schedule_doubles_to_the_widest_round():
     assert np.cumsum(widths)[:6].tolist() == [4, 12, 28, 60, 124, 188]
 
 
+def _past_cap(counts, cap):
+    """``counts``, or the cap rule's ``TruncationError`` naming the rows past ``cap``."""
+    over = np.count_nonzero(counts > cap)
+    if over:
+        raise sp.TruncationError(
+            f"more than cap={cap} arrivals before the epsilon crossing in {over} of "
+            f"{counts.size} rows (epsilon or cap too small)"
+        )
+    return counts
+
+
 def _row_major_extend(master_seed, streams, start, bound, cap, on_round=None, last=None):
     """The engine's round in its earlier row-major order, kept as a reference.
 
     Each round draws an ``(active rows, width)`` array and sums it with
     ``np.cumsum(axis=1)``, continuing from the arrivals ``last`` (0 when
     None, as the engine counts them).  The hook takes the engine's
-    round-major layout, so it sees the transposes.
+    round-major layout, so it sees the transposes.  Rows still active once
+    their arrivals exceed ``cap`` stop, and the counts go through the cap
+    rule.
     """
     counts = np.zeros(streams.size, dtype=np.int64)
-    finish = np.empty(streams.size, dtype=np.int64)
     last = np.zeros(streams.size) if last is None else np.array(last, dtype=float)
     act = np.arange(streams.size)
     offset = start
     widths = sp._round_widths()
-    while act.size:
-        if offset - start >= cap:
-            raise sp.TruncationError(
-                f"cap={cap} arrivals drawn before the epsilon crossing in "
-                f"{act.size} of {streams.size} rows (epsilon or cap too small)"
-            )
+    while act.size and offset - start <= cap:
         width = next(widths)
         u = sp.uniforms_at(master_seed, streams[act, None], offset + np.arange(width))
         arr = last[act, None] + np.cumsum(-np.log(u), axis=1)
@@ -610,28 +623,29 @@ def _row_major_extend(master_seed, streams, start, bound, cap, on_round=None, la
             on_round(act, arr.T, kept)
         k = kept.T.sum(axis=1)
         counts[act] += k
-        done = k < width
-        finish[act[done]] = offset + k[done] + 1
         last[act] = arr[:, -1]
-        act = act[~done]
+        act = act[k == width]
         offset += width
-    return counts, finish
+    return _past_cap(counts, cap)
 
 
 def _engine_outputs():
     """Every kind of output the engine feeds, all from ``limit_ratios``: counts,
-    finish counters, float probe sums, single-trial points and cursors."""
+    float probe sums, single-trial points and cursors, and a truncation message."""
     from ppratios.limit_laws import LINEAR_RAMP, LaplaceProbe
 
     probe = LaplaceProbe(0.9, 0.1, 0.8, LINEAR_RAMP)
     rows = 3_000
     out = []
     out += sp.negbin_batch(2, 1.0, 0.05, sp.LIMIT_RATIOS, rows, 61, probe=probe)
-    out += sp._negbin_rows(2, 1.0, 0.05, sp.LIMIT_RATIOS, 61, np.arange(rows), 0, 10**6)
+    out.append(sp._negbin_rows(2, 1.0, 0.05, sp.LIMIT_RATIOS, 61, np.arange(rows), 0, 10**6))
     for i in (0, 1_500, rows - 1):
         rng = RngStream(61, i)
         out += [sp.sample_negbin_process(2, 1.0, 0.05, sp.LIMIT_RATIOS, rng).points,
                 rng.cursor]
+    with pytest.raises(sp.TruncationError) as err:
+        sp.negbin_batch(2, 1.0, 0.05, sp.LIMIT_RATIOS, rows, 61, cap=70)
+    out.append(str(err.value))
     return out
 
 
@@ -653,8 +667,7 @@ def _walk_configurations(model, t, r, n, epsilon, master_seed, streams, cap):
     The walk keeps each arrival below the row's bound ``t * tail(epsilon *
     X_p)`` (:func:`_row_major_extend` from the pivot arrival), the way the
     samplers counted before they drew the count by inversion.  Returns the
-    above ratios, w_rn, the counts, the counter after each row's crossing
-    arrival and each row's below ratios.
+    above ratios, w_rn, the counts and each row's below ratios.
     """
     last, pivot, above, w = sp._ratio_head(model, t, r, n, master_seed, streams, 0)
     below = [[] for _ in streams]
@@ -664,10 +677,10 @@ def _walk_configurations(model, t, r, n, epsilon, master_seed, streams, cap):
         for j, row in enumerate(rows):
             below[row].append(np.exp(log_ratios[j, kept[:, j]]))
 
-    counts, finish = _row_major_extend(master_seed, streams, r + n,
-                                       sp._ratio_bound(model, t, epsilon, pivot), cap,
-                                       collect, last=last)
-    return above, w, counts, finish, [np.concatenate(b) for b in below]
+    counts = _row_major_extend(master_seed, streams, r + n,
+                               sp._ratio_bound(model, t, epsilon, pivot), cap, collect,
+                               last=last)
+    return above, w, counts, [np.concatenate(b) for b in below]
 
 
 def _point_space_configurations(model, t, r, n, epsilon, master_seed, streams, cap):
@@ -676,22 +689,16 @@ def _point_space_configurations(model, t, r, n, epsilon, master_seed, streams, c
     Each round inverts every arrival it draws and keeps the log ratios to
     the pivot above ``log(epsilon)``, with the engine's round schedule and
     cap rule, row-major.  Returns what :func:`_walk_configurations` does; on
-    truncation the ``TruncationError`` carries the walk's message.
+    truncation the ``TruncationError`` carries the cap rule's message.
     """
     last, pivot, above, w = sp._ratio_head(model, t, r, n, master_seed, streams, 0)
     log_eps = math.log(epsilon)
     counts = np.zeros(streams.size, dtype=np.int64)
-    finish = np.empty(streams.size, dtype=np.int64)
     below = [[] for _ in streams]
     act = np.arange(streams.size)
     offset = r + n
     widths = sp._round_widths()
-    while act.size:
-        if offset - r - n >= cap:
-            raise sp.TruncationError(
-                f"cap={cap} arrivals drawn before the epsilon crossing in "
-                f"{act.size} of {streams.size} rows (epsilon or cap too small)"
-            )
+    while act.size and offset - r - n <= cap:
         width = next(widths)
         u = sp.uniforms_at(master_seed, streams[act, None], offset + np.arange(width))
         arr = last[act, None] + np.cumsum(-np.log(u), axis=1)
@@ -701,12 +708,10 @@ def _point_space_configurations(model, t, r, n, epsilon, master_seed, streams, c
             below[row].append(np.exp(log_ratios[i, kept[i]]))
         k = kept.sum(axis=1)
         counts[act] += k
-        done = k < width
-        finish[act[done]] = offset + k[done] + 1
         last[act] = arr[:, -1]
-        act = act[~done]
+        act = act[k == width]
         offset += width
-    return above, w, counts, finish, [np.concatenate(b) for b in below]
+    return above, w, _past_cap(counts, cap), [np.concatenate(b) for b in below]
 
 
 def _compare_with_point_space(model, t, r, n, epsilon, rows, cap) -> bool:
@@ -726,8 +731,8 @@ def _compare_with_point_space(model, t, r, n, epsilon, rows, cap) -> bool:
         truncated, picks = True, (0, rows - 1)
     else:
         walk = _walk_configurations(model, t, r, n, epsilon, seed, streams, cap)
-        _assert_same_columns(ref[:4], walk[:4], (model, t))
-        assert all(_same_bytes(a, b) for a, b in zip(ref[4], walk[4]))
+        _assert_same_columns(ref[:3], walk[:3], (model, t))
+        assert all(_same_bytes(a, b) for a, b in zip(ref[3], walk[3]))
         truncated, picks = False, (0, 1, rows // 2, rows - 1, int(np.argmax(ref[2])))
         above, w, _ = sp.ratio_configuration_batch(model, t, r, n, epsilon, rows, seed,
                                                    cap=10**15)
@@ -741,8 +746,8 @@ def _compare_with_point_space(model, t, r, n, epsilon, rows, cap) -> bool:
             assert str(got.value) == str(err)
             continue
         walk = _walk_configurations(model, t, r, n, epsilon, seed, np.array([i]), cap)
-        _assert_same_columns(ref[:4], walk[:4], (model, t, i))
-        assert _same_bytes(ref[4][0], walk[4][0])
+        _assert_same_columns(ref[:3], walk[:3], (model, t, i))
+        assert _same_bytes(ref[3][0], walk[3][0])
     return truncated
 
 
@@ -755,8 +760,8 @@ _FAMILIES = [tm.pareto(1.3), tm.pareto_log(1.0, 1.5), tm.pareto_log(2.0, -0.5),
                          ids=lambda m: f"{m.kind}-{m.beta}" if m.beta is not None else m.kind)
 def test_arrival_bound_walk_matches_the_point_space_reference(model, t):
     # a later point's ratio to the pivot X_p exceeds epsilon exactly when its
-    # arrival lies below t * tail(epsilon * X_p) (the samplers' bound): counts,
-    # cursors and every point of the two walks agree, bit for bit
+    # arrival lies below t * tail(epsilon * X_p) (the samplers' bound): counts
+    # and every point of the two walks agree, bit for bit
     epsilon = 0.9 if model.kind == tm.RAPID_ZERO else 0.3  # rapid_zero: short rows
     # slow_zero's above ratios exp((gamma_p - gamma_k) / t) overflow at small t
     r, n = (2, 1) if model.kind == tm.SLOW_ZERO else (1, 2)
@@ -774,7 +779,7 @@ def test_arrival_bound_walk_matches_the_point_space_reference_deep(model, t):
 
 @pytest.mark.parametrize("model,t,epsilon,cap", [(tm.rapid_zero(), 0.3, 0.2, 100),
                                                  (tm.rapid_zero(), 0.5, 1e-3, 100),
-                                                 (tm.pareto(1.0), 1.0, 0.3, 12),
+                                                 (tm.pareto(1.0), 1.0, 0.3, 11),
                                                  (tm.pareto(1.0), 1.0, 0.3, 28)],
                          ids=["rapid_zero", "rapid_zero_inf_bound", "pareto_226_of_500",
                               "pareto_3_of_500"])
@@ -884,7 +889,7 @@ def _ratio_counts(model, t, r, n, epsilon, rows, seed):
     streams = np.arange(rows)
     last, pivot, _, _ = sp._ratio_head(model, t, r, n, seed, streams, 0)
     mu = sp._ratio_bound(model, t, epsilon, pivot) - last
-    walked, _ = sp._extend(seed, streams, r + n, mu, 10**9)
+    walked = sp._extend(seed, streams, r + n, mu, 10**9)
     _, _, drawn = sp.ratio_configuration_batch(model, t, r, n, epsilon, rows, seed, cap=10**9)
     return walked, drawn, mu
 
@@ -892,8 +897,8 @@ def _ratio_counts(model, t, r, n, epsilon, rows, seed):
 def _mixed_poisson_counts(n, alpha, epsilon, rows, seed):
     streams = np.arange(rows)
     mu = sp._arrivals(seed, streams, 0, n)[-1] * (epsilon**-alpha - 1.0)
-    walked, _ = sp._negbin_rows(n, alpha, epsilon, sp.LIMIT_RATIOS, seed, streams, 0, 10**9)
-    drawn, _ = sp._negbin_rows(n, alpha, epsilon, sp.MIXED_POISSON, seed, streams, 0, 10**9)
+    walked = sp._negbin_rows(n, alpha, epsilon, sp.LIMIT_RATIOS, seed, streams, 0, 10**9)
+    drawn = sp._negbin_rows(n, alpha, epsilon, sp.MIXED_POISSON, seed, streams, 0, 10**9)
     return walked, drawn, mu
 
 

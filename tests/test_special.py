@@ -1,9 +1,9 @@
 """Special functions ppratios takes from scipy, checked where the package uses them.
 
-The incomplete beta is reached through the guarded entry point
-``limit_laws.incomplete_beta`` and the chi-square survival function through
-the guarded ``verify._chi2_sf``; the incomplete gamma CDFs of the gates and
-the log-beta normalisation of the pivot law are checked against closed forms.
+The chi-square survival function is reached through the guarded
+``verify._chi2_sf``; the incomplete gamma CDFs of the gates and the log-beta
+normalisation of the pivot law are checked against closed forms.  The
+incomplete beta is checked through ``limit_laws.w_cdf`` in test_limit_laws.py.
 """
 
 import math
@@ -14,37 +14,6 @@ import scipy.special as ss
 
 from ppratios import limit_laws as ll
 from ppratios import verify as vf
-
-
-@pytest.mark.parametrize("a,b", [(1, 1), (1, 2), (2, 3), (0.5, 0.5), (2.3, 4.7), (7, 1), (10, 10)])
-def test_betainc_matches_scipy(a, b):
-    # the guards pass scipy's values through unchanged, endpoints included
-    x = np.linspace(0.0, 1.0, 501)
-    assert np.allclose(ll.incomplete_beta(a, b, x), ss.betainc(a, b, x), atol=5e-14)
-
-
-def test_betainc_edges_and_uniform():
-    assert ll.incomplete_beta(2.0, 3.0, 0.0) == 0.0
-    assert ll.incomplete_beta(2.0, 3.0, 1.0) == 1.0
-    assert isinstance(ll.incomplete_beta(2.0, 3.0, 0.5), float)
-    x = np.linspace(0, 1, 21)
-    assert np.allclose(ll.incomplete_beta(1.0, 1.0, x), x, atol=1e-14)
-
-
-def test_betainc_quadrature_oracle():
-    # direct closed forms at small integer parameters
-    x = np.linspace(0.01, 0.99, 99)
-    # a=1, b=2: cdf = 1 - (1-x)^2
-    assert np.allclose(ll.incomplete_beta(1, 2, x), 1 - (1 - x) ** 2, atol=1e-14)
-    # a=2, b=1: cdf = x^2
-    assert np.allclose(ll.incomplete_beta(2, 1, x), x**2, atol=1e-14)
-
-
-def test_betainc_domain():
-    with pytest.raises(ValueError):
-        ll.incomplete_beta(0.0, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        ll.incomplete_beta(1.0, 1.0, 1.5)
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 3.5, 7.0, 25.0])
