@@ -27,7 +27,6 @@ from .tail_models import (
     slow_zero,
 )
 from .samplers import (
-    NBSample,
     OrderedSample,
     RatioConfiguration,
     TruncationError,
@@ -73,7 +72,7 @@ __all__ = [
     "InversionError", "TailModel",
     "eval_inverse_tail", "eval_tail", "pareto", "pareto_log",
     "pareto_perturbed", "rapid_zero", "rv_limit_table", "slow_zero",
-    "NBSample", "OrderedSample", "RatioConfiguration", "TruncationError",
+    "OrderedSample", "RatioConfiguration", "TruncationError",
     "sample_gamma_arrivals", "sample_negbin_process", "sample_ordered_points",
     "sample_ratio_configuration",
     "LaplaceProbe", "conditional_gamma_cdf",

@@ -352,7 +352,7 @@ def nb_laplace(n: int, alpha: float, f: LaplaceProbe) -> float:
         return 0.0  # the ramp decays too slowly to tame the x**(-alpha-1) pole
     else:
         deficit = _quad(lambda x: -math.expm1(-lam * x) * alpha * x ** (-alpha - 1.0), lo, hi)
-    return 0.0 if math.isinf(deficit) else (1.0 + deficit) ** (-n)
+    return (1.0 + deficit) ** (-n)
 
 
 def _upper_factor(r: int, n: int, alpha: float, f: LaplaceProbe) -> float:
@@ -391,9 +391,7 @@ def limit_laplace_full(r: int, n: int, alpha: float, f: LaplaceProbe) -> float:
         first = _above_one(alpha, f, 1.0, math.inf) ** (n - 1)
     else:
         first = _upper_factor(r, n, alpha, f)
-    f_at_one = f(1.0)
-    point = 0.0 if math.isinf(f_at_one) else math.exp(-f_at_one)
-    return first * point * nb_laplace(r + n, alpha, f)
+    return first * math.exp(-f(1.0)) * nb_laplace(r + n, alpha, f)
 
 
 def phi_conditional(lam: float, u: float, alpha: float) -> float:

@@ -28,8 +28,10 @@ import numpy as np
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _STREAM_SALT = np.uint64(0xD1B54A32D192ED03)
 
-# Uniforms are midpoints of 2^53 equal bins, so they lie strictly inside (0, 1)
-# and -log(u) is always finite and positive.
+# Uniforms are (w + 0.5) * 2^-53 for a 53-bit word w: the midpoints of 2^53
+# equal bins below 1/2; above it w + 0.5 rounds to an even integer, and the
+# top word would give exactly 1.0, so every value is clamped to 1 - 2^-53.
+# They lie strictly inside (0, 1), and -log(u) is always finite and positive.
 _INV_2_53 = float(2.0**-53)
 
 
@@ -79,8 +81,9 @@ def uniforms_at(master_seed: int, streams, counters) -> np.ndarray:
         words = _mix64(np.asarray(bases + ctr * _GOLDEN))
     np.right_shift(words, np.uint64(11), out=words)
     out = words.view(np.float64)
-    np.add(words, 0.5, out=out)  # exact: the 53-bit words convert exactly
+    np.add(words, 0.5, out=out)  # the words convert exactly; w + 0.5 rounds past 2^52
     np.multiply(out, _INV_2_53, out=out)
+    np.minimum(out, 1.0 - _INV_2_53, out=out)  # only w = 2^53 - 1 moves, from 1.0
     return out[()]
 
 

@@ -5,7 +5,11 @@ point of the intensity-``t * tail`` Poisson process equals
 ``inverse_tail(gamma_i / t)`` where ``gamma_1 < gamma_2 < ...`` are unit-rate
 Poisson arrivals.  Each trial owns one counter-based stream, and row ``i``
 of every batch sampler replays stream ``stream_start + i``, so it is
-bit-identical to the single-trial form run on that stream.
+bit-identical to the single-trial form run on that stream.  A single-trial
+sampler returns only what it drew, never its arguments: the arrivals and
+points (:class:`OrderedSample`), the above and below ratios and the pivot
+ratio (:class:`RatioConfiguration`), or the limit process's points as an
+array.
 
 The open-ended samplers (ratio configurations and both constructions of the
 negative binomial limit process) count the unit-rate arrivals below a
@@ -110,10 +114,8 @@ class TruncationError(RuntimeError):
 class OrderedSample:
     """One realization of the largest points of the process at time t."""
 
-    t: float
     gammas: np.ndarray  # increasing unit-rate Poisson arrivals
     points: np.ndarray  # non-increasing ordered points
-    count: int
 
 
 @dataclass
@@ -121,26 +123,12 @@ class RatioConfiguration:
     """The ratio pattern normalized by the (r+n)-th largest point.
 
     ``above`` holds the n-1 ratios >= 1, largest first; ``below`` the ratios
-    in (epsilon, 1); ``w_rn`` the pivot-to-top ratio (absent when r = 0).
+    in (epsilon, 1); ``w_rn`` the pivot-to-top ratio (None when r = 0).
     """
 
-    r: int
-    n: int
     above: np.ndarray
     below: np.ndarray
-    epsilon: float
-    w_rn: Optional[float] = None
-
-
-@dataclass
-class NBSample:
-    """Points in (epsilon, 1) of one draw of the limiting point process."""
-
-    n: int
-    alpha: float
-    points: np.ndarray
-    epsilon: float
-    method: str
+    w_rn: Optional[float]
 
 
 def _validate_epsilon_cap(epsilon: float, cap: int):
@@ -489,7 +477,8 @@ def _negbin_rows(n, alpha, epsilon, method, master_seed, streams, start, cap,
     # Poisson(g * (ea - 1)), the gamma-mixed Poisson count, drawn from the
     # counter after the head; then place that many i.i.d. points by inverse
     # CDF of the truncated base density, one counter each.  Each slab is
-    # drawn whole; the cells past a row's count hold u = 1 (the point 1).
+    # drawn whole; ``mask`` marks the cells within a row's count, and every
+    # consumer reads only those.
     # Chunk widths follow the engine's round schedule, and rows are taken in
     # slabs as in the engine, so a row's chunks, and with them its probe
     # sum, do not depend on the other rows of its block.
@@ -504,7 +493,6 @@ def _negbin_rows(n, alpha, epsilon, method, master_seed, streams, start, cap,
             for _, idx in _slabs(np.flatnonzero(counts > col), width):
                 mask = cols < counts[idx, None]
                 u = uniforms_at(master_seed, streams[idx, None], start + n + 1 + cols)
-                u[~mask] = 1.0
                 on_points(idx, (ea - u * (ea - 1.0)) ** -inv_alpha, mask)
             col += width
     return counts
@@ -534,7 +522,7 @@ def sample_ordered_points(
         raise ValueError("t must be positive")
     gammas = sample_gamma_arrivals(count, rng)
     points = np.exp(ordered_log_points(model, t, gammas))
-    return OrderedSample(t=float(t), gammas=gammas, points=points, count=count)
+    return OrderedSample(gammas=gammas, points=points)
 
 
 def sample_ratio_configuration(
@@ -565,9 +553,9 @@ def sample_ratio_configuration(
     arrivals = np.sort(last[0] + mu[0] * u)
     rng.cursor = at + 1 + count
     return RatioConfiguration(
-        r=r, n=n, above=above[0],
+        above=above[0],
         below=np.exp(ordered_log_points(model, t, arrivals) - pivot[0]),
-        epsilon=epsilon, w_rn=float(w[0]) if w is not None else None,
+        w_rn=float(w[0]) if w is not None else None,
     )
 
 
@@ -578,14 +566,15 @@ def sample_negbin_process(
     method: str,
     rng: RngStream,
     cap: int = 1_000_000,
-) -> NBSample:
+) -> np.ndarray:
     """One draw of the limiting below-1 point process, restricted to (epsilon, 1).
 
     ``limit_ratios`` realizes the points as transformed Poisson arrival
     ratios; ``mixed_poisson`` draws a gamma-mixed Poisson count and then
     i.i.d. points from the normalized base density.  Both constructions
-    target the identical law.  The draw reads ``rng`` from its cursor and
-    leaves the cursor just after the last counter consumed.
+    target the identical law.  Returns the points as a 1-D float64 array.
+    The draw reads ``rng`` from its cursor and leaves the cursor just after
+    the last counter consumed.
     """
     _validate_nb_args(n, alpha, epsilon, method, cap)
     points: list[np.ndarray] = []
@@ -596,8 +585,7 @@ def sample_negbin_process(
     counts = _negbin_rows(n, alpha, epsilon, method, rng.master_seed,
                           np.array([rng.stream_index]), rng.cursor, cap, collect)
     rng.cursor += n + 1 + int(counts[0])
-    pts = np.concatenate(points) if points else np.empty(0)
-    return NBSample(n=n, alpha=alpha, points=pts, epsilon=epsilon, method=method)
+    return np.concatenate(points) if points else np.empty(0)
 
 
 # ---------------------------------------------------------------------------

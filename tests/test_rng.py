@@ -104,6 +104,17 @@ def test_extreme_indices_valid(seed, stream):
     assert np.all((u > 0) & (u < 1))
 
 
+def test_extreme_words_stay_inside_the_unit_interval(monkeypatch):
+    # with the mixer the identity, stream 0 at counter 0 yields the word
+    # seed + _GOLDEN, so these seeds reach the top and bottom 53-bit words
+    monkeypatch.setattr(rng, "_mix64", lambda z: z)
+    golden = int(rng._GOLDEN)
+    top = rng.uniforms_at((2**64 - 2**11 - golden) % 2**64, 0, 0)
+    bottom = rng.uniforms_at(-golden % 2**64, 0, 0)
+    assert top == 1.0 - 2.0**-53  # (2^53 - 1 + 0.5) * 2^-53 rounds to 1.0
+    assert bottom == 2.0**-54
+
+
 @pytest.mark.parametrize("seed,stream", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
 def test_out_of_range_words_rejected(seed, stream):
     with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):

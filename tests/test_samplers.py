@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -127,13 +128,13 @@ def test_deep_regime_pareto_time_scales_are_the_arrivals():
 
 
 def test_ratio_configuration_invariants():
-    model = tm.pareto(1.0)
+    model, n, epsilon = tm.pareto(1.0), 3, 0.2
     for i in range(100):
-        cfg = sp.sample_ratio_configuration(model, 0.5, 2, 3, 0.2, RngStream(13, i))
-        assert cfg.above.size == cfg.n - 1
+        cfg = sp.sample_ratio_configuration(model, 0.5, 2, n, epsilon, RngStream(13, i))
+        assert cfg.above.size == n - 1
         assert np.all(cfg.above >= 1.0)
         assert np.all(np.diff(cfg.above) <= 0)
-        assert np.all((cfg.below > cfg.epsilon) & (cfg.below <= 1.0))
+        assert np.all((cfg.below > epsilon) & (cfg.below <= 1.0))
         assert 0 < cfg.w_rn <= 1.0
         if cfg.above.size:
             assert cfg.w_rn * cfg.above[0] <= 1.0 + 1e-12
@@ -210,7 +211,7 @@ def test_cap_one_lets_a_count_of_one_through():
         i = int(np.flatnonzero(c == 1)[0])
         single = sp.sample_negbin_process(1, 1.0, 0.5, method, RngStream(1, i), cap=1)
         one, _ = sp.negbin_batch(1, 1.0, 0.5, method, 1, 1, stream_start=i, cap=1)
-        assert single.points.size == one[0] == c[i]
+        assert single.size == one[0] == c[i]
 
 
 def test_a_cap_past_float64_lets_every_count_through():
@@ -226,7 +227,7 @@ def test_a_cap_past_float64_lets_every_count_through():
         c, _ = sp.negbin_batch(1, 1.0, 0.5, method, 50, 1)
         assert np.array_equal(sp.negbin_batch(1, 1.0, 0.5, method, 50, 1, cap=huge)[0], c)
         single = sp.sample_negbin_process(1, 1.0, 0.5, method, RngStream(1, 0), cap=huge)
-        assert single.points.size == c[0]
+        assert single.size == c[0]
 
 
 @pytest.mark.parametrize("model", [tm.pareto(1.3), tm.pareto_log(1.0, 1.5),
@@ -523,7 +524,7 @@ def test_last_stream_rows_equal_the_single_trial_forms():
     for method in sorted(sp.NB_METHODS):
         counts, _ = sp.negbin_batch(2, 1.0, 0.3, method, 4, 5, last - 3)
         single = sp.sample_negbin_process(2, 1.0, 0.3, method, RngStream(5, last))
-        assert counts[3] == single.points.size
+        assert counts[3] == single.size
 
 
 def test_default_threads_between_1_and_4(monkeypatch):
@@ -572,7 +573,7 @@ def test_single_and_batch_share_the_cap_rule():
             sp.negbin_batch(1, 1.0, 1 / 101, method, 1, 5, stream_start=i, cap=c[i] - 1)
         single = sp.sample_negbin_process(1, 1.0, 1 / 101, method, rng, cap=c[i])
         one, _ = sp.negbin_batch(1, 1.0, 1 / 101, method, 1, 5, stream_start=i, cap=c[i])
-        assert single.points.size == one[0] == c[i]
+        assert single.size == one[0] == c[i]
         assert rng.cursor == 1 + 1 + c[i]
         # a batch counts exactly the rows whose count exceeds the cap
         over = np.count_nonzero(c > 100)
@@ -641,7 +642,7 @@ def _engine_outputs():
     out.append(sp._negbin_rows(2, 1.0, 0.05, sp.LIMIT_RATIOS, 61, np.arange(rows), 0, 10**6))
     for i in (0, 1_500, rows - 1):
         rng = RngStream(61, i)
-        out += [sp.sample_negbin_process(2, 1.0, 0.05, sp.LIMIT_RATIOS, rng).points,
+        out += [sp.sample_negbin_process(2, 1.0, 0.05, sp.LIMIT_RATIOS, rng),
                 rng.cursor]
     with pytest.raises(sp.TruncationError) as err:
         sp.negbin_batch(2, 1.0, 0.05, sp.LIMIT_RATIOS, rows, 61, cap=70)
@@ -990,10 +991,21 @@ def test_dense_samplers_accept_extreme_finite_t(name):
 # --- negative binomial process ----------------------------------------------
 
 
+def test_single_trial_samplers_return_only_what_they_drew():
+    import ppratios
+
+    assert [f.name for f in dataclasses.fields(sp.OrderedSample)] == ["gammas", "points"]
+    assert [f.name for f in dataclasses.fields(sp.RatioConfiguration)] == [
+        "above", "below", "w_rn"]
+    assert not hasattr(sp, "NBSample") and "NBSample" not in ppratios.__all__
+
+
 def test_nb_sample_points_inside_interval():
     for method in sp.NB_METHODS:
-        s = sp.sample_negbin_process(2, 1.0, 0.3, method, RngStream(4, 0))
-        assert np.all((s.points > 0.3) & (s.points < 1.0))
+        points = sp.sample_negbin_process(2, 1.0, 0.3, method, RngStream(4, 0))
+        assert isinstance(points, np.ndarray) and points.ndim == 1
+        assert points.dtype == np.float64
+        assert np.all((points > 0.3) & (points < 1.0))
 
 
 def test_nb_batch_matches_single_trials():
@@ -1006,7 +1018,7 @@ def test_nb_batch_matches_single_trials():
         for i in (0, 7, 33, 63, int(np.argmax(counts))):
             rng = RngStream(12, i)
             single = sp.sample_negbin_process(n, alpha, eps, method, rng)
-            assert single.points.size == counts[i]
+            assert single.size == counts[i]
             # the cursor sits just after the last counter consumed: the
             # crossing arrival, or the count's counter and one per point
             assert rng.cursor == n + counts[i] + 1
@@ -1064,9 +1076,9 @@ def test_nb_consecutive_draws_continue_the_stream():
         first = sp.sample_negbin_process(n, 1.0, 0.3, method, rng)
         after_first = rng.cursor
         second = sp.sample_negbin_process(n, 1.0, 0.3, method, rng)
-        assert after_first == n + first.points.size + 1
-        assert rng.cursor == after_first + n + second.points.size + 1
-        assert not np.array_equal(first.points, second.points)
+        assert after_first == n + first.size + 1
+        assert rng.cursor == after_first + n + second.size + 1
+        assert not np.array_equal(first, second)
 
 
 def test_nb_void_probability():
@@ -1128,5 +1140,5 @@ def test_nb_probe_sums_match_manual():
     counts, sums = sp.negbin_batch(2, 1.0, 0.4, "limit_ratios", 32, 3, probe=probe)
     for i in (0, 5, 31):
         single = sp.sample_negbin_process(2, 1.0, 0.4, "limit_ratios", RngStream(3, i))
-        assert sums[i] == pytest.approx(float(np.sum(probe(single.points))), rel=1e-12)
-        assert counts[i] == single.points.size
+        assert sums[i] == pytest.approx(float(np.sum(probe(single))), rel=1e-12)
+        assert counts[i] == single.size

@@ -312,6 +312,18 @@ def test_nb_functional_check_passes(method):
     assert abs(d["void_empirical"] - d["void_expected"]) < 3 * d["void_se"]
 
 
+@pytest.mark.parametrize("method", sorted(sp.NB_METHODS))
+def test_nb_functional_infinite_probe_scores_the_probe_void(method):
+    # exp(-inf) is 0, so the functional of an infinite step is the void
+    # probability of the probe's own interval: (a**alpha)**n = 0.25 on
+    # (0.5, 1), not the void probability 0.09 of (epsilon, 1)
+    probe = ll.LaplaceProbe(math.inf, 0.5, 1.0)
+    rep = vf.nb_functional_check(2, 1.0, probe, 0.3, 200_000, method, seed=5)
+    stats = rep.statistics[0]
+    assert stats["expected_functional"] == 0.25
+    assert abs(stats["empirical_functional"] - 0.25) < 4 * math.sqrt(0.25 * 0.75 / 2e5)
+
+
 def test_nb_functional_rejects_probe_outside_interval():
     probe = ll.LaplaceProbe(1.0, 0.2, 1.0)
     with pytest.raises(ValueError):
