@@ -301,7 +301,7 @@ def _lambda_mass(alpha: float, lo: float, hi: float) -> float:
     """Base-measure mass alpha*x**(-alpha-1) of the interval (lo, hi)."""
     if hi <= lo:
         return 0.0
-    upper = 0.0 if math.isinf(hi) else hi**-alpha
+    upper = hi**-alpha  # 0.0 at hi = inf
     if lo <= 0.0:
         return math.inf
     return lo**-alpha - upper

@@ -53,10 +53,13 @@ row, and every arrival keeps its bits.  Single-trial and batch forms share
   head, one counter for the count (for ``limit_ratios``, the crossing
   arrival) and one per point: ``r + n + 1 + count`` or ``n + 1 + count``.
 
-Batch samplers run in blocks of ``_ROW_BLOCK`` rows (2^14) on ``threads``
-worker threads; ``threads=None`` (the default) uses the CPUs the process
-may run on, at most 4.  Neither the block, the slab nor the thread count
-changes any draw, count, point or probe sum, only wall time and memory.
+Batch samplers run in fixed row blocks on ``threads`` worker threads: the
+dense ones in blocks of ``_ROW_BLOCK`` rows (2^14), the open-ended ones in
+blocks of ``2 * _ROW_BLOCK`` (2^15, :func:`_open_block_rows`), which
+amortise their many short numpy calls.  ``threads=None`` (the default)
+uses the CPUs the process may run on, at most 4.  Neither the block, the
+slab nor the thread count changes any draw, count, point or probe sum,
+only wall time and memory.
 Every block writes its rows into one output allocated after block 0, so
 a batch holds its output once, never a list of parts.  With more than
 one thread, blocks run concurrently, so a caller's ``probe`` must be
@@ -272,19 +275,23 @@ def _poisson_quantile(mu, u):
     start keeps no arrival; ``mu = inf``, or above ``2**52``, where counts
     are no longer a float64 unit step apart, counts inf.
 
-    Each row takes the first of three searches that certifies its count,
+    Each row takes the first of four searches that certifies its count,
     chosen from its own ``(mu, u)``: a chop-down sum from 0 (``mu <
-    _CHOP_MU``), pmf steps from a Cornish-Fisher start anchored by one
-    ``pdtr`` or ``pdtrc``, and bisection on the test itself.  The first two
-    certify ``k`` only where their sums clear ``u`` at ``k`` and ``k - 1``
-    by more than their error bound and the special functions' (``_TOL``),
-    so every row gets the count of the exact test: the inverse is exact to
-    the integer (Giles, ACM TOMS 42(1), 2016).
+    _CHOP_MU``) or Giles's central start with its proven error bound (``mu
+    >= _CHOP_MU``, no special function but one ``ndtri``), then pmf steps
+    from a Cornish-Fisher start anchored by one ``pdtr`` or ``pdtrc``, and
+    bisection on the test itself.  The first three certify ``k`` only where
+    their error bounds and the special functions' (``_TOL``) leave it no
+    other integer, so every row gets the count of the exact test: the
+    inverse is exact to the integer (Giles, "Algorithm 955", ACM TOMS
+    42(1), 2016).
     """
     k = np.where(mu > _MU_MAX, math.inf, -1.0)  # -1: not counted yet
     k[~(mu > 0)] = 0.0
     small = np.flatnonzero((mu > 0) & (mu < _CHOP_MU))
     k[small] = _chop_down(mu[small], u[small])
+    central = np.flatnonzero((mu >= _CHOP_MU) & (mu <= _MU_MAX))
+    k[central] = _central(mu[central], u[central])
     for search in (_anchored, _bisect):
         rows = np.flatnonzero(k < 0)
         if rows.size:
@@ -314,13 +321,65 @@ def _chop_down(mu, u):
     return k
 
 
+def _central(mu, u):
+    """Each row's count from Giles's central normal-asymptotic start where it is certain, else -1.
+
+    With ``w = ndtri(u)`` and ``r = sqrt(mu)``, the start is ``s = mu + r w
+    + (1/3 + w^2/6) (1 - w / (12 r)) + delta``, ``delta = (1/40 + w^2/80 +
+    w^4/160) / mu``.  For ``|w| < 3`` and ``mu >= _CHOP_MU`` it lies above
+    the continuous ``y`` with ``Q(y, mu) = u`` (the regularized upper
+    incomplete gamma, so that ``pdtr(k, mu) = Q(k + 1, mu)``) by less than
+    ``2 delta`` (Giles 2016, after Temme 1979), and the count is
+    ``floor(y)``.  So ``floor(s)`` is certified where the fraction of ``s``
+    clears ``2 delta`` below and the rounding of ``s`` on both sides: about
+    99% of uniforms.  ``mu`` must lie in ``[_CHOP_MU, _MU_MAX]``.
+    """
+    w = ndtri(u)
+    inside = np.abs(w) < 3.0
+    w[~inside] = 0.0  # keep the tails' large or infinite w out of the arithmetic
+    r = np.sqrt(mu)
+    w2 = w * w
+    delta = w2 / 160.0
+    delta += 1.0 / 80.0
+    delta *= w2
+    delta += 1.0 / 40.0
+    delta /= mu
+    # (1/3 + w^2/6) (1 - w / (12 r))
+    corr = w / (12.0 * r)
+    np.subtract(1.0, corr, out=corr)
+    w2 /= 6.0
+    w2 += 1.0 / 3.0
+    corr *= w2
+    s = r
+    s *= w
+    s += mu
+    s += corr
+    s += delta
+    k = np.floor(s)
+    frac = s - k
+    # the rounding of s: a few units in its last place
+    np.abs(s, out=s)
+    s *= 8e-16
+    s += 1e-13
+    sure = frac < 1.0 - s
+    delta *= 2.0
+    delta += s
+    sure &= frac > delta
+    sure &= inside
+    k[~sure] = -1.0
+    return k
+
+
 def _anchored(mu, u):
     """Each row's count by pmf steps from an exact CDF value at a Cornish-Fisher start.
 
-    The start is exact for about 99% of uniforms once ``mu >= 6`` and
-    seldom off by more than one, so most rows take one step.  A row steps
-    at most ``_ANCHOR_STEPS`` times; rows not certified as in
-    :func:`_poisson_quantile` are counted -1.
+    The fallback for the rows the first searches leave uncounted: about
+    1-2% of rows with ``mu >= _CHOP_MU`` (those with ``|w| >= 3`` and those
+    :func:`_central` finds near an integer), and the rare rows below it
+    that :func:`_chop_down` does not reach.  The start is exact for about 99%
+    of uniforms once ``mu >= 6`` and seldom off by more than one, so most
+    rows take one step.  A row steps at most ``_ANCHOR_STEPS`` times; rows
+    not certified as in :func:`_poisson_quantile` are counted -1.
     """
     upper = u > 0.5
     s = np.where(upper, -1.0, 1.0)  # the test holds where s * (a - q) >= 0
@@ -602,21 +661,22 @@ def _default_threads() -> int:
 
 
 def _map_row_blocks(fn: Callable[[int, int], np.ndarray], n_trials: int,
-                    threads: Optional[int], stream_start: int):
+                    threads: Optional[int], stream_start: int,
+                    block_rows: Optional[int] = None):
     """Apply fn(row_offset, n_rows) over fixed row blocks, written into one preallocated output.
 
-    Blocks of ``_ROW_BLOCK`` rows keep a block's temporaries cache-sized and
-    bound peak memory.  Block 0 runs first; each output column is then
-    allocated once, with block 0's dtype and trailing shape, and every
-    block writes its slice of it and drops its part, so no list of parts
-    and no concatenated copy is held.  A tuple result is handled column by
-    column; a column that is None stays None.  A single block's result is
-    returned as it is.  Block boundaries are fixed, so the output (and the
-    error of the first failing block) is identical for any thread count.
-    ``threads`` None means :func:`_default_threads`; an explicit count
-    overrides it and must be at least 1.  Rows read streams
-    ``stream_start .. stream_start + n_trials - 1``, which must all lie in
-    ``[0, 2**64)``.
+    Blocks of ``block_rows`` rows (None: ``_ROW_BLOCK``) keep a block's
+    temporaries cache-sized and bound peak memory.  Block 0 runs first;
+    each output column is then allocated once, with block 0's dtype and
+    trailing shape, and every block writes its slice of it and drops its
+    part, so no list of parts and no concatenated copy is held.  A tuple
+    result is handled column by column; a column that is None stays None.
+    A single block's result is returned as it is.  Block boundaries are
+    fixed, so the output (and the error of the first failing block) is
+    identical for any thread count.  ``threads`` None means
+    :func:`_default_threads`; an explicit count overrides it and must be at
+    least 1.  Rows read streams ``stream_start .. stream_start + n_trials -
+    1``, which must all lie in ``[0, 2**64)``.
     """
     threads = _resolve_threads(threads)
     if n_trials < 1:
@@ -625,8 +685,9 @@ def _map_row_blocks(fn: Callable[[int, int], np.ndarray], n_trials: int,
     if first_stream < 0 or first_stream + n_trials > 2**64:
         raise ValueError(f"stream indices stream_start={stream_start} to stream_start + "
                          f"{n_trials} - 1 must lie in [0, 2**64)")
-    first = fn(0, min(_ROW_BLOCK, n_trials))
-    if n_trials <= _ROW_BLOCK:
+    step = _ROW_BLOCK if block_rows is None else block_rows
+    first = fn(0, min(step, n_trials))
+    if n_trials <= step:
         return first
     is_tuple = isinstance(first, tuple)
     out = tuple(None if part is None
@@ -640,13 +701,26 @@ def _map_row_blocks(fn: Callable[[int, int], np.ndarray], n_trials: int,
 
     write(0, first)
     del first
-    offsets = range(_ROW_BLOCK, n_trials, _ROW_BLOCK)
+    offsets = range(step, n_trials, step)
 
     def run(offset: int) -> None:
-        write(offset, fn(offset, min(_ROW_BLOCK, n_trials - offset)))
+        write(offset, fn(offset, min(step, n_trials - offset)))
 
     _run_blocks(run, offsets, threads)
     return out if is_tuple else out[0]
+
+
+def _open_block_rows() -> int:
+    """Rows per block of the open-ended batch samplers: ``2 * _ROW_BLOCK``, read when called.
+
+    Their blocks make many short numpy calls per row (the count search, the
+    engine's rounds, the placement chunks), each passing the interpreter
+    lock between threads, so larger blocks amortise them; the dense
+    samplers' arrays would leave the cache at that size.  The block never
+    depends on ``threads``: a :class:`TruncationError` counts the rows of
+    its block.
+    """
+    return 2 * _ROW_BLOCK
 
 
 def _resolve_threads(threads: Optional[int]) -> int:
@@ -882,7 +956,7 @@ def ratio_configuration_batch(
         mu = _ratio_bound(model, t, epsilon, pivot) - last
         return above, w, _draw_counts(master_seed, streams, r + n, mu, cap)
 
-    return _map_row_blocks(block, n_trials, threads, stream_start)
+    return _map_row_blocks(block, n_trials, threads, stream_start, _open_block_rows())
 
 
 def negbin_batch(
@@ -917,4 +991,4 @@ def negbin_batch(
 
         return _negbin_rows(n, alpha, epsilon, method, master_seed, streams, 0, cap, reduce), sums
 
-    return _map_row_blocks(block, n_trials, threads, stream_start)
+    return _map_row_blocks(block, n_trials, threads, stream_start, _open_block_rows())

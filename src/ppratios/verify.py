@@ -539,8 +539,9 @@ def nb_functional_check(
     """Empirical Laplace functional and point-count law of the sampled limit process.
 
     Compares (i) the mean of exp(-sum f(points)) against the closed-form
-    functional and (ii) the count of points above the probe's lower edge
-    against the negative binomial pmf with success probability a**alpha.
+    functional and (ii) the count of points on (epsilon, 1), the sampler's
+    own interval, against ``nb_count_pmf(n, alpha, epsilon, kmax)``: the
+    negative binomial pmf with success probability epsilon**alpha.
     ``probe`` is called concurrently from worker threads unless
     ``threads=1``, so it must be thread-safe.
     """

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import gammainc, pdtr, pdtrc
+from scipy.special import gammainc, ndtr, pdtr, pdtrc
 
 from ppratios import samplers as sp
 from ppratios import tail_models as tm
@@ -481,7 +481,7 @@ def test_engine_batch_peak_memory_is_its_output_and_a_few_slabs_per_thread(threa
     # however many rows a round has active
     import tracemalloc
 
-    per_thread = 8 * (16 * sp._ROW_BLOCK + 4 * sp._SLAB)  # bytes
+    per_thread = 8 * (16 * sp._open_block_rows() + 4 * sp._SLAB)  # bytes
     calls = {
         "negbin_batch": lambda: sp.negbin_batch(3, 2.0, 0.3, sp.LIMIT_RATIOS, 1 << 20, 3,
                                                 threads=threads),
@@ -876,6 +876,41 @@ def test_poisson_quantile_is_exact_to_the_integer():
     want = np.array([_scalar_poisson_quantile(m, v) for m, v in zip(mu, u)])
     assert np.array_equal(got, want)
     assert np.isinf(got[mu == math.inf]).all() and not got[~(mu > 0)].any()
+
+
+def _anchored_then_bisect(mu, u):
+    """The counts of the searches that call pdtr, as the central search's reference."""
+    k = sp._anchored(mu, u)
+    rest = np.flatnonzero(k < 0)
+    k[rest] = sp._bisect(mu[rest], u[rest])
+    return k
+
+
+def test_central_search_certifies_only_exact_counts():
+    # log-spaced means over the search's whole range, against uniforms at
+    # both extremes, next to its |w| < 3 edge (Phi(+-3) +- 1e-9) and random
+    edge = ndtr(np.array([-3.0, 3.0]))
+    us = np.concatenate([[2.0**-54, 1 - 2.0**-53, 0.5], edge - 1e-9, edge, edge + 1e-9,
+                         np.random.default_rng(11).random(290)])
+    mus = np.geomspace(sp._CHOP_MU, sp._MU_MAX, 300)
+    mu, u = (a.ravel() for a in np.meshgrid(mus, us))
+    got = sp._central(mu, u)
+    sure = np.flatnonzero(got >= 0)
+    assert sure.size > 0.5 * mu.size
+    assert np.array_equal(got[sure], _anchored_then_bisect(mu[sure], u[sure]))
+    # and a sample of them against the scalar bisection
+    for i in np.random.default_rng(12).choice(sure, 100, replace=False):
+        assert got[i] == _scalar_poisson_quantile(mu[i], u[i]), (mu[i], u[i])
+
+
+def test_central_search_certifies_most_rows():
+    # the means and uniforms mixed_poisson inverts at n 3, alpha 2, epsilon 0.3
+    streams = np.arange(100_000)
+    mu = sp._arrivals(9, streams, 0, 3)[-1] * (0.3**-2.0 - 1.0)
+    u = sp.uniforms_at(9, streams, 3)
+    central = mu >= sp._CHOP_MU
+    share = np.mean(sp._central(mu[central], u[central]) >= 0)
+    assert share > 0.9, share
 
 
 _LAW_CASES = {
