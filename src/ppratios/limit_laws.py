@@ -298,13 +298,15 @@ def nb_count_pmf(n: int, alpha: float, a: float, kmax: int) -> np.ndarray:
 
 
 def _lambda_mass(alpha: float, lo: float, hi: float) -> float:
-    """Base-measure mass alpha*x**(-alpha-1) of the interval (lo, hi)."""
+    """Base-measure mass alpha*x**(-alpha-1) of the interval (lo, hi); inf past float64."""
     if hi <= lo:
         return 0.0
-    upper = hi**-alpha  # 0.0 at hi = inf
     if lo <= 0.0:
         return math.inf
-    return lo**-alpha - upper
+    try:
+        return lo**-alpha - hi**-alpha  # hi**-alpha is 0.0 at hi = inf
+    except OverflowError:  # lo**-alpha, the larger power, exceeds float64
+        return math.inf
 
 
 def _above_one(alpha: float, f: LaplaceProbe, lo: float, hi: float) -> float:

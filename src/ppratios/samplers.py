@@ -22,13 +22,13 @@ arrival ``g``, so that count is Poisson(``mu``), ``mu = bound - g``.
 
 Ratio configurations and ``mixed_poisson`` draw the count first: one
 uniform per row, from the counter right after the head, inverted by
-:func:`_poisson_quantile` (exact to the integer).  Given the count, the
-arrivals below the bound are i.i.d. uniform on ``(g, bound)``, so a
-single-trial ratio configuration places its below ratios from the next
-``count`` counters, sorted; ``mixed_poisson`` places its i.i.d. points from
-the truncated base density the same way, in chunks of the round schedule
-below taken in slabs (:func:`_slabs`), so a row's probe sum does not depend
-on the other rows of its block.
+:func:`_poisson_quantile` (exact to the integer up to mean 1e5).  Given the
+count, the arrivals below the bound are i.i.d. uniform on ``(g, bound)``,
+so a single-trial ratio configuration places its below ratios from the
+next ``count`` counters, sorted; ``mixed_poisson`` places its i.i.d. points
+from the truncated base density the same way, in chunks of the round
+schedule below taken in slabs (:func:`_slabs`), so a row's probe sum does
+not depend on the other rows of its block.
 
 ``limit_ratios`` keeps its points as transformed arrival ratios, so it
 walks the arrivals.  One ragged engine, :func:`_extend`, does this for a
@@ -45,10 +45,11 @@ of arrivals, a round's slab or a dense sampler's, is drawn line-major by
 sum is a loop of whole-line adds in the same order as ``np.cumsum`` along a
 row, and every arrival keeps its bits.  Single-trial and batch forms share
 
-* one cap rule: ``cap >= 1`` before any draw, then :class:`TruncationError`
-  for a count above ``cap`` (``mu = inf`` among them): before any point is
-  placed where the count is drawn first, within one round past ``cap``
-  where it is walked, and
+* one cap rule: ``cap >= 1`` before any draw, then one
+  :class:`TruncationError` per call, counting every row whose count
+  exceeds ``cap`` (``mu = inf`` among them).  A block whose counts are
+  drawn first places no point once one exceeds ``cap``; a walked row stops
+  within one round past ``cap``; and
 * one cursor rule: a single-trial draw leaves its stream's cursor after the
   head, one counter for the count (for ``limit_ratios``, the crossing
   arrival) and one per point: ``r + n + 1 + count`` or ``n + 1 + count``.
@@ -88,7 +89,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gammaln, ndtri, pdtr, pdtrc
+from scipy.special import ndtri, pdtr, pdtrc
 
 from .rng import RngStream, uniforms_at
 from .tail_models import TailModel, log_inverse_tail, tail_at_log
@@ -104,9 +105,8 @@ _SLAB = 1 << 17  # counters per engine slab: 1 MiB per float64 temporary
 # the inverse Poisson CDF (:func:`_poisson_quantile`)
 _CHOP_MU = 6.0  # rows with a smaller mean try the chop-down sum first
 _CHOP_STEPS = 12  # chop-down terms summed before a row moves on
-_ANCHOR_STEPS = 16  # pmf steps from the anchor before a row is bisected
 _MU_MAX = 2.0**52  # past it a count is not a float64 unit step from the next
-_TOL = 1e-12  # margin for the error of pdtr, pdtrc and the sums compared with u
+_TOL = 1e-12  # margin for the error of the chop-down sums compared with u
 
 
 class TruncationError(RuntimeError):
@@ -240,7 +240,7 @@ def _extend(master_seed, streams, start, bound, cap, on_round=None):
     and ``on_round(rows, arr, kept)`` sees every slab's arrivals and mask.
     A row's draws, sums and hook calls do not depend on the slab it falls
     in.  An active row has kept every arrival it drew, so the walk stops
-    once those exceed ``cap``, and the counts go through :func:`_capped`.
+    once those exceed ``cap``, and :func:`_capped` marks its row.
     """
     counts = np.zeros(streams.size, dtype=np.int64)
     last = np.zeros(streams.size)
@@ -275,27 +275,29 @@ def _poisson_quantile(mu, u):
     start keeps no arrival; ``mu = inf``, or above ``2**52``, where counts
     are no longer a float64 unit step apart, counts inf.
 
-    Each row takes the first of four searches that certifies its count,
-    chosen from its own ``(mu, u)``: a chop-down sum from 0 (``mu <
-    _CHOP_MU``) or Giles's central start with its proven error bound (``mu
-    >= _CHOP_MU``, no special function but one ``ndtri``), then pmf steps
-    from a Cornish-Fisher start anchored by one ``pdtr`` or ``pdtrc``, and
-    bisection on the test itself.  The first three certify ``k`` only where
-    their error bounds and the special functions' (``_TOL``) leave it no
-    other integer, so every row gets the count of the exact test: the
-    inverse is exact to the integer (Giles, "Algorithm 955", ACM TOMS
-    42(1), 2016).
+    Each row takes the first of three searches that counts it, chosen from
+    its own ``(mu, u)``: a chop-down sum from 0 (``mu < _CHOP_MU``) or
+    Giles's central start with its proven error bound (``mu >= _CHOP_MU``,
+    no special function but one ``ndtri``), each certifying ``k`` only where
+    its error bound leaves it no other integer, then :func:`_gallop` on the
+    test itself from the central start (from ``_CHOP_STEPS`` below
+    ``_CHOP_MU``: but for near-ties, the chop-down leaves only larger
+    counts).  So every row gets the count of the test (Giles, "Algorithm
+    955", ACM TOMS 42(1), 2016).  That count is exact to the integer for
+    ``mu <= 1e5``, and beyond it wherever the first two searches certify
+    it.  Other rows are exact to scipy's test only, which loses accuracy in
+    the upper tail past about 4.5 standard deviations once ``mu`` exceeds
+    about 3e5.
     """
     k = np.where(mu > _MU_MAX, math.inf, -1.0)  # -1: not counted yet
     k[~(mu > 0)] = 0.0
     small = np.flatnonzero((mu > 0) & (mu < _CHOP_MU))
     k[small] = _chop_down(mu[small], u[small])
+    start = np.full(mu.size, float(_CHOP_STEPS))  # where the chop-down stopped
     central = np.flatnonzero((mu >= _CHOP_MU) & (mu <= _MU_MAX))
-    k[central] = _central(mu[central], u[central])
-    for search in (_anchored, _bisect):
-        rows = np.flatnonzero(k < 0)
-        if rows.size:
-            k[rows] = search(mu[rows], u[rows])
+    k[central], start[central] = _central(mu[central], u[central])
+    rows = np.flatnonzero(k < 0)
+    k[rows] = _gallop(mu[rows], u[rows], start[rows])
     return k
 
 
@@ -332,11 +334,11 @@ def _central(mu, u):
     ``2 delta`` (Giles 2016, after Temme 1979), and the count is
     ``floor(y)``.  So ``floor(s)`` is certified where the fraction of ``s``
     clears ``2 delta`` below and the rounding of ``s`` on both sides: about
-    99% of uniforms.  ``mu`` must lie in ``[_CHOP_MU, _MU_MAX]``.
+    99% of uniforms.  ``mu`` must lie in ``[_CHOP_MU, _MU_MAX]``.  Returns
+    the counts and every row's ``s``, the start of :func:`_gallop`.
     """
     w = ndtri(u)
-    inside = np.abs(w) < 3.0
-    w[~inside] = 0.0  # keep the tails' large or infinite w out of the arithmetic
+    np.clip(w, -40.0, 40.0, out=w)  # u = 0 or 1: a finite start, and no inf - inf
     r = np.sqrt(mu)
     w2 = w * w
     delta = w2 / 160.0
@@ -358,130 +360,92 @@ def _central(mu, u):
     k = np.floor(s)
     frac = s - k
     # the rounding of s: a few units in its last place
-    np.abs(s, out=s)
-    s *= 8e-16
-    s += 1e-13
-    sure = frac < 1.0 - s
+    slack = np.abs(s, out=w2)
+    slack *= 8e-16
+    slack += 1e-13
+    sure = frac < 1.0 - slack
     delta *= 2.0
-    delta += s
+    delta += slack
     sure &= frac > delta
-    sure &= inside
+    sure &= np.abs(w) < 3.0
     k[~sure] = -1.0
-    return k
+    return k, s
 
 
-def _anchored(mu, u):
-    """Each row's count by pmf steps from an exact CDF value at a Cornish-Fisher start.
+def _gallop(mu, u, start):
+    """Each row's count by the test itself, searched from ``start``; for rows no sum certifies.
 
-    The fallback for the rows the first searches leave uncounted: about
-    1-2% of rows with ``mu >= _CHOP_MU`` (those with ``|w| >= 3`` and those
-    :func:`_central` finds near an integer), and the rare rows below it
-    that :func:`_chop_down` does not reach.  The start is exact for about 99%
-    of uniforms once ``mu >= 6`` and seldom off by more than one, so most
-    rows take one step.  A row steps at most ``_ANCHOR_STEPS`` times; rows
-    not certified as in :func:`_poisson_quantile` are counted -1.
+    The test (as in :func:`_poisson_quantile`) is taken at ``max(floor(start),
+    0)``; the search then gallops away from it, down where it holds and up
+    where it fails, by steps of 1, 2, 4, ... until it flips, and bisects the
+    bracket.  It relies only on the test being monotone in ``k`` (Bentley and
+    Yao, "An almost optimal algorithm for unbounded searching", IPL 5(3),
+    1976), so ``start`` sets the cost, never the count.
     """
     upper = u > 0.5
-    s = np.where(upper, -1.0, 1.0)  # the test holds where s * (a - q) >= 0
     q = np.minimum(u, 1.0 - u)
-    z = ndtri(np.maximum(q, 1e-300))
-    z *= s
-    # k = ceil(mu + sd z + (z^2 - 1) / 6 + z (1 - z^2) / (72 sd) - 1/2), at least 0
-    sd = np.sqrt(mu)
-    k = z * z
-    term = 1.0 - k
-    term *= z
-    term /= 72.0 * sd
-    k -= 1.0
-    k /= 6.0
-    k += term
-    sd *= z
-    k += sd
-    k += mu
-    k -= 0.5
-    np.ceil(k, out=k)
-    np.maximum(k, 0.0, out=k)
-    del z, sd, term
-    a = np.empty(mu.size)  # pdtr(k, mu), or pdtrc(k, mu) in the upper tail
-    lo, hi = np.flatnonzero(~upper), np.flatnonzero(upper)
-    a[lo] = pdtr(k[lo], mu[lo])
-    a[hi] = pdtrc(k[hi], mu[hi])
-    del upper, lo, hi
-    lg = gammaln(k + 1.0)
-    err = np.log(mu)
-    err *= k
-    p = err - mu
-    p -= lg
-    np.exp(p, out=p)  # pmf(k)
-    # the relative error of p and of its steps
-    np.abs(err, out=err)
-    err += mu
-    err += lg
-    err *= 1e-15
-    err += 1e-14
-    del lg
-    d = a - q
-    d *= s
-    # -1: the test holds at k, so try k - 1; +1: it fails, so try k + 1; 0: unsure
-    step = np.where(np.abs(d) >= _TOL * a, -np.sign(d), 0.0)
-    del d
-    s *= step  # a moves by s * pmf per step
-    out = np.full(mu.size, -1.0)
-    idx = np.arange(mu.size)
-    a0, moved = a, np.zeros(mu.size)  # moved: the pmf summed into a since the anchor
-    for _ in range(_ANCHOR_STEPS):
-        k_next = k + step
-        p_up = p * mu / (k + 1.0)  # pmf(k + 1)
-        dp = np.where(step < 0, p, p_up)  # F(k - 1) = F(k) - pmf(k), F(k + 1) = F(k) + pmf(k + 1)
-        a = a + s * dp
-        moved += dp
-        e = s * (q - a)  # > 0 where the test at k_next agrees with the one at k
-        tol = _TOL * (a0 + np.abs(a)) + err * moved
-        done = np.flatnonzero((e < -tol) | (k_next < 0))
-        out[idx[done]] = np.maximum(k, k_next)[done]
-        go = np.flatnonzero((e > tol) & (k_next >= 0))
-        if not go.size:
-            break
-        idx, k, k_next, a, p, p_up, mu, q, s, step, a0, err, moved = (
-            v[go] for v in (idx, k, k_next, a, p, p_up, mu, q, s, step, a0, err, moved))
-        p = np.where(step < 0, p * k / mu, p_up)
-        k = k_next
-    return out
 
+    def holds(k, rows):
+        m, v, up = mu[rows], q[rows], upper[rows]
+        h = np.empty(k.size, dtype=bool)
+        h[up] = pdtrc(k[up], m[up]) <= v[up]
+        low = ~up
+        h[low] = pdtr(k[low], m[low]) >= v[low]
+        return h
 
-def _bisect(mu, u):
-    """The count by bisection on the exact test itself; for rows no sum certifies."""
-    upper = u > 0.5
-    q = np.minimum(u, 1.0 - u)
-    lo = np.full(mu.size, -1.0)  # the test fails at lo and holds at hi:
-    hi = np.full(mu.size, 2.0**53)  # pdtr is 1 and pdtrc 0 there for mu <= 2**52
-    while np.any(hi - lo > 1):
-        mid = np.floor((lo + hi) / 2)
-        holds = np.where(upper, pdtrc(mid, mu) <= q, pdtr(mid, mu) >= q)
-        hi = np.where(holds, mid, hi)
-        lo = np.where(holds, lo, mid)
+    k = np.maximum(np.floor(start), 0.0)
+    down = holds(k, slice(None))
+    lo = np.where(down, -1.0, k)  # the test fails at lo and holds at hi:
+    hi = np.where(down, k, 2.0**53)  # pdtr is 1 and pdtrc 0 there for mu <= 2**52
+    galloping = np.ones(mu.size, dtype=bool)
+    rows = np.flatnonzero(hi - lo > 1)
+    step = 1.0
+    while rows.size:
+        a, b = lo[rows], hi[rows]
+        # a galloping row probes ``step`` past its last probe, inside the bracket
+        k = np.where(down[rows], np.maximum(b - step, a + 1), np.minimum(a + step, b - 1))
+        k = np.where(galloping[rows], k, np.floor((a + b) / 2))
+        h = holds(k, rows)
+        galloping[rows] &= h == down[rows]  # the test flipped: bisect from now on
+        hi[rows] = np.where(h, k, b)
+        lo[rows] = np.where(h, a, k)
+        rows = rows[hi[rows] - lo[rows] > 1]
+        step *= 2.0
     return hi
 
 
 def _draw_counts(master_seed, streams, counter, mu, cap):
     """Each row's Poisson(``mu``) count, inverted from its uniform at ``counter``.
 
-    Raises :class:`TruncationError` if any count exceeds ``cap`` (``mu =
-    inf`` among them), before a caller places a point.
+    A count above ``cap`` (``mu = inf`` among them) comes back as -1
+    (:func:`_capped`), so a caller sees it before placing any point.
     """
     return _capped(_poisson_quantile(mu, uniforms_at(master_seed, streams, counter)), cap)
 
 
 def _capped(counts, cap):
-    """``counts`` as int64; :class:`TruncationError` if any exceeds ``cap`` (or is inf)."""
+    """``counts`` as int64, with -1 for each row whose count exceeds ``cap`` (or is inf).
+
+    ``counts`` is the caller's own array and is marked in place.
+    """
     # finite counts stay below 2**53, so a larger cap lets them all through
-    over = np.count_nonzero(~(counts <= min(cap, 2**53)))
+    counts[~(counts <= min(cap, 2**53))] = -1
+    return counts.astype(np.int64, copy=False)
+
+
+def _check_cap(counts, cap):
+    """``counts`` (from :func:`_capped`); :class:`TruncationError` counting the rows marked -1.
+
+    A batch calls it once on all its rows, so the message does not depend
+    on the row block or the thread count.
+    """
+    over = np.count_nonzero(counts < 0)
     if over:
         raise TruncationError(
             f"more than cap={cap} arrivals before the epsilon crossing in {over} of "
             f"{counts.size} rows (epsilon or cap too small)"
         )
-    return counts.astype(np.int64, copy=False)
+    return counts
 
 
 def _ratio_head(model, t, r, n, master_seed, streams, start):
@@ -542,7 +506,7 @@ def _negbin_rows(n, alpha, epsilon, method, master_seed, streams, start, cap,
     # slabs as in the engine, so a row's chunks, and with them its probe
     # sum, do not depend on the other rows of its block.
     counts = _draw_counts(master_seed, streams, start + n, g * (ea - 1.0), cap)
-    if on_points is not None:
+    if on_points is not None and counts.min() >= 0:  # nothing is returned past the cap
         max_count = int(counts.max())
         col = 0
         for width in _round_widths():
@@ -607,7 +571,7 @@ def sample_ratio_configuration(
                                         rng.cursor)
     mu = _ratio_bound(model, t, epsilon, pivot) - last
     at = rng.cursor + r + n  # the count's counter
-    count = int(_draw_counts(rng.master_seed, streams, at, mu, cap)[0])
+    count = int(_check_cap(_draw_counts(rng.master_seed, streams, at, mu, cap), cap)[0])
     u = uniforms_at(rng.master_seed, rng.stream_index, at + 1 + np.arange(count))
     arrivals = np.sort(last[0] + mu[0] * u)
     rng.cursor = at + 1 + count
@@ -641,8 +605,9 @@ def sample_negbin_process(
     def collect(rows, x, mask):
         points.append(x[0, mask[0]])
 
-    counts = _negbin_rows(n, alpha, epsilon, method, rng.master_seed,
-                          np.array([rng.stream_index]), rng.cursor, cap, collect)
+    counts = _check_cap(_negbin_rows(n, alpha, epsilon, method, rng.master_seed,
+                                     np.array([rng.stream_index]), rng.cursor, cap, collect),
+                        cap)
     rng.cursor += n + 1 + int(counts[0])
     return np.concatenate(points) if points else np.empty(0)
 
@@ -672,10 +637,9 @@ def _map_row_blocks(fn: Callable[[int, int], np.ndarray], n_trials: int,
     part, so no list of parts and no concatenated copy is held.  A tuple
     result is handled column by column; a column that is None stays None.
     A single block's result is returned as it is.  Block boundaries are
-    fixed, so the output (and the error of the first failing block) is
-    identical for any thread count.  ``threads`` None means
-    :func:`_default_threads`; an explicit count overrides it and must be at
-    least 1.  Rows read streams ``stream_start .. stream_start + n_trials -
+    fixed, so the output is identical for any thread count.  ``threads``
+    None means :func:`_default_threads`; an explicit count overrides it and
+    must be at least 1.  Rows read streams ``stream_start .. stream_start + n_trials -
     1``, which must all lie in ``[0, 2**64)``.
     """
     threads = _resolve_threads(threads)
@@ -716,9 +680,7 @@ def _open_block_rows() -> int:
     Their blocks make many short numpy calls per row (the count search, the
     engine's rounds, the placement chunks), each passing the interpreter
     lock between threads, so larger blocks amortise them; the dense
-    samplers' arrays would leave the cache at that size.  The block never
-    depends on ``threads``: a :class:`TruncationError` counts the rows of
-    its block.
+    samplers' arrays would leave the cache at that size.
     """
     return 2 * _ROW_BLOCK
 
@@ -956,7 +918,9 @@ def ratio_configuration_batch(
         mu = _ratio_bound(model, t, epsilon, pivot) - last
         return above, w, _draw_counts(master_seed, streams, r + n, mu, cap)
 
-    return _map_row_blocks(block, n_trials, threads, stream_start, _open_block_rows())
+    above, w, counts = _map_row_blocks(block, n_trials, threads, stream_start,
+                                       _open_block_rows())
+    return above, w, _check_cap(counts, cap)
 
 
 def negbin_batch(
@@ -991,4 +955,5 @@ def negbin_batch(
 
         return _negbin_rows(n, alpha, epsilon, method, master_seed, streams, 0, cap, reduce), sums
 
-    return _map_row_blocks(block, n_trials, threads, stream_start, _open_block_rows())
+    counts, sums = _map_row_blocks(block, n_trials, threads, stream_start, _open_block_rows())
+    return _check_cap(counts, cap), sums

@@ -270,6 +270,15 @@ def test_nb_laplace_ramp_pole_divergence():
     assert ll.nb_laplace(1, 1.5, probe) == 0.0
 
 
+def test_laplace_functionals_where_the_base_mass_exceeds_float64():
+    # the base mass of (0, b), or of (a, b) with a**-alpha past float64, is
+    # infinite: every point there is hit, so the functionals are 0
+    for a, b in ((0.0, 1e-320), (1e-320, 1e-300)):
+        probe = ll.LaplaceProbe(1.0, a, b)
+        assert ll.nb_laplace(1, 1.0, probe) == 0.0
+        assert ll.limit_laplace_full(0, 1, 1.0, probe) == 0.0
+
+
 def test_limit_laplace_factorization_exact():
     # probe supported in (0,1): above-1 factors are exactly 1
     for probe in (ll.LaplaceProbe(1.3, 0.2, 0.9),

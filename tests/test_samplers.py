@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import gammainc, ndtr, pdtr, pdtrc
+from scipy.special import gammainc, ndtr, ndtri, pdtr, pdtrc
 
 from ppratios import samplers as sp
 from ppratios import tail_models as tm
@@ -251,8 +251,10 @@ def _same_bytes(a, b) -> bool:
 
 
 #: (engine slab size, threads) runs: the module's slab at every thread
-#: setting, and slabs of 64 counters, one row per slab once rounds are 64 wide.
-_SLAB_RUNS = [(sp._SLAB, 1), (sp._SLAB, 2), (sp._SLAB, None), (64, 1), (64, 2)]
+#: setting, 4 (the default's largest) among them whatever the CPUs, and slabs
+#: of 64 counters, one row per slab once rounds are 64 wide.
+_SLAB_RUNS = [(sp._SLAB, 1), (sp._SLAB, 2), (sp._SLAB, 4), (sp._SLAB, None), (64, 1),
+              (64, 2)]
 
 
 def test_ratio_configuration_blocks_and_threads_do_not_change_output(monkeypatch):
@@ -281,7 +283,7 @@ def test_dense_batches_blocks_and_threads_do_not_change_output(monkeypatch):
         for block in (sp._ROW_BLOCK, 1_024):
             with monkeypatch.context() as m:
                 m.setattr(sp, "_ROW_BLOCK", block)
-                for threads in (1, 2, None):
+                for threads in (1, 2, 4, None):
                     out = np.asarray(call(threads))
                     assert np.array_equal(whole, out), (name, block, threads)
 
@@ -583,6 +585,27 @@ def test_single_and_batch_share_the_cap_rule():
             sp.negbin_batch(1, 1.0, 1 / 101, method, 50, 5, cap=100)
 
 
+def test_a_batch_truncation_error_counts_the_whole_batch(monkeypatch):
+    # three open-ended row blocks at the module's block size: the message
+    # counts every row over the cap, whatever the block size or threads
+    rows, cap = 2 * sp._open_block_rows() + 4_000, 80
+    calls = {method: lambda c, threads, method=method: sp.negbin_batch(
+        1, 1.0, 0.05, method, rows, 1, cap=c, threads=threads)[0] for method in sp.NB_METHODS}
+    calls["ratio_configuration_batch"] = lambda c, threads: sp.ratio_configuration_batch(
+        tm.pareto(1.0), 1.0, 0, 1, 0.05, rows, 1, cap=c, threads=threads)[2]
+    for name, call in calls.items():
+        over = np.count_nonzero(call(10**9, 2) > cap)  # a cap past every count
+        assert over > 0, name
+        for block in (sp._ROW_BLOCK, 1_024):
+            with monkeypatch.context() as m:
+                m.setattr(sp, "_ROW_BLOCK", block)
+                for threads in (1, 2):
+                    with pytest.raises(sp.TruncationError, match=(
+                            rf"^more than cap={cap} arrivals before the epsilon crossing in "
+                            rf"{over} of {rows} rows \(epsilon or cap too small\)$")):
+                        call(cap, threads)
+
+
 def test_round_schedule_doubles_to_the_widest_round():
     widths = list(itertools.islice(sp._round_widths(), 7))
     assert widths == [4, 8, 16, 32, 64, 64, 64] and sp._CHUNK == 64
@@ -590,8 +613,12 @@ def test_round_schedule_doubles_to_the_widest_round():
 
 
 def _past_cap(counts, cap):
-    """``counts``, or the cap rule's ``TruncationError`` naming the rows past ``cap``."""
-    over = np.count_nonzero(counts > cap)
+    """``counts``, or the cap rule's ``TruncationError`` naming the rows past ``cap``.
+
+    A row is past it where its count exceeds ``cap`` or is marked -1, as the
+    engine marks such rows.
+    """
+    over = np.count_nonzero((counts > cap) | (counts < 0))
     if over:
         raise sp.TruncationError(
             f"more than cap={cap} arrivals before the epsilon crossing in {over} of "
@@ -607,8 +634,8 @@ def _row_major_extend(master_seed, streams, start, bound, cap, on_round=None, la
     ``np.cumsum(axis=1)``, continuing from the arrivals ``last`` (0 when
     None, as the engine counts them).  The hook takes the engine's
     round-major layout, so it sees the transposes.  Rows still active once
-    their arrivals exceed ``cap`` stop, and the counts go through the cap
-    rule.
+    their arrivals exceed ``cap`` stop, and every row whose count exceeds
+    ``cap`` is marked -1, as the engine marks it.
     """
     counts = np.zeros(streams.size, dtype=np.int64)
     last = np.zeros(streams.size) if last is None else np.array(last, dtype=float)
@@ -627,7 +654,7 @@ def _row_major_extend(master_seed, streams, start, bound, cap, on_round=None, la
         last[act] = arr[:, -1]
         act = act[k == width]
         offset += width
-    return _past_cap(counts, cap)
+    return np.where(counts > cap, -1, counts)
 
 
 def _engine_outputs():
@@ -678,9 +705,9 @@ def _walk_configurations(model, t, r, n, epsilon, master_seed, streams, cap):
         for j, row in enumerate(rows):
             below[row].append(np.exp(log_ratios[j, kept[:, j]]))
 
-    counts = _row_major_extend(master_seed, streams, r + n,
-                               sp._ratio_bound(model, t, epsilon, pivot), cap, collect,
-                               last=last)
+    counts = _past_cap(_row_major_extend(master_seed, streams, r + n,
+                                         sp._ratio_bound(model, t, epsilon, pivot), cap,
+                                         collect, last=last), cap)
     return above, w, counts, [np.concatenate(b) for b in below]
 
 
@@ -878,12 +905,29 @@ def test_poisson_quantile_is_exact_to_the_integer():
     assert np.isinf(got[mu == math.inf]).all() and not got[~(mu > 0)].any()
 
 
-def _anchored_then_bisect(mu, u):
-    """The counts of the searches that call pdtr, as the central search's reference."""
-    k = sp._anchored(mu, u)
-    rest = np.flatnonzero(k < 0)
-    k[rest] = sp._bisect(mu[rest], u[rest])
-    return k
+#: (mu, u, count) in the far upper tail, w = ndtri(u) from 4.6 to 8, where
+#: the galloping search on scipy's test counts every row.  Each count is the
+#: smallest k with P(X > k) <= 1 - u, from the regularized incomplete gamma
+#: in 50-digit mpmath, and each P(X > k) lies at least 7e-4 of 1 - u away
+#: from it: the claim of :func:`_poisson_quantile` for mu <= 1e5.
+_FAR_TAIL_COUNTS = [
+    (10016.024283037477, 0.9999981593715727, 10483),
+    (17064.11304417345, 0.9999997364096722, 17723),
+    (25171.653472041584, 0.9999999856026471, 26057),
+    (33319.05398121359, 0.9999999991980925, 34426),
+    (41340.3416419866, 0.9999999999655392, 42674),
+    (56177.56343374452, 0.9999999999989458, 57851),
+    (72432.88083072474, 0.9999999999999775, 74473),
+    (99404.37278787326, 0.9999999999999976, 101883),
+    (13053.363089048966, 0.9999999999999987, 13967),
+    (84034.05532158018, 0.9999987714594452, 85403),
+]
+
+
+def test_poisson_quantile_is_exact_in_the_far_upper_tail_up_to_mean_1e5():
+    mu, u, want = (np.array(col) for col in zip(*_FAR_TAIL_COUNTS))
+    assert np.all((ndtri(u) > 4.6) & (ndtri(u) < 8.0) & (mu >= 1e4) & (mu <= 1e5))
+    assert np.array_equal(sp._poisson_quantile(mu, u), want)
 
 
 def test_central_search_certifies_only_exact_counts():
@@ -894,10 +938,11 @@ def test_central_search_certifies_only_exact_counts():
                          np.random.default_rng(11).random(290)])
     mus = np.geomspace(sp._CHOP_MU, sp._MU_MAX, 300)
     mu, u = (a.ravel() for a in np.meshgrid(mus, us))
-    got = sp._central(mu, u)
+    got, _ = sp._central(mu, u)
     sure = np.flatnonzero(got >= 0)
     assert sure.size > 0.5 * mu.size
-    assert np.array_equal(got[sure], _anchored_then_bisect(mu[sure], u[sure]))
+    # the exact test alone, searched from the mean rather than the central start
+    assert np.array_equal(got[sure], sp._gallop(mu[sure], u[sure], mu[sure]))
     # and a sample of them against the scalar bisection
     for i in np.random.default_rng(12).choice(sure, 100, replace=False):
         assert got[i] == _scalar_poisson_quantile(mu[i], u[i]), (mu[i], u[i])
@@ -909,8 +954,26 @@ def test_central_search_certifies_most_rows():
     mu = sp._arrivals(9, streams, 0, 3)[-1] * (0.3**-2.0 - 1.0)
     u = sp.uniforms_at(9, streams, 3)
     central = mu >= sp._CHOP_MU
-    share = np.mean(sp._central(mu[central], u[central]) >= 0)
+    share = np.mean(sp._central(mu[central], u[central])[0] >= 0)
     assert share > 0.9, share
+
+
+def test_gallop_count_does_not_depend_on_its_start():
+    # the search relies only on the test being monotone in k: starting at
+    # 0, at the mean, at Giles's start or a thousand sd off it, it gallops
+    # to the same bracket edge, in either tail and at the extreme uniforms
+    edge = ndtr(np.array([-3.0, 3.0]))
+    us = np.concatenate([[2.0**-54, 1e-12, 0.5, 1 - 1e-12, 1 - 2.0**-53, 1 - 2.0**-54],
+                         edge - 1e-9, edge + 1e-9, np.random.default_rng(13).random(40)])
+    mus = np.geomspace(1e-3, 1e12, 60)
+    mu, u = (a.ravel() for a in np.meshgrid(mus, us))
+    _, s = sp._central(mu, u)  # Giles's start, below the central search's range too
+    far = 1e3 * np.sqrt(mu)
+    counts = [sp._gallop(mu, u, start) for start in (np.zeros(mu.size), mu, s, s - far, s + far)]
+    for got in counts[1:]:
+        assert np.array_equal(got, counts[0])
+    for i in np.random.default_rng(14).choice(mu.size, 100, replace=False):
+        assert counts[0][i] == _scalar_poisson_quantile(mu[i], u[i]), (mu[i], u[i])
 
 
 _LAW_CASES = {
