@@ -12,16 +12,19 @@ a double-double (Dekker's product), so its 17-digit integer rounding P and
 the sign of the remainder are exact.  Rounding P to m digits gives a
 candidate q that reads back to v exactly when ``q * 10**j`` (one IEEE
 multiply or divide, exact inputs) equals v: Clinger's fast path, which
-needs q < 2**53 and |j| <= 22.  The rounding interval of such a v is
-symmetric, and rounding to m + 1 digits is never farther from v than to m,
-so the smallest m that reads back is repr's length; the 17-digit rounding
-always reads back.  Every other float cell (zeros, nan, infinities,
-subnormals, exponent notation, power-of-two significands, and 16-digit
-candidates at or above 2**53 when 15 digits do not read back) is written
-by ``float.__repr__``.
+needs q < 2**53 and |j| <= 22.  15-digit decimals lie farther apart than a
+double's rounding interval is wide (Matula; C's ``DBL_DIG``): where the
+15-digit q reads back, no other decimal of at most 15 digits does, and
+repr's digits are q without its trailing zeros; else the 16-digit q where
+it reads back (the interval is symmetric), else the 17-digit P.  Every
+other float cell (zeros, nan, infinities, subnormals, exponent notation,
+power-of-two significands, and 16-digit candidates at or above 2**53 when
+15 digits do not read back) is written by ``float.__repr__``.
 
-Text.  A numeric cell is 24 bytes, three little-endian uint64 words, so
-placing the decimal point and the sign takes a few word masks and shifts.
+Text.  A numeric cell is 24 bytes, three little-endian uint64 words: a few
+word masks and shifts place the decimal point among its zero-padded digits,
+and ``_put_minus`` stores a negative cell's '-' into the pad byte before its
+first character, for integer and float cells alike.
 """
 
 from __future__ import annotations
@@ -64,36 +67,19 @@ _ZEROS4 = _DIGITS4[0]
 
 
 def _float_layout() -> np.ndarray:
-    """Words ``[(low, high, fill), word, 20 * negative + point + 3]`` that lay
-    out the digit words x of a 17-digit integer (first digit at byte 7)
-    with the decimal point at ``point`` as ``(x >> 8 & low) | (x & high) |
-    fill``: the digits before the point move one byte down, '.' goes at
-    byte 6 + point, and '-' before the first character."""
-    table = np.zeros((2, 20, 3, _CELL), np.uint8)
+    """Words ``[(low, high, fill), word, point + 3]`` that lay out 17-digit
+    words x (first digit at byte 7) as ``(x >> 8 & low) | (x & high) | fill``:
+    the digits before the point move a byte down, '.' goes at byte 6 + point."""
+    table = np.zeros((20, 3, _CELL), np.uint8)
     for i, point in enumerate(range(-3, 17)):  # repr's fixed notation
         dot = 6 + point
-        first = 6 if point >= 1 else dot - 1  # a first digit, or '0' of '0.'
-        table[:, i, 0, :dot] = 0xFF
-        table[:, i, 1, dot + 1:] = 0xFF
-        table[:, i, 2, dot] = ord(".")
-        table[1, i, 0, first - 1] = 0
-        table[1, i, 2, first - 1] = ord("-")
-    return _word_major(table.reshape(40, 3, _CELL))
-
-
-def _minus_layout() -> np.ndarray:
-    """Words ``[(keep, fill), word, width]`` that put '-' before a
-    right-aligned integer of ``width`` digits."""
-    table = np.zeros((21, 2, _CELL), np.uint8)
-    table[:, 0] = 0xFF
-    for width in range(1, 20):
-        table[width, 0, 23 - width] = 0
-        table[width, 1, 23 - width] = ord("-")
+        table[i, 0, :dot] = 0xFF
+        table[i, 1, dot + 1:] = 0xFF
+        table[i, 2, dot] = ord(".")
     return _word_major(table)
 
 
 _FLOAT_LAYOUT = _float_layout()
-_MINUS_LAYOUT = _minus_layout()
 
 
 def _digit_words(mag: np.ndarray) -> np.ndarray:
@@ -109,6 +95,12 @@ def _digit_words(mag: np.ndarray) -> np.ndarray:
     return words
 
 
+def _put_minus(words: np.ndarray, rows: np.ndarray, at) -> None:
+    """Write '-' at byte ``at`` of the cells ``rows`` of (3, N) words."""
+    chars = words.view(np.uint8)  # byte b of cell i at [b // 8, 8 * i + b % 8]
+    chars[at // 8, 8 * rows + at % 8] = ord("-")
+
+
 def _int_cells(values: np.ndarray):
     """``str(int)`` of each int64 or uint64: (3, N) words, first bytes and ends."""
     negative = values < 0
@@ -116,10 +108,8 @@ def _int_cells(values: np.ndarray):
     np.negative(mag, out=mag, where=negative)  # modulo 2**64: |-2**63| too
     width = 1 + np.searchsorted(_U10, mag, side="right")
     words = _digit_words(mag)
-    if negative.any():
-        rows = np.flatnonzero(negative)
-        keep, fill = np.take(_MINUS_LAYOUT, width[rows], axis=2)
-        words[:, rows] = words[:, rows] & keep | fill
+    rows = np.flatnonzero(negative)
+    _put_minus(words, rows, _CELL - 1 - width[rows])
     return words, _CELL - width - negative, _CELL
 
 
@@ -177,29 +167,20 @@ def _shortest(v: np.ndarray):
     digits = np.where(sixteen, 10 * q, p)
     count = 17 - sixteen
     unsure = q >= _EXACT
-    # where 15 digits read back, the shortest has 1..15, found by bisection
+    # where the 15 digits q read back, no other decimal of 15 or fewer
+    # digits does (Matula), so the shortest is q without its trailing zeros
     q = (below + 50) // 100
     short = np.flatnonzero(_reads_back(q, e - 14, v))
     unsure[short] = False
-    lo_m = np.zeros(len(short), np.int64)
-    hi_m = np.full(len(short), 15)
-    best = q[short]
-    below_s, e_s, v_s = below[short], e[short], v[short]
-    for _ in range(4):  # 15 candidates
-        mid = np.maximum((lo_m + hi_m) >> 1, 1)
-        scale = _I10[17 - mid]
-        qm = (below_s + (scale >> 1)) // scale
-        good = _reads_back(qm, e_s + 1 - mid, v_s)
-        live = hi_m - lo_m > 1
-        take = live & good
-        hi_m[take] = mid[take]
-        best[take] = qm[take]
-        lo_m[live & ~good] = mid[live & ~good]
-    count[short] = hi_m
-    digits[short] = best * _I10[17 - hi_m]
-    carry = digits == _I10[17]  # 1 digit, rounded up to 10
-    e += carry
-    digits[carry] = _I10[16]
+    q = q[short]
+    digits[short] = 100 * q
+    zeros = np.zeros_like(q)
+    for step in (8, 4, 2, 1):
+        strip = q % _I10[step] == 0
+        q[strip] //= _I10[step]
+        zeros += step * strip
+    count[short] = 15 - zeros
+    # no carry to 10**17: the double nearest 10**k, -3 <= k <= 16, is not below it
     return digits, e + 1, count, np.flatnonzero(unsure)
 
 
@@ -212,9 +193,11 @@ def _float_cells(values: np.ndarray):
     x = _digit_words(digits.view(np.uint64))
     x_down = x >> np.uint64(8)
     x_down[:2] |= x[1:] << np.uint64(56)
-    low, high, fill = np.take(_FLOAT_LAYOUT, point + 3 + 20 * negative, axis=2)
+    low, high, fill = np.take(_FLOAT_LAYOUT, point + 3, axis=2)
     words = x_down & low | x & high | fill
     start = np.where(point >= 1, 6, 5 + point) - negative
+    rows = np.flatnonzero(negative)
+    _put_minus(words, rows, start[rows])
     end = 7 + np.maximum(count, point + 1)
     other = np.union1d(np.flatnonzero(~domain), unsure)
     if other.size:

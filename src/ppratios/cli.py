@@ -248,12 +248,20 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _grid_point(text: str) -> float:
+    """A number of a grid: any float but nan (``ValueError``)."""
+    value = float(text)
+    if value != value:
+        raise ValueError("a nan grid point")
+    return value
+
+
 def _parse_grid(text: str, log_spaced: bool = False) -> np.ndarray:
     """``lo:hi:count`` (inclusive, optionally log-spaced) or comma list."""
     if ":" in text:
         try:
             lo_s, hi_s, count_s = text.split(":")
-            lo, hi, count = float(lo_s), float(hi_s), int(count_s)
+            lo, hi, count = _grid_point(lo_s), _grid_point(hi_s), int(count_s)
         except ValueError:
             raise _CliError(f"grid {text!r} is not lo:hi:count "
                             "(two numbers and an integer count)") from None
@@ -263,7 +271,7 @@ def _parse_grid(text: str, log_spaced: bool = False) -> np.ndarray:
             return np.geomspace(lo, hi, count)
         return np.linspace(lo, hi, count)
     try:
-        return np.array([float(v) for v in text.split(",")])
+        return np.array([_grid_point(v) for v in text.split(",")])
     except ValueError:
         raise _CliError(f"grid {text!r} is not a comma list of numbers "
                         "or lo:hi:count") from None

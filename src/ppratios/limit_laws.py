@@ -47,7 +47,7 @@ class LaplaceProbe:
     form: str = INDICATOR_STEP
 
     def __post_init__(self):
-        if self.amplitude < 0:
+        if not self.amplitude >= 0:  # inf allowed, nan not
             raise ValueError("amplitude must be nonnegative")
         if self.a < 0 or not self.b > self.a:
             raise ValueError("require 0 <= a < b")
@@ -74,21 +74,29 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
-def _quad(fn, lo, hi, breakpoints=None) -> float:
-    points = None
-    if breakpoints:
-        points = sorted(p for p in breakpoints if lo < p < hi)
-        points = points or None
-    value, err = _scipy_quad(
-        fn, lo, hi, epsabs=0.0, epsrel=_REL_TOL, limit=_MAX_DEPTH, points=points
-    )
-    if not math.isfinite(value):
-        raise QuadratureError(f"integral on ({lo}, {hi}) is not finite")
-    if err > 100.0 * _REL_TOL * abs(value):
-        raise QuadratureError(
-            f"quadrature error {err:.3e} above tolerance on ({lo}, {hi})"
-        )
-    return value
+def _quad(fn, edges, breakpoints=(), base=0.0) -> float:
+    """``base`` plus the integral of fn from ``edges[0]`` to ``edges[-1]``.
+
+    One quad call per piece between consecutive edges, with the breakpoints
+    inside it, each added to ``base`` in turn.  The error is checked once,
+    summed over the pieces against the whole integral, so a negligible piece
+    that misses the relative tolerance alone does not fail it; quad's own
+    warnings are off (``full_output``).
+    """
+    total, whole, error = base, 0.0, 0.0
+    for lo, hi in zip(edges, edges[1:]):
+        points = sorted(p for p in breakpoints if lo < p < hi) or None
+        value, err = _scipy_quad(fn, lo, hi, full_output=1, epsabs=0.0, epsrel=_REL_TOL,
+                                 limit=_MAX_DEPTH, points=points)[:2]
+        total += value
+        whole += value
+        error += err
+    span = f"({edges[0]}, {edges[-1]})"
+    if not math.isfinite(whole):
+        raise QuadratureError(f"integral on {span} is not finite")
+    if error > 100.0 * _REL_TOL * abs(whole):
+        raise QuadratureError(f"quadrature error {error:.3e} above tolerance on {span}")
+    return total
 
 
 def _check_pivot(r: int, n: int, alpha: float) -> None:
@@ -254,7 +262,7 @@ def successive_ratio_cdf(k: int, alpha: float, y):
     """
     if np.any(np.asarray(k) < 1):
         raise ValueError("k must be >= 1")
-    if alpha < 0:
+    if not alpha >= 0:
         raise ValueError("alpha must be nonnegative (inf allowed)")
     arr = np.clip(np.asarray(y, dtype=float), 0.0, 1.0)
     with np.errstate(invalid="ignore"):
@@ -268,8 +276,8 @@ def ratio_tail_n1(r: int, alpha: float, x):
     """Limiting tail P(r-th/(r+1)-th largest > x) = x**(-r*alpha) for x >= 1."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    if not alpha >= 0:
+        raise ValueError("alpha must be nonnegative (inf allowed)")
     arr = np.maximum(np.asarray(x, dtype=float), 1.0)
     out = arr ** (-r * alpha)
     return float(out) if np.ndim(x) == 0 else out
@@ -332,8 +340,7 @@ def _above_one(alpha: float, f: LaplaceProbe, lo: float, hi: float) -> float:
     # quad takes no breakpoints on an infinite interval: the part past the
     # last knot is a call of its own
     split = min(inner_hi, knots[-1])
-    return (outside + _quad(integrand, inner_lo, split, breakpoints=knots)
-            + _quad(integrand, split, inner_hi))
+    return _quad(integrand, (inner_lo, split, inner_hi), knots, base=outside)
 
 
 def nb_laplace(n: int, alpha: float, f: LaplaceProbe) -> float:
@@ -350,10 +357,12 @@ def nb_laplace(n: int, alpha: float, f: LaplaceProbe) -> float:
         return 1.0
     if f.form == INDICATOR_STEP:
         deficit = -math.expm1(-lam) * _lambda_mass(alpha, lo, hi)
-    elif lo <= 0.0 and alpha >= 1.0:
-        return 0.0  # the ramp decays too slowly to tame the x**(-alpha-1) pole
+    elif lo <= 0.0 and (alpha >= 1.0 or lam == math.inf):
+        # the ramp vanishes too slowly at 0 (or not at all) to tame the
+        # x**(-alpha-1) pole, so the deficit is infinite
+        return 0.0
     else:
-        deficit = _quad(lambda x: -math.expm1(-lam * x) * alpha * x ** (-alpha - 1.0), lo, hi)
+        deficit = _quad(lambda x: -math.expm1(-lam * x) * alpha * x ** (-alpha - 1.0), (lo, hi))
     return (1.0 + deficit) ** (-n)
 
 
@@ -372,7 +381,7 @@ def _upper_factor(r: int, n: int, alpha: float, f: LaplaceProbe) -> float:
     # the support edge s**(-1/alpha) crossing a probe edge puts kinks in the
     # outer integrand
     kinks = [edge**-alpha for edge in (f.a, f.b) if 1.0 < edge < math.inf]
-    return _quad(outer, 0.0, 1.0, breakpoints=kinks)
+    return _quad(outer, (0.0, 1.0), kinks)
 
 
 def limit_laplace_full(r: int, n: int, alpha: float, f: LaplaceProbe) -> float:

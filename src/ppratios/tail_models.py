@@ -78,6 +78,12 @@ class TailModel:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown tail kind: {self.kind!r}")
+        # the range checks below let most nans through, and an infinite
+        # parameter leaves no tail function of the family
+        for name in ("alpha", "beta", "c", "gamma"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, not {value!r}")
         if self.kind in (PARETO, PARETO_LOG, PARETO_PERTURBED):
             if self.alpha is None or not self.alpha > 0:
                 raise ValueError(f"{self.kind} requires alpha > 0")

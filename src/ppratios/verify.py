@@ -472,8 +472,8 @@ def identity_checks(
         raise ValueError("identity checks are calibrated for trials >= 10^5")
     if r < 1 or n < 1:
         raise ValueError("require r >= 1 and n >= 1")
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     stats = []
 
     # (a) product identity

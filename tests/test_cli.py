@@ -650,7 +650,7 @@ def test_out_dir_naming_a_file_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("grid", ["0.1:0.9", "0.1:0.9:5:7", "0.1:x:5", "0.1:0.9:2.5",
-                                  "0.1,x"])
+                                  "0.1,x", "0.5,nan", "nan:0.9:3", "0.1:nan:3"])
 def test_malformed_grid_names_the_expected_form(tmp_path, capsys, grid):
     code = run_cli("laws", "--law", "w", "--alpha", "2", "--r", "1", "--n", "2",
                    "--grid", grid, "--out-dir", str(tmp_path))
@@ -916,11 +916,33 @@ def test_huge_trial_counts_exit_2(tmp_path, argv, trials):
     # exp warned and inf cells were written
     ["simulate", "--tail", "slow_zero", "--t", "1e-3", "--r", "1", "--n", "3",
      "--epsilon", "0.5", "--trials", "1000"],
+    # non-finite tail parameters: a nan gamma wrote trials.csv, an infinite c
+    # warned, an infinite beta was a "math domain error", an infinite alpha
+    # ran to the cap
+    ["simulate", "--tail", "pareto_perturbed", "--alpha", "1", "--c", "1", "--gamma", "nan",
+     "--t", "0.1", "--r", "1", "--n", "2", "--trials", "100"],
+    ["simulate", "--tail", "pareto_perturbed", "--alpha", "1", "--c", "inf", "--gamma", "0.5",
+     "--t", "0.1", "--r", "1", "--n", "2", "--trials", "100"],
+    ["simulate", "--tail", "pareto_log", "--alpha", "1", "--beta", "inf", "--t", "0.1",
+     "--r", "1", "--n", "2", "--trials", "100"],
+    ["simulate", "--tail", "pareto", "--alpha", "inf", "--t", "0.1", "--r", "1", "--n", "2",
+     "--trials", "100"],
+    # a nan alpha gave the alpha = 0 convention (every CDF 1.0) or nan rows
+    ["laws", "--law", "successive", "--alpha", "nan", "--r", "1", "--grid", "0.1:0.9:3"],
+    ["laws", "--law", "ratio_tail", "--alpha", "nan", "--r", "1", "--grid", "1:3:3"],
+    # a nan amplitude failed the check (exit 1)
+    ["verify", "--target", "nb_functional", "--alpha", "1", "--n", "2", "--epsilon", "0.3",
+     "--probe-amplitude", "nan", "--trials", "10000"],
+    # an infinite alpha passed with every KS 0.0
+    ["verify", "--target", "identities", "--alpha", "inf", "--r", "1", "--n", "2",
+     "--trials", "100000"],
 ], ids=["nb_small_epsilon", "nb_large_alpha", "conditional_gamma_large_alpha",
         "k_orderstat_large_n", "phi_infinite_alpha", "wlaw_negative_n",
         "z_insensitivity_zero_n", "gamma_nc_negative_n", "classify_zero_t",
         "z_insensitivity_rapid_zero", "conditional_gamma_rapid_zero",
-        "simulate_slow_zero_overflow"])
+        "simulate_slow_zero_overflow", "simulate_nan_gamma", "simulate_infinite_c",
+        "simulate_infinite_beta", "simulate_infinite_alpha", "successive_nan_alpha",
+        "ratio_tail_nan_alpha", "nb_functional_nan_amplitude", "identities_infinite_alpha"])
 def test_overflowing_or_empty_inputs_exit_2(tmp_path, argv):
     out = tmp_path / "out"
     code, err, caught = _run_captured(argv + ["--out-dir", str(out)])

@@ -16,6 +16,14 @@ def _rounded(rng, n):
     return np.array([float(f"{v:.{d - 1}e}") for v, d in zip(values.tolist(), digits.tolist())])
 
 
+def _grid(rng, per):
+    """Decimals of 1..17 digits at every decimal-point position of repr's
+    fixed notation, ``per`` of each: 0.000d.. (point -3) to d..d.0 (point 16)."""
+    return np.array([float(f"{m}e{point - count}")
+                     for point in range(-3, 17) for count in range(1, 18)
+                     for m in rng.integers(10**(count - 1), 10**count, per).tolist()])
+
+
 def test_float_cells_match_repr():
     rng = np.random.default_rng(20)
     decades = 10.0 ** np.arange(-5, 18)
@@ -29,6 +37,7 @@ def test_float_cells_match_repr():
         _rounded(rng, 20_000),
         rng.random(20_000) * 10.0 ** rng.integers(-4, 16, 20_000),  # the whole domain
         [0.0, 1e-4, 1234567890123456.75, 1234567890123456.25],
+        _grid(rng, 20),
     ])
     values = np.concatenate([values, -values])
     assert len(values) >= 200_000
@@ -43,8 +52,11 @@ def test_narrow_floats_are_widened_first():
 def test_integer_cells_match_str():
     rng = np.random.default_rng(22)
     ints = rng.integers(-2**63, 2**63 - 1, 20_000, endpoint=True) >> rng.integers(0, 64, 20_000)
-    edges = np.array([-2**63, 2**63 - 1, -1, 0, 9, 10, -10, 99, 100], np.int64)
-    unsigned = np.array([0, 2**64 - 1, 10**19, 10**19 - 1], np.uint64)
+    powers = 10 ** np.arange(19)  # the least value of every width 1..19
+    edges = np.concatenate([[-2**63, 2**63 - 1, 0], powers, -powers, powers[1:] - 1,
+                            1 - powers[1:]]).astype(np.int64)
+    unsigned = np.concatenate([[0, 2**64 - 1, 10**19, 10**19 - 1],
+                               powers.astype(np.uint64) - np.uint64(1)])
     for column in (np.concatenate([ints, edges]), unsigned, np.arange(-300, 300, dtype=np.int16),
                    np.arange(256, dtype=np.uint8)):
         assert _texts(column) == list(map(str, column.tolist()))

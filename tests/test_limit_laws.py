@@ -265,9 +265,30 @@ def test_nb_laplace_ramp_quadrature():
 
 
 def test_nb_laplace_ramp_pole_divergence():
-    # amplitude*x near 0 cannot tame the x**(-alpha-1) pole for alpha >= 1
+    # amplitude*x near 0 cannot tame the x**(-alpha-1) pole for alpha >= 1,
+    # nor an infinite amplitude at any alpha (quad returned a finite value
+    # for that divergent integral, and the functional left [0, 1])
     probe = ll.LaplaceProbe(1.0, 0.0, 0.5, ll.LINEAR_RAMP)
     assert ll.nb_laplace(1, 1.5, probe) == 0.0
+    void = ll.LaplaceProbe(math.inf, 0.0, 0.5, ll.LINEAR_RAMP)
+    assert ll.nb_laplace(1, 0.5, void) == 0.0
+    assert ll.limit_laplace_full(1, 2, 0.5, void) == 0.0
+
+
+# limit_laplace_full(1, 2, 0.5, linear_ramp(amplitude, a, inf)) from mpmath at
+# 40 digits: the above-1 kernel as alpha lam**alpha Gamma(-alpha, lam x) terms,
+# integrated over s with mpmath's quad
+_RAMP_TAILS = [(0.3, 0.8, 0.32011771085149997958), (0.3, 2.0, 0.63809196709019258387),
+               (1.0, 0.8, 0.044631021513603512143), (1.0, 2.0, 0.51876713091024522638),
+               (5.0, 0.8, 4.822408180374862815e-6), (5.0, 2.0, 0.5000019151202328158)]
+
+
+@pytest.mark.parametrize("amplitude,a,want", _RAMP_TAILS)
+def test_a_negligible_quadrature_piece_does_not_fail_the_integral(amplitude, a, want):
+    # the piece past 40 decay lengths is about 1e-30 and misses the relative
+    # tolerance on its own; the error is checked on the whole kernel
+    probe = ll.LaplaceProbe(amplitude, a, math.inf, ll.LINEAR_RAMP)
+    assert ll.limit_laplace_full(1, 2, 0.5, probe) == pytest.approx(want, rel=1e-12)
 
 
 def test_laplace_functionals_where_the_base_mass_exceeds_float64():
@@ -419,12 +440,18 @@ def test_probe_validation():
         ll.LaplaceProbe(1.0, 0.6, 0.5)
     with pytest.raises(ValueError):
         ll.LaplaceProbe(1.0, 0.1, 0.5, "spline")
+    with pytest.raises(ValueError):
+        ll.LaplaceProbe(math.nan, 0.1, 0.5)
+    assert ll.LaplaceProbe(math.inf, 0.1, 0.5)(0.3) == math.inf
 
 
 def test_law_spec_validation():
     for call in (lambda: ll.w_law(1, 1, 0.0, 0.5), lambda: ll.j_law(0.5, 0.0, 1.5),
                  lambda: ll.w_cdf(1, 1, 0.0, 0.5), lambda: ll.j_law(1.5, 1.0, 1.2),
-                 lambda: ll.w_law(-1, 1, 1.0, 0.5), lambda: ll.w_cdf(-1, 1, 1.0, 0.5)):
+                 lambda: ll.w_law(-1, 1, 1.0, 0.5), lambda: ll.w_cdf(-1, 1, 1.0, 0.5),
+                 # nan alpha (inf is the point-mass convention)
+                 lambda: ll.successive_ratio_cdf(1, math.nan, 0.5),
+                 lambda: ll.ratio_tail_n1(1, math.nan, 2.0)):
         with pytest.raises(ValueError):
             call()
 

@@ -357,6 +357,14 @@ def test_model_validation():
     with pytest.raises(ValueError, match="gamma - alpha"):
         tm.pareto_perturbed(1.0, 1.0, 3.0)  # tail rises towards x = 1
     tm.pareto_perturbed(1.0, 0.5, 3.0)  # c * (gamma - alpha) == alpha: still a tail
+    # every parameter is finite
+    for bad in (math.nan, math.inf):
+        for make in (lambda: tm.pareto(bad), lambda: tm.pareto_log(bad, 0.5),
+                     lambda: tm.pareto_log(1.0, bad), lambda: tm.pareto_perturbed(bad, 0.5, 1.0),
+                     lambda: tm.pareto_perturbed(1.0, bad, 1.0),
+                     lambda: tm.pareto_perturbed(1.0, 0.5, bad)):
+            with pytest.raises(ValueError, match="must be finite"):
+                make()
 
 
 def test_rv_index():
